@@ -1,7 +1,6 @@
 """Generalized Heisenberg algebra systems: spectra, truncated Fock
 representations, coherent states, and uncertainty-product dynamics."""
 
-from ._backend import backend_name
 from .algebra import (
     AlgebraRep,
     IdentityCheck,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraRep", "CATALOG", "EV", "ExpectationSet", "FockState", "HBAR",
     "IdentityCheck", "MomentSeries", "MorsePhysicalParams", "SpectrumModel",
-    "UncertaintyTrace", "VerifyReport", "backend_name", "basis_state",
+    "UncertaintyTrace", "VerifyReport", "basis_state",
     "build_rep", "casimir", "characteristic_fn", "closed_form_normalization",
     "commutator", "convergence_radius", "eigenstate_residual", "energy",
     "evolve", "expectations_oracle", "expectations_series", "from_table",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import weighted_trig_sums
+from ._kernels_py import weighted_trig_sums
 from .algebra import AlgebraRep, build_rep
 from .errors import (
     ClampWarning,

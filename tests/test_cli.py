@@ -71,12 +71,16 @@ def test_trace_refuses_overwrite(runner, tmp_path):
 
 
 def test_trace_determinism(runner, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["--system", "hydrogen", "--kind", "linear", "--r", "0.5",
-            "--points", "51", "--t-end", "20"]
-    assert runner.invoke(main, ["trace", *args, "--out", str(a)]).exit_code == 0
-    assert runner.invoke(main, ["trace", *args, "--out", str(b)]).exit_code == 0
-    assert a.read_bytes() == b.read_bytes()
+    base = ["--system", "hydrogen", "--kind", "linear", "--r", "0.5"]
+    # the second grid takes the factored (matrix product) kernel path
+    for k, grid in enumerate((["--points", "51", "--t-end", "20"],
+                              ["--path", "series", "--points", "20001",
+                               "--t-end", "1000"])):
+        a, b = tmp_path / f"a{k}.csv", tmp_path / f"b{k}.csv"
+        for out in (a, b):
+            res = runner.invoke(main, ["trace", *base, *grid, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_trace_both_paths_reports_discrepancy(runner, tmp_path):
