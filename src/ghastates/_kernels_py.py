@@ -15,9 +15,6 @@ import math
 
 import numpy as np
 
-# below this many points the two tables and the product cost more than the
-# direct evaluation
-_MIN_FACTORED_POINTS = 64
 # a uniform grid reproduces t_0 + j dt to a few ulp of its largest |t|
 _UNIFORM_ULPS = 4.0
 
@@ -25,6 +22,8 @@ _UNIFORM_ULPS = 4.0
 def _uniform_step(times: np.ndarray) -> float | None:
     """The step dt when ``times`` is ``t_0 + j dt`` to round-off, else None."""
     count = len(times)
+    if count < 2:
+        return None
     dt = (times[-1] - times[0]) / (count - 1)
     ideal = times[0] + dt * np.arange(count)
     tol = _UNIFORM_ULPS * np.finfo(float).eps * np.abs(times).max()
@@ -44,7 +43,7 @@ def weighted_trig_sums(weights, freqs, phase, times):
     if weights.shape != freqs.shape:
         raise ValueError("weights and freqs must have the same length")
     count = len(times)
-    dt = _uniform_step(times) if count >= _MIN_FACTORED_POINTS else None
+    dt = _uniform_step(times)
     if dt is None:
         args = np.multiply.outer(times, freqs) + phase
         return np.cos(args) @ weights, np.sin(args) @ weights

@@ -21,22 +21,28 @@ def _reference(weights, freqs, phase, times):
 
 
 def _factored(times):
-    return (len(times) >= _kernels_py._MIN_FACTORED_POINTS
-            and _kernels_py._uniform_step(times) is not None)
+    return _kernels_py._uniform_step(times) is not None
 
 
 def test_python_kernel_matches_reference():
     rng = np.random.default_rng(7)
     w = rng.normal(size=23)
     f = rng.normal(size=23)
+    t = np.linspace(0.0, 10.0, 17)
+    ref_c, ref_s = _reference(w, f, 0.35, t)
+    got_c, got_s = _kernels_py.weighted_trig_sums(w, f, 0.35, t)
+    assert np.abs(got_c - ref_c).max() < 1e-12
+    assert np.abs(got_s - ref_s).max() < 1e-12
+
+    # longer grids and both paths, within a bound that scales with sum |w|
     f[:3] = 0.0  # zero frequencies alongside the negative draws
     assert (f < 0).any()
     scale = np.abs(w).sum()
     cases = [
-        (np.linspace(0.0, 10.0, 17), False),
         (np.linspace(0.0, 100.0, 2001), True),
         (np.linspace(0.0, 100.0, 1000), True),  # last tile ragged: 32*32 > 1000
         (np.linspace(-37.5, 62.5, 777), True),
+        (np.linspace(0.0, 1.0, 2), True),
         (np.sort(rng.uniform(0.0, 50.0, 300)), False),
         (np.linspace(0.0, 100.0, 2001) + rng.uniform(0.0, 1e-9, 2001), False),
         (np.array([3.7]), False),
