@@ -1,12 +1,15 @@
-"""The trigonometric accumulation kernel behind the series route.
+"""The trigonometric accumulation kernel behind both routes.
 
-Every series moment is a sum ``sum_k w_k exp(i (f_k t + phase))`` over a
-time grid.  On a uniform grid ``t_j = t_0 + j dt`` the grid is tiled as
+Every moment is a sum ``sum_k w_k exp(i (f_k t + phase))`` over a time
+grid: with real weights on the series route, and with complex
+matrix-element weights, several rows sharing one frequency list, on the
+matrix route.  On a uniform grid ``t_j = t_0 + j dt`` the grid is tiled as
 ``j = b M + m`` and each phasor factors as
-``exp(i f t_{bM}) * exp(i f m dt)``: two small exp tables joined by a
-complex matrix product.  That takes ``(B + M) K`` transcendental calls in
-place of ``2 T K``, and, unlike a recurrence, accumulates no round-off
-along the grid.  Other grids are evaluated directly.
+``exp(i f t_{bM}) * exp(i f m dt)``: two small exp tables, shared by every
+weight row, joined by complex matrix-vector products.  That takes
+``(B + M) K`` transcendental calls in place of ``2 T K``, and, unlike a
+recurrence, accumulates no round-off along the grid.  Other grids are
+evaluated directly.
 """
 
 from __future__ import annotations
@@ -33,26 +36,45 @@ def _uniform_step(times: np.ndarray) -> float | None:
 
 
 def weighted_trig_sums(weights, freqs, phase, times):
-    """sum_k w_k cos(f_k t + phase) and the matching sine, per time point.
+    """Real and imaginary parts of sum_k w_k exp(i (f_k t + phase)).
 
-    weights, freqs: shape (K,); times: shape (T,).  Returns two (T,) arrays.
+    For real weights these are sum_k w_k cos(f_k t + phase) and the matching
+    sine.  weights: shape (K,) or (R, K), real or complex; freqs: shape (K,);
+    times: shape (T,).  Returns two arrays of shape (T,) or (R, T), one row
+    per weight row.
     """
-    weights = np.ascontiguousarray(weights, dtype=float)
+    weights = np.asarray(weights)
+    weights = np.ascontiguousarray(weights,
+                                   dtype=np.result_type(weights, float))
     freqs = np.ascontiguousarray(freqs, dtype=float)
     times = np.ascontiguousarray(times, dtype=float)
-    if weights.shape != freqs.shape:
-        raise ValueError("weights and freqs must have the same length")
+    if weights.ndim not in (1, 2) or weights.shape[-1:] != freqs.shape:
+        raise ValueError("weights must be (K,) or (R, K) with K = len(freqs)")
+    rows = weights[None] if weights.ndim == 1 else weights
     count = len(times)
     dt = _uniform_step(times)
     if dt is None:
         args = np.multiply.outer(times, freqs) + phase
-        return np.cos(args) @ weights, np.sin(args) @ weights
-    width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
-    starts = times[::width]            # t_{bM}, b < B = ceil(T / M)
-    left = weights * np.exp(1j * (np.multiply.outer(starts, freqs) + phase))
-    right = np.exp(1j * np.multiply.outer(dt * np.arange(width), freqs))
-    # one matrix-vector product per tile row, not one matrix product: a
-    # threaded BLAS gemm rounds differently with the thread count and, at
-    # these sizes, can take longer than the whole single-thread product
-    sums = np.matmul(left[:, None, :], right.T).ravel()[:count]
-    return sums.real, sums.imag
+        cos, sin = np.cos(args), np.sin(args)
+        u = np.ascontiguousarray(rows.real)[:, :, None]
+        re, im = np.matmul(cos, u), np.matmul(sin, u)
+        if np.iscomplexobj(rows):  # (u + i v)(cos + i sin)
+            v = np.ascontiguousarray(rows.imag)[:, :, None]
+            re, im = re - np.matmul(sin, v), im + np.matmul(cos, v)
+        re, im = re[:, :, 0], im[:, :, 0]
+    else:
+        width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
+        starts = times[::width]            # t_{bM}, b < B = ceil(T / M)
+        left = rows[:, None, :] * np.exp(
+            1j * (np.multiply.outer(starts, freqs) + phase))
+        right = np.exp(1j * np.multiply.outer(dt * np.arange(width), freqs))
+        # one matrix-vector product per row and tile row, not one matrix
+        # product: a threaded BLAS gemm rounds differently with the thread
+        # count and, at these sizes, can take longer than the whole
+        # single-thread product
+        sums = np.matmul(left[:, :, None, :], right.T)
+        sums = sums.reshape(len(rows), -1)[:, :count]
+        re, im = sums.real, sums.imag
+    if weights.ndim == 1:
+        return re[0], im[0]
+    return re, im

@@ -42,6 +42,8 @@ class AlgebraRep:
     """Matrices of all generators at one truncation dimension.
 
     Arrays are read-only; a representation is safe to share between threads.
+    ``xi`` and ``rho`` are zero off their first sub- and superdiagonals, which
+    the banded matrix route relies on; any other entry is rejected.
     """
 
     system: str
@@ -56,6 +58,15 @@ class AlgebraRep:
     rho: np.ndarray
     L_scale: float = 1.0
     hbar: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("xi", "rho"):
+            X = getattr(self, name)
+            band = (np.count_nonzero(np.diagonal(X, 1))
+                    + np.count_nonzero(np.diagonal(X, -1)))
+            if np.count_nonzero(X) != band:
+                raise ShapeMismatchError(
+                    f"{name} has entries off its first sub- and superdiagonal")
 
 
 def _freeze(*arrays: np.ndarray) -> None:

@@ -23,6 +23,7 @@ from .errors import (
     GhaError,
     ImaginaryResidualError,
     NegativeVarianceError,
+    NonFiniteResultError,
     TailBoundError,
     UncertaintyFloorError,
 )
@@ -44,7 +45,8 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 _NUMERICAL_ERRORS = (TailBoundError, NegativeVarianceError,
-                     ImaginaryResidualError, UncertaintyFloorError)
+                     ImaginaryResidualError, UncertaintyFloorError,
+                     NonFiniteResultError)
 
 # standard curve sets: two labels per system, phase 0, unit energy scale.
 # The last entry reproduces the O2 Morse ladder with its published

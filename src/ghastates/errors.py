@@ -55,6 +55,10 @@ class ImaginaryResidualError(GhaError, RuntimeError):
     imaginary part."""
 
 
+class NonFiniteResultError(GhaError, RuntimeError):
+    """A computed trace holds non-finite values (an overflow upstream)."""
+
+
 class UncertaintyFloorError(GhaError, RuntimeError):
     """An uncertainty product fell below hbar/2 beyond tolerance."""
 

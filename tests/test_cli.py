@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -114,6 +115,16 @@ def test_trace_validation_errors(runner, tmp_path):
     res = runner.invoke(main, ["trace", "--r", "0.1",
                                "--out", str(tmp_path / "z.csv")])
     assert res.exit_code == 1  # missing --system
+
+
+def test_trace_non_finite_result_exits_numerical(runner, tmp_path):
+    # the linear-state amplitudes overflow at r = 40
+    with np.errstate(all="ignore"):
+        res = runner.invoke(main, ["trace", "--system", "harmonic", "--kind",
+                                   "linear", "--r", "40", "--path", "both",
+                                   "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_trace_morse_physical_reports_omega(runner, tmp_path):

@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghastates as g
 from ghastates.dynamics import (
@@ -15,8 +18,11 @@ from ghastates.dynamics import (
 )
 from ghastates.errors import (
     ClampWarning,
+    ImaginaryResidualError,
     InvalidParameterError,
     NegativeVarianceError,
+    NonFiniteResultError,
+    ShapeMismatchError,
     WrongSystemError,
 )
 from ghastates.series import moment_series
@@ -253,3 +259,97 @@ def test_grid_helpers_shapes():
     ms = _series_grid(moment_series(spec, "gha", 0.3), 0.2, ts, 1.0, 1.0)
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
+
+
+# (spectrum, kind, r): every catalog system and a tabulated spectrum
+_ORACLE_CASES = [
+    (g.harmonic(), "linear", 2.0),
+    (g.q_deformed(0.5), "gha", 0.8),
+    (g.square_well(), "gha", 0.5),
+    (g.type1(), "gha", 0.6),
+    (g.type2(), "linear", 0.5),
+    (g.hydrogen(), "gha", 0.6),
+    (g.morse(7.59), "gha", 0.2),
+    (g.from_table([0.0, 0.9, 1.7, 2.4, 3.0, 3.5, 3.9, 4.2, 4.4]), "gha", 0.5),
+]
+
+
+@pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
+                         ids=[c[0].system for c in _ORACLE_CASES])
+def test_banded_oracle_matches_dense(spec, kind, r):
+    st = coherent_state_for(spec, kind, r, 0.7)
+    rep = _rep_for(spec, st, 1.3, 0.8)
+    rng = np.random.default_rng(11)
+    # a uniform grid (factored kernel) and a non-uniform one (direct path)
+    for times in (np.linspace(0.0, 30.0, 41),
+                  np.sort(rng.uniform(0.0, 30.0, 23))):
+        grid = _oracle_grid(st, spec, rep, times)
+        for j, t in enumerate(times):
+            es = g.expectations_oracle(g.evolve(st, spec, t), rep)
+            ref = [es.mean_xi, es.mean_rho, es.mean_xi2, es.mean_rho2]
+            bound = 1e-12 * (1.0 + max(abs(x) for x in ref))
+            for got, want in zip(grid, ref):
+                assert abs(got[j] - want) <= bound
+
+
+def test_oracle_detects_non_hermitian_rho():
+    spec = g.type1()
+    st = coherent_state_for(spec, "gha", 0.5, 0.3)
+    rep = _rep_for(spec, st, 1.0, 1.0)
+    rho = rep.rho.copy()
+    rho[0, 1] *= 1.5  # still banded, no longer Hermitian
+    bad = dataclasses.replace(rep, rho=rho)
+    with pytest.raises(ImaginaryResidualError):
+        _oracle_grid(st, spec, bad, np.linspace(0.0, 5.0, 11))
+
+
+def test_rep_rejects_off_band_xi():
+    rep = g.build_rep(g.type1(), 6)
+    xi = rep.xi.copy()
+    xi[0, 2] = 1e-3
+    with pytest.raises(ShapeMismatchError):
+        dataclasses.replace(rep, xi=xi)
+
+
+def test_trace_rejects_non_finite_r():
+    with pytest.raises(InvalidParameterError):
+        g.trace(g.type1(), "gha", math.nan, path="both")
+
+
+def test_trace_rejects_non_finite_times():
+    with pytest.raises(InvalidParameterError):
+        g.trace(g.harmonic(), "linear", 3.0, t_end=math.inf, path="both")
+    with pytest.raises(InvalidParameterError):
+        g.trace(g.harmonic(), "linear", 3.0, t_start=-math.inf)
+    with pytest.raises(InvalidParameterError):
+        g.trace(g.harmonic(), "linear", 3.0, phi=math.nan)
+
+
+def test_trace_overflow_raises_non_finite():
+    # z^n / sqrt(n!) overflows in the state amplitudes at r = 40
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError):
+        g.trace(g.harmonic(), "linear", 40.0, path="both")
+
+
+# (system, kind, largest r): 0.9 of the convergence radius; the harmonic
+# linear state has none, so it is drawn up to the benchmark's r = 12
+_PROPERTY_SYSTEMS = [("type1", "gha", 0.9), ("type2", "gha", 0.9),
+                     ("hydrogen", "gha", 0.9), ("harmonic", "linear", 12.0)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(_PROPERTY_SYSTEMS),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       phi=st.floats(-math.pi, math.pi), t_end=st.floats(0.5, 500.0))
+def test_trace_both_routes_property(case, frac, phi, t_end):
+    name, kind, r_max = case
+    r = frac * r_max
+    spec = g.make_spectrum(name)
+    tr = g.trace(spec, kind, r, phi, t_end=t_end, n_points=257, path="both")
+    assert np.isfinite(tr.values).all()
+    assert tr.values.min() >= 0.5 - 1e-9
+    assert tr.max_discrepancy <= 1e-9
+    again = g.trace(spec, kind, r, phi, t_end=t_end, n_points=257,
+                    path="both")
+    assert again.values.tobytes() == tr.values.tobytes()
+    assert again.alt_values.tobytes() == tr.alt_values.tobytes()

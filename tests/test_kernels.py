@@ -47,12 +47,32 @@ def test_python_kernel_matches_reference():
         (np.linspace(0.0, 100.0, 2001) + rng.uniform(0.0, 1e-9, 2001), False),
         (np.array([3.7]), False),
     ]
+    # complex weight rows sharing the frequencies, as on the matrix route
+    rows = rng.normal(size=(3, 23)) + 1j * rng.normal(size=(3, 23))
     for times, factored in cases:
         assert _factored(times) == factored
         ref_c, ref_s = _reference(w, f, 0.35, times)
         got_c, got_s = _kernels_py.weighted_trig_sums(w, f, 0.35, times)
         assert np.abs(got_c - ref_c).max() < 1e-12 * scale
         assert np.abs(got_s - ref_s).max() < 1e-12 * scale
+        got_re, got_im = _kernels_py.weighted_trig_sums(rows, f, 0.35, times)
+        assert got_re.shape == got_im.shape == (3, len(times))
+        for row, re, im in zip(rows, got_re, got_im):
+            ref = np.exp(1j * (np.multiply.outer(times, f) + 0.35)) @ row
+            assert np.abs(re - ref.real).max() < 1e-12 * np.abs(row).sum()
+            assert np.abs(im - ref.imag).max() < 1e-12 * np.abs(row).sum()
+
+
+def test_single_row_matches_one_dimensional_call():
+    rng = np.random.default_rng(9)
+    w, f = rng.normal(size=(2, 30))
+    for times in (np.linspace(0.0, 1000.0, 20001),
+                  np.sort(rng.uniform(0.0, 50.0, 300))):
+        c, s = _kernels_py.weighted_trig_sums(w, f, 0.2, times)
+        c2, s2 = _kernels_py.weighted_trig_sums(w[None, :], f, 0.2, times)
+        assert c2.shape == (1, len(times))
+        assert c.tobytes() == c2[0].tobytes()
+        assert s.tobytes() == s2[0].tobytes()
 
 
 def test_large_argument_within_conditioning():
@@ -82,6 +102,9 @@ def test_empty_series():
 def test_length_mismatch():
     with pytest.raises(ValueError):
         _kernels_py.weighted_trig_sums(np.ones(3), np.ones(2), 0.0, np.ones(4))
+    with pytest.raises(ValueError):
+        _kernels_py.weighted_trig_sums(np.ones((2, 3)), np.ones(2), 0.0,
+                                       np.ones(4))
 
 
 def test_output_independent_of_blas_threads():
@@ -94,7 +117,11 @@ def test_output_independent_of_blas_threads():
         "w, f = rng.normal(size=(2, 177))\n"
         "c, s = _kernels_py.weighted_trig_sums(\n"
         "    w, f, 0.3, np.linspace(0.0, 1000.0, 20001))\n"
-        "print(hashlib.sha256(c.tobytes() + s.tobytes()).hexdigest())\n")
+        "w4 = rng.normal(size=(4, 177)) + 1j * rng.normal(size=(4, 177))\n"
+        "re, im = _kernels_py.weighted_trig_sums(\n"
+        "    w4, f, 0.0, np.linspace(0.0, 1000.0, 20001))\n"
+        "print(hashlib.sha256(c.tobytes() + s.tobytes() + re.tobytes()\n"
+        "                     + im.tobytes()).hexdigest())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = set()
     for threads in ("1", "2"):
