@@ -17,7 +17,12 @@ import click
 
 from . import __version__
 from .algebra import build_rep, verify_algebra
-from .config import load_key_values
+from .config import (
+    _canonical,
+    _write_lines,
+    load_key_values,
+    spectrum_from_config,
+)
 from .dynamics import trace, write_trace_csv
 from .errors import (
     GhaError,
@@ -30,11 +35,8 @@ from .errors import (
 from .spectrum import (
     EV,
     MorsePhysicalParams,
-    SpectrumModel,
     energy,
     make_spectrum,
-    morse,
-    morse_from_physical,
     nilpotency_index,
 )
 
@@ -89,88 +91,42 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
+def _refuse_overwrite(p: Path, force: bool) -> None:
+    if p.exists() and not force:
+        _fail(EXIT_VALIDATION, f"{p} exists; pass --force to overwrite")
+
+
 def _open_out(path: str, force: bool):
     p = _resolve_out(path)
-    if p.exists() and not force:
-        _fail(EXIT_VALIDATION,
-              f"{p} exists; pass --force to overwrite")
+    _refuse_overwrite(p, force)
     if p.parent and not p.parent.exists():
         _fail(EXIT_IO, f"output directory {p.parent} does not exist")
     return p
 
 
-_CONFIG_ALIASES = {"path": "route", "format": "fmt"}
-
-
 def _merged(ctx: click.Context, config: str | None) -> dict:
-    """Effective parameters: command line > config file > defaults."""
+    """Effective parameters: command line > config file > defaults.  Config
+    keys that are not options (``energies``) stay strings for the builder."""
     values = dict(ctx.params)
-    values["_config"] = {}
     if not config:
         return values
-    cfg = _guard(load_key_values, config)
-    values["_config"] = cfg
     src = click.core.ParameterSource
     params = {p.name: p for p in ctx.command.params}
-    for key, raw in cfg.items():
-        key = _CONFIG_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
-        if key not in values or key == "config":
-            continue
-        if ctx.get_parameter_source(key) == src.COMMANDLINE:
+    for key, raw in _guard(load_key_values, config).items():
+        key = _canonical(key)
+        if key == "config" or ctx.get_parameter_source(key) == src.COMMANDLINE:
             continue
         param = params.get(key)
-        if param is not None and getattr(param, "is_flag", False):
+        if param is None:
+            values[key] = raw
+        elif getattr(param, "is_flag", False):
             values[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif param is not None:
+        else:
             try:
                 values[key] = param.type.convert(raw, param, ctx)
             except click.UsageError as exc:
                 _fail(EXIT_VALIDATION, f"config key {key!r}: {exc}")
-        else:
-            values[key] = raw
     return values
-
-
-def _spectrum_from(v: dict) -> SpectrumModel:
-    system = (v.get("system") or "").strip()
-    if not system:
-        _fail(EXIT_VALIDATION, "--system is required (or set it in --config)")
-    tag = system.lower().replace("-", "_")
-    if tag == "morse":
-        return _morse_from(v)
-    if tag == "custom":
-        raw = v.get("_config", {}).get("energies")
-        if raw is None:
-            _fail(EXIT_VALIDATION,
-                  "custom spectra need an 'energies' list in --config")
-        return _guard(make_spectrum, tag,
-                      energies=[float(tok) for tok in raw.split(",")
-                                if tok.strip()])
-    return _guard(make_spectrum, tag, b=v.get("b", 1.0), q=v.get("q"),
-                  p=v.get("p"))
-
-
-def _morse_from(v: dict) -> SpectrumModel:
-    o_nu, o_p, o_nmax = (v.get("override_nu"), v.get("override_p"),
-                         v.get("override_nmax"))
-    phys = None
-    if all(v.get(f) is not None for f in ("beta", "v0", "mr")):
-        phys = _guard(MorsePhysicalParams, beta=v["beta"], V0=v["v0"] * EV,
-                      m_r=v["mr"])
-    # omega depends only on beta and m_r, so it survives nu/p overrides
-    omega = phys.omega if phys is not None else None
-    if o_p is not None:
-        return _guard(morse, o_p, n_max=o_nmax, omega=omega)
-    if o_nu is not None:
-        return _guard(morse, (o_nu - 1.0) / 2.0, n_max=o_nmax, omega=omega)
-    if v.get("p") is not None:
-        return _guard(morse, v["p"], n_max=o_nmax)
-    if phys is None:
-        missing = [f for f in ("beta", "v0", "mr") if v.get(f) is None]
-        _fail(EXIT_VALIDATION,
-              "morse needs --p or the physical constants --beta, --v0 "
-              f"(eV) and --mr (missing: {', '.join('--' + m for m in missing)})")
-    return _guard(morse_from_physical, phys, n_max=o_nmax)
 
 
 def _spectrum_options(fn):
@@ -226,7 +182,7 @@ def main() -> None:
 def verify(ctx, **kwargs) -> None:
     """Check every algebraic identity numerically; exit 0 iff all pass."""
     v = _merged(ctx, kwargs.get("config"))
-    spec = _spectrum_from(v)
+    spec = _guard(spectrum_from_config, v)
     dim = spec.max_level + 1 if spec.system == "morse" else v["dim"]
     rep = _guard(build_rep, spec, dim)
     report = _guard(verify_algebra, rep, spec, v["tol"])
@@ -234,7 +190,7 @@ def verify(ctx, **kwargs) -> None:
         else report.to_text()
     if v["out"]:
         path = _open_out(v["out"], v["force"])
-        _guard(path.write_text, body + "\n", encoding="utf-8")
+        _guard(_write_lines, [body], path)
         click.echo(f"wrote {path}")
     else:
         click.echo(body)
@@ -269,7 +225,7 @@ def trace_cmd(ctx, **kwargs) -> None:
     v = _merged(ctx, kwargs.get("config"))
     if v.get("r") is None:
         _fail(EXIT_VALIDATION, "--r is required (flag or config)")
-    spec = _spectrum_from(v)
+    spec = _guard(spectrum_from_config, v)
     tr = _guard(trace, spec, v["kind"], v["r"], v["phi"], v["t_start"],
                 v["t_end"], v["points"], v["route"], v["dim"])
     path = _open_out(v["out"], v["force"])
@@ -309,7 +265,7 @@ def figure_cmd(figure_id, out_dir, t_end, points, force) -> None:
         _fail(EXIT_VALIDATION,
               f"unknown figure id {figure_id!r}; choose 1..7 or 'o2'")
     system, kind, radii = FIGURES[fid]
-    spec = morse(O2_P) if system == "morse" else make_spectrum(system)
+    spec = make_spectrum(system, p=O2_P)  # only the Morse ladder reads p
 
     base = _resolve_out(out_dir)
     if not base.exists():
@@ -319,17 +275,15 @@ def figure_cmd(figure_id, out_dir, t_end, points, force) -> None:
     for r in radii:
         name = f"fig{fid}_{system}_{kind}_r{r:g}.csv"
         target = base / name
-        if target.exists() and not force:
-            _fail(EXIT_VALIDATION, f"{target} exists; pass --force to overwrite")
+        _refuse_overwrite(target, force)
         tr = _guard(trace, spec, kind, r, 0.0, 0.0, t_end, points, "series")
         _guard(write_trace_csv, tr, target)
         written.append(str(target))
         manifest.append(f"{name},{system},{kind},{r:g},0,0,{t_end:g},"
                         f"{points},series")
     mpath = base / f"fig{fid}_manifest.csv"
-    if mpath.exists() and not force:
-        _fail(EXIT_VALIDATION, f"{mpath} exists; pass --force to overwrite")
-    _guard(mpath.write_text, "\n".join(manifest) + "\n", encoding="utf-8")
+    _refuse_overwrite(mpath, force)
+    _guard(_write_lines, manifest, mpath)
     for name in written + [str(mpath)]:
         click.echo(f"wrote {name}")
 
@@ -353,7 +307,7 @@ def morse_info(ctx, **kwargs) -> None:
                       m_r=v["mr"])
         click.echo(f"nu from constants: {phys.nu:.6g}")
         click.echo(f"omega = hbar beta^2 / 2 m_r = {phys.omega:.6g} rad/s")
-    spec = _morse_from(v)
+    spec = _guard(spectrum_from_config, v)
     click.echo(f"p = {spec.p:.6g}")
     click.echo(f"n_max = {spec.max_level}")
     click.echo(f"nilpotency index = {nilpotency_index(spec)}")

@@ -1,10 +1,9 @@
-"""Plain-text key=value configuration files.
+"""Plain-text files: key=value configuration in, UTF-8 text with LF out.
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored, keys are case-insensitive.  Values stay strings; callers
-cast.  Spectrum definitions use the keys documented in the README
-(``system``, ``b``, ``q``, ``p``, ``n_max``, ``beta``, ``v0_ev``, ``mr``,
-``energies``).
+cast.  Keys are the command-line flag names with ``_`` for ``-``, or one
+of the spellings in ``_ALIASES``.
 """
 
 from __future__ import annotations
@@ -17,8 +16,18 @@ from .spectrum import (
     MorsePhysicalParams,
     SpectrumModel,
     make_spectrum,
+    morse,
     morse_from_physical,
 )
+
+# other spelling -> the command-line name of the same key
+_ALIASES = {"v0_ev": "v0", "n_max": "override_nmax", "path": "route",
+            "format": "fmt"}
+
+
+def _canonical(key: str) -> str:
+    key = key.strip().lower().replace("-", "_")
+    return _ALIASES.get(key, key)
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -41,40 +50,68 @@ def load_key_values(path: str | os.PathLike) -> dict[str, str]:
 
 
 def spectrum_from_config(source) -> SpectrumModel:
-    """Build a spectrum from a config path, text, or parsed mapping."""
+    """Build a spectrum from a config path, text, or parsed mapping (where
+    a None value counts as unset).
+
+    A Morse well takes ``override_p``, else ``override_nu``, else ``p``,
+    else the constants ``beta``, ``v0`` (eV) and ``mr``, which alone set
+    its time scale ``omega``.
+    """
     if isinstance(source, dict):
-        cfg = {k.lower(): str(v) for k, v in source.items()}
+        raw = source
     elif isinstance(source, str) and "=" in source:
-        cfg = parse_key_values(source)
+        raw = parse_key_values(source)
     else:
-        cfg = load_key_values(source)
+        raw = load_key_values(source)
+    cfg = {_canonical(k): str(v) for k, v in raw.items() if v is not None}
 
-    system = cfg.get("system")
-    if system is None:
-        raise InvalidParameterError("config is missing the 'system' key")
-    system = system.lower().replace("-", "_")
-
-    if system == "morse" and "p" not in cfg:
-        missing = [k for k in ("beta", "v0_ev", "mr") if k not in cfg]
-        if missing:
+    def num(key: str, kind=float, default=None):
+        if key not in cfg:
+            return default
+        try:
+            return kind(cfg[key])
+        except ValueError:
             raise InvalidParameterError(
-                "morse config needs either 'p' or the physical constants "
-                f"beta/v0_ev/mr (missing: {', '.join(missing)})")
-        phys = MorsePhysicalParams(beta=float(cfg["beta"]),
-                                   V0=float(cfg["v0_ev"]) * EV,
-                                   m_r=float(cfg["mr"]))
-        n_max = int(cfg["n_max"]) if "n_max" in cfg else None
-        return morse_from_physical(phys, n_max=n_max)
+                f"config key {key!r} has an invalid value {cfg[key]!r}"
+            ) from None
 
-    energies = None
-    if "energies" in cfg:
-        energies = [float(tok) for tok in cfg["energies"].split(",") if tok.strip()]
+    system = cfg.get("system", "").strip().lower().replace("-", "_")
+    if not system:
+        raise InvalidParameterError(
+            "the spectrum needs a 'system' key (or --system)")
+    if system != "morse":
+        table = num("energies", lambda text: [
+            float(tok) for tok in text.split(",") if tok.strip()])
+        return make_spectrum(system, b=num("b", default=1.0), q=num("q"),
+                             p=num("p"), energies=table)
 
-    return make_spectrum(
-        system,
-        b=float(cfg.get("b", 1.0)),
-        q=float(cfg["q"]) if "q" in cfg else None,
-        p=float(cfg["p"]) if "p" in cfg else None,
-        n_max=int(cfg["n_max"]) if "n_max" in cfg else None,
-        energies=energies,
-    )
+    n_max = num("override_nmax", int)
+    phys = None
+    if all(k in cfg for k in ("beta", "v0", "mr")):
+        phys = MorsePhysicalParams(beta=num("beta"), V0=num("v0") * EV,
+                                   m_r=num("mr"))
+    # omega depends only on beta and m_r, so it survives nu/p overrides
+    omega = phys.omega if phys is not None else None
+    if "override_p" in cfg:
+        return morse(num("override_p"), n_max=n_max, omega=omega)
+    if "override_nu" in cfg:
+        return morse((num("override_nu") - 1.0) / 2.0, n_max=n_max,
+                     omega=omega)
+    if "p" in cfg:
+        return morse(num("p"), n_max=n_max)
+    if phys is None:
+        missing = [k for k in ("beta", "v0", "mr") if k not in cfg]
+        raise InvalidParameterError(
+            "morse needs p or the physical constants beta, v0 (eV) and mr "
+            f"(missing: {', '.join(missing)})")
+    return morse_from_physical(phys, n_max=n_max)
+
+
+def _write_lines(lines, path) -> None:
+    """Write ``lines`` as UTF-8 with LF endings to a path or open text file."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)

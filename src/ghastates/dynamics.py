@@ -1,8 +1,10 @@
 """Time evolution and uncertainty-product traces.
 
 Every state evolves by pure phases, coefficient n picking up
-exp(-i eps_n t) in dimensionless time (b t / hbar for the b-scaled systems,
-omega t for the Morse well).  The canonical moments are computed along two
+exp(-i eps_n t) with hbar = 1.  The levels eps_n include b, so t is time
+in units of hbar per the energy unit b is given in; it equals b t / hbar
+only at b = 1.  Morse levels are in units of hbar omega, so there t
+stands for omega t.  The canonical moments are computed along two
 independent routes: directly from the stored generator matrices (the
 oracle) and from the closed-form series catalog.  The matrix route is the
 source of truth; the series route must reproduce it to 1e-9.
@@ -26,6 +28,7 @@ import numpy as np
 
 from ._kernels_py import weighted_trig_sums
 from .algebra import AlgebraRep, build_rep
+from .config import _write_lines
 from .errors import (
     ClampWarning,
     ImaginaryResidualError,
@@ -60,26 +63,14 @@ class ExpectationSet:
     var_rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "var_xi",
-                           _clamp_var(self.mean_xi2, self.mean_xi, "xi"))
-        object.__setattr__(self, "var_rho",
-                           _clamp_var(self.mean_rho2, self.mean_rho, "rho"))
-
-
-def _clamp_var(m2: float, m: float, label: str) -> float:
-    v = m2 - m * m
-    if v >= 0.0:
-        return v
-    if v < -_VAR_TOL * max(1.0, abs(m2)):
-        raise NegativeVarianceError(
-            f"variance of {label} is {v:.3e}, negative beyond tolerance")
-    warnings.warn(f"variance of {label} clamped to zero (was {v:.3e})",
-                  ClampWarning, stacklevel=3)
-    return 0.0
+        for label, m2, m in (("xi", self.mean_xi2, self.mean_xi),
+                             ("rho", self.mean_rho2, self.mean_rho)):
+            object.__setattr__(self, f"var_{label}",
+                               float(_clamp_var_array(m2, m, label)))
 
 
 def _clamp_var_array(m2: np.ndarray, m: np.ndarray, label: str) -> np.ndarray:
-    v = m2 - m * m
+    v = np.asarray(m2 - m * m)
     bad = v < -_VAR_TOL * np.maximum(1.0, np.abs(m2))
     if np.any(bad):
         worst = float(v[bad].min())
@@ -320,12 +311,7 @@ def write_trace_csv(tr: UncertaintyTrace, path) -> None:
     lines = [",".join(cols)]
     for row in zip(*arrays):
         lines.append(",".join(f"{x:.12g}" for x in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_lines(lines, path)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class ImaginaryResidualError(GhaError, RuntimeError):
 
 
 class NonFiniteResultError(GhaError, RuntimeError):
-    """A computed trace holds non-finite values (an overflow upstream)."""
+    """A computed result is not finite: an overflow or underflow upstream."""
 
 
 class UncertaintyFloorError(GhaError, RuntimeError):

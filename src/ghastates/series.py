@@ -21,17 +21,18 @@ the remaining tail below the requested fraction of the accumulated sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import RadiusOfConvergenceError, TailBoundError, WrongSystemError
+from .errors import (
+    NonFiniteResultError,
+    RadiusOfConvergenceError,
+    WrongSystemError,
+)
 from .spectrum import SpectrumModel
-from .states import closed_form_normalization
-
-_TAIL = 1e-14
-_CAP = 2000
+from .states import _TAIL, _grow, closed_form_normalization
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -54,38 +55,21 @@ class MomentSeries:
     diag: float
 
 
-def _grow(first: float, ratio: Callable[[int], float], k0: int,
-          tail: float) -> list[float]:
-    """Terms first, first*ratio(k0), ... until the geometric tail bound
-    drops below ``tail`` relative to the accumulated total."""
-    if first == 0.0:
-        return []
-    terms = [first]
-    total = abs(first)
-    prev = math.inf
-    k = k0
-    while True:
-        rho = ratio(k)
-        if rho < 1.0 and rho <= prev + 1e-15:
-            if abs(terms[-1]) * rho / (1.0 - rho) <= tail * max(total, 1.0):
-                return terms
-        if len(terms) >= _CAP:
-            raise TailBoundError(
-                f"series tail bound {tail:g} not reached within {_CAP} terms")
-        terms.append(terms[-1] * rho)
-        total += abs(terms[-1])
-        prev = rho
-        k += 1
+# levels without the factor b, which scales the gaps of the bounded ladders
+_LEVELS = {
+    "harmonic": lambda spec, k: float(k),
+    "type1": lambda spec, k: k / (k + 1.0),
+    "type2": lambda spec, k: k * k / (k + 1.0) ** 2,
+    "hydrogen": lambda spec, k: -1.0 / (k + 1.0) ** 2,
+    "morse": lambda spec, k: -((spec.p - k) ** 2),
+}
 
 
-def _sum(first: float, ratio: Callable[[int], float], k0: int,
-         tail: float) -> float:
-    return float(sum(_grow(first, ratio, k0, tail)))
-
-
-def _gaps(eps: Callable[[int], float], scale: float, count: int,
-          step: int) -> np.ndarray:
-    return np.array([scale * (eps(k) - eps(k + step)) for k in range(count)])
+def _gaps(spec: SpectrumModel, count: int, step: int) -> np.ndarray:
+    eps = _LEVELS[spec.system]
+    scale = spec.b if spec.system in ("type1", "type2", "hydrogen") else 1.0
+    return np.array([scale * (eps(spec, k) - eps(spec, k + step))
+                     for k in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +78,10 @@ def _gaps(eps: Callable[[int], float], scale: float, count: int,
 def _linear_weights(r: float, tail: float):
     x = r * r
     n2 = math.exp(-x)
+    if n2 < sys.float_info.min:
+        # a subnormal or zero N^2 would silently drop or distort every term
+        raise NonFiniteResultError(
+            f"linear-state normalization exp(-r^2) underflows at r = {r:.6g}")
     mean = _grow(n2 * r, lambda k: x / (k + 1), 0, tail)
     cross = _grow(n2 * x, lambda k: x / (k + 1), 0, tail)
     return mean, cross, x
@@ -108,7 +96,7 @@ def _type1_gha_weights(spec: SpectrumModel, r: float, tail: float):
     cross = _grow(n2 * math.sqrt(6.0) * x,
                   lambda k: x * (k + 2) / (k + 1) * math.sqrt((k + 4) / (k + 2)),
                   0, tail)
-    diag = _sum(n2 * 2.0 * x, lambda k: x * (k + 2) / k, 1, tail)
+    diag = sum(_grow(n2 * 2.0 * x, lambda k: x * (k + 2) / k, 1, tail))
     return mean, cross, diag
 
 
@@ -122,8 +110,8 @@ def _type2_gha_weights(spec: SpectrumModel, r: float, tail: float):
                   lambda k: x * (k + 2) * (k + 4) / ((k + 1) * (k + 3))
                   * math.sqrt((k + 3) / (k + 1)),
                   0, tail)
-    diag = _sum(n2 * 4.0 * x, lambda k: x * (k + 2) ** 2 / (k * (k + 1)),
-                1, tail)
+    diag = sum(_grow(n2 * 4.0 * x, lambda k: x * (k + 2) ** 2 / (k * (k + 1)),
+                     1, tail))
     return mean, cross, diag
 
 
@@ -138,9 +126,9 @@ def _hydrogen_gha_weights(spec: SpectrumModel, r: float, tail: float):
                   lambda k: x * ((k + 2) / (k + 1)) ** 2
                   * ((k + 4) / (k + 3)) ** 1.5 * math.sqrt((k + 4) / (k + 5)),
                   0, tail)
-    diag = _sum(n2 * (16.0 / 3.0) * x,
-                lambda k: x * (k + 2) ** 4 / (k * (k + 1) ** 2 * (k + 3)),
-                1, tail)
+    diag = sum(_grow(n2 * (16.0 / 3.0) * x,
+                     lambda k: x * (k + 2) ** 4 / (k * (k + 1) ** 2 * (k + 3)),
+                     1, tail))
     return mean, cross, diag
 
 
@@ -181,42 +169,19 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, 1)")
 
     s = spec.system
-    b = spec.b
-    if s == "harmonic":
-        mean, cross, diag = _linear_weights(r, tail)
-        eps = lambda k: float(k)  # noqa: E731
-        scale = 1.0
-    elif s == "type1":
-        if kind == "gha":
-            mean, cross, diag = _type1_gha_weights(spec, r, tail)
-        else:
-            mean, cross, diag = _linear_weights(r, tail)
-        eps = lambda k: k / (k + 1.0)  # noqa: E731
-        scale = b
-    elif s == "type2":
-        if kind == "gha":
-            mean, cross, diag = _type2_gha_weights(spec, r, tail)
-        else:
-            mean, cross, diag = _linear_weights(r, tail)
-        eps = lambda k: k * k / (k + 1.0) ** 2  # noqa: E731
-        scale = b
-    elif s == "hydrogen":
-        if kind == "gha":
-            mean, cross, diag = _hydrogen_gha_weights(spec, r, tail)
-        else:
-            mean, cross, diag = _linear_weights(r, tail)
-        eps = lambda k: -1.0 / (k + 1.0) ** 2  # noqa: E731
-        scale = b
-    else:  # morse
+    if s == "morse":
         mean, cross, diag = _morse_gha_weights(spec, r)
-        p = spec.p
-        eps = lambda k: -((p - k) ** 2)  # noqa: E731
-        scale = 1.0
+    elif kind == "gha" and s != "harmonic":
+        weights = {"type1": _type1_gha_weights, "type2": _type2_gha_weights,
+                   "hydrogen": _hydrogen_gha_weights}[s]
+        mean, cross, diag = weights(spec, r, tail)
+    else:
+        mean, cross, diag = _linear_weights(r, tail)
 
     return MomentSeries(
         mean_w=np.asarray(mean, dtype=float),
-        mean_f=_gaps(eps, scale, len(mean), 1),
+        mean_f=_gaps(spec, len(mean), 1),
         cross_w=np.asarray(cross, dtype=float),
-        cross_f=_gaps(eps, scale, len(cross), 2),
+        cross_f=_gaps(spec, len(cross), 2),
         diag=float(diag),
     )

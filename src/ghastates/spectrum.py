@@ -3,9 +3,10 @@
 Each quantum system is described by its levels ``eps_n`` together with the
 analytic map ``f`` connecting successive levels, ``eps_{n+1} = f(eps_n)``.
 Selecting ``f`` selects the system; the ladder coefficients follow from
-``N_n^2 = f(eps_n) - eps_0``.  Energies are stored dimensionless (in units
-of the system's energy constant ``b``, or of ``hbar^2 beta^2 / 2 m_r`` for
-the Morse well).
+``N_n^2 = f(eps_n) - eps_0``.  The energy constant ``b`` is part of each
+level (type1 has eps_n = b n/(n+1)), so levels are stored in the unit ``b``
+is given in, not in units of ``b``; the Morse well is stored in units of
+``hbar^2 beta^2 / 2 m_r``.
 """
 
 from __future__ import annotations

@@ -18,13 +18,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .config import _write_lines
 from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
     WrongSystemError,
@@ -32,7 +35,7 @@ from .errors import (
 from .spectrum import SpectrumModel, ladder_coefficient
 
 _TAIL = 1e-14
-_MAX_DIM = 2000
+_CAP = 2000  # most levels of a state, or terms of a series
 _NORM_TOL = 1e-12
 
 
@@ -53,7 +56,7 @@ class FockState:
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(self.coeffs, dtype=complex)
         norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # also rejects NaN
             raise DimensionMismatchError(
                 f"state vector norm {norm!r} differs from 1 beyond 1e-12")
         c.flags.writeable = False
@@ -137,34 +140,66 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     return a
 
 
-def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
-    """Smallest length whose analytic tail mass stays below ``tail``.
+def _grow(first: float, ratio: Callable[[int], float], k0: int,
+          tail: float) -> list[float]:
+    """Terms first, first*ratio(k0), ... until the geometric majorant of
+    the rest, valid once the ratio decreases (the catalog ladders are
+    monotone), drops below ``tail`` relative to the accumulated total."""
+    if first == 0.0:
+        return []
+    terms = [first]
+    total = abs(first)
+    prev = math.inf
+    k = k0
+    while True:
+        rho = ratio(k)
+        if rho < 1.0 and rho <= prev + 1e-15:
+            if abs(terms[-1]) * rho / (1.0 - rho) <= tail * max(total, 1.0):
+                return terms
+        if len(terms) >= _CAP:
+            raise TailBoundError(
+                f"tail bound {tail:g} not reached within {_CAP} terms")
+        terms.append(terms[-1] * rho)
+        total += abs(terms[-1])
+        prev = rho
+        k += 1
 
-    Uses the geometric majorant |a_{k+1}|^2/|a_k|^2 <= r^2/N_k^2, valid once
-    the ratio has started to decrease (the catalog ladders are monotone).
-    """
+
+def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
+    """Smallest length whose analytic tail mass stays below ``tail``, from
+    the ratios |a_{k+1}|^2/|a_k|^2 = r^2/N_k^2."""
     r2 = abs(z) ** 2
     if r2 == 0.0:
         return 2
-    total = 1.0
-    term = 1.0
-    prev_ratio = math.inf
-    for k in range(_MAX_DIM):
+
+    def ratio(k: int) -> float:
         step = ladder_at(spec, k)
         if step == 0.0:
             raise DegenerateSpectrumError(
                 f"ladder coefficient N_{k} vanishes below the requested dim")
-        ratio = r2 / (step * step)
-        if ratio < 1.0 and ratio <= prev_ratio + 1e-15:
-            bound = term * ratio / (1.0 - ratio)
-            if bound <= tail * total:
-                return max(k + 1, 2)
-        term *= ratio
-        total += term
-        prev_ratio = ratio
-    raise TailBoundError(
-        f"tail bound {tail:g} not reachable within {_MAX_DIM} levels "
-        f"for |z| = {abs(z):.6g}")
+        return r2 / (step * step)
+
+    return max(len(_grow(1.0, ratio, 0, tail)), 2)
+
+
+def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
+    if dim is None:
+        return needed
+    if dim < needed:
+        raise TailBoundError(
+            f"dim = {dim} leaves more than {tail:g} analytic tail mass "
+            f"at |z| = {abs(z):.6g}; need at least {needed}")
+    return dim
+
+
+def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
+    # |a|^2 overflows from r = 26.64 on for the exponential weights
+    norm = np.linalg.norm(a)
+    if not math.isfinite(norm):
+        raise NonFiniteResultError(
+            f"coherent-state norm is {norm} at r = {abs(z):.6g}: the "
+            "amplitudes overflow")
+    return a / norm
 
 
 def ladder_at(spec: SpectrumModel, n: int) -> float:
@@ -206,16 +241,10 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
         a[:support] = _amplitudes(state_ladder(spec, max(support - 1, 0)),
                                   zr, support)
     else:
-        needed = _adaptive_count(spec, zr, tail)
-        if dim is None:
-            dim = needed
-        elif dim < needed:
-            raise TailBoundError(
-                f"dim = {dim} leaves more than {tail:g} analytic tail mass "
-                f"at |z| = {abs(z):.6g}; need at least {needed}")
+        dim = _fit_dim(_adaptive_count(spec, zr, tail), dim, z, tail)
         a = _amplitudes(state_ladder(spec, dim - 1), zr, dim)
 
-    return FockState(a / np.linalg.norm(a), spec.index_offset, spec.system,
+    return FockState(_normalized(a, z), spec.index_offset, spec.system,
                      kind="gha")
 
 
@@ -225,28 +254,11 @@ def linear_coherent_state(z: complex, dim: int | None = None,
     """Exponential-weight coherent state; independent of any spectrum."""
     z = complex(z)
     r2 = abs(z) ** 2
-    needed = 2
-    if r2 > 0:
-        term, total = 1.0, 1.0
-        for k in range(_MAX_DIM):
-            ratio = r2 / (k + 1)
-            if ratio < 1.0 and term * ratio / (1.0 - ratio) <= tail * total:
-                needed = max(k + 1, 2)
-                break
-            term *= ratio
-            total += term
-        else:
-            raise TailBoundError(
-                f"tail bound {tail:g} not reachable within {_MAX_DIM} levels")
-    if dim is None:
-        dim = needed
-    elif dim < needed:
-        raise TailBoundError(
-            f"dim = {dim} is too small for |z| = {abs(z):.6g} at tail "
-            f"bound {tail:g}; need at least {needed}")
+    needed = max(len(_grow(1.0, lambda k: r2 / (k + 1), 0, tail)), 2)
+    dim = _fit_dim(needed, dim, z, tail)
     ladder = np.sqrt(np.arange(1, dim, dtype=float))
     a = _amplitudes(ladder, z, dim)
-    return FockState(a / np.linalg.norm(a), index_offset, "linear",
+    return FockState(_normalized(a, z), index_offset, "linear",
                      kind="linear")
 
 
@@ -356,9 +368,4 @@ def state_to_csv(state: FockState, path) -> None:
     lines = ["index,re,im"]
     for k, c in enumerate(state.coeffs):
         lines.append(f"{k + state.index_offset},{c.real:.12g},{c.imag:.12g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_lines(lines, path)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ghastates import spectrum_from_config
 from ghastates.cli import main
+from ghastates.errors import InvalidParameterError
 
 
 @pytest.fixture()
@@ -234,3 +236,24 @@ def test_outdir_env(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert (tmp_path / "rel.csv").exists()
     assert not os.path.exists("rel.csv")
+
+
+def test_spectrum_file_both_spellings(runner, tmp_path):
+    # the README's Morse file and the same well in command-line spelling
+    consts = "system = morse\nbeta = 2.78e10\nmr = 1.33e-26\n"
+    files = {"readme.cfg": consts + "v0_ev = 5.211\nn_max = 7\n",
+             "cli.cfg": consts + "v0 = 5.211\noverride_nmax = 7\n"}
+    specs = []
+    for name, text in files.items():
+        cfg = tmp_path / name
+        cfg.write_text(text, encoding="utf-8")
+        specs.append(spectrum_from_config(cfg))
+        res = runner.invoke(main, ["verify", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["trace", "--config", str(cfg), "--r", "0.1",
+                                   "--out", str(tmp_path / f"{name}.csv")])
+        assert res.exit_code == 0, res.output
+    assert specs[0] == specs[1]
+    assert specs[0].max_level == 7 and specs[0].omega is not None
+    with pytest.raises(InvalidParameterError):
+        spectrum_from_config({"system": "morse", "p": "deep"})

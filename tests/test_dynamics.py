@@ -331,6 +331,16 @@ def test_trace_overflow_raises_non_finite():
         g.trace(g.harmonic(), "linear", 40.0, path="both")
 
 
+def test_series_underflow_raises_non_finite():
+    # exp(-r^2) is subnormal from r = 26.62 on and zero from r = 27.3; the
+    # series route used to return wrong products or a false floor error
+    for r in (27.0, 27.2, 30.0):
+        with pytest.raises(NonFiniteResultError):
+            g.trace(g.harmonic(), "linear", r, path="series")
+    tr = g.trace(g.harmonic(), "linear", 26.5, path="series", n_points=11)
+    assert np.abs(tr.values - 0.5).max() < 1e-9
+
+
 # (system, kind, largest r): 0.9 of the convergence radius; the harmonic
 # linear state has none, so it is drawn up to the benchmark's r = 12
 _PROPERTY_SYSTEMS = [("type1", "gha", 0.9), ("type2", "gha", 0.9),

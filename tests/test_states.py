@@ -9,6 +9,7 @@ from ghastates.errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
     WrongSystemError,
@@ -227,3 +228,68 @@ def test_csv_export_offsets():
     assert lines[0] == "index,re,im"
     assert lines[1].startswith("1,")  # presentation labels start at 1
     assert len(lines) == st.dim + 1
+
+
+# Truncation lengths recorded before the state and series tail loops were
+# merged into one; any change to the tail policy shows up here.
+_PINNED_GHA_DIMS = [
+    (g.type1(), (0.1, 0.5, 0.9, 0.98, 0.989), (8, 26, 170, 887, 1620)),
+    (g.type2(), (0.1, 0.5, 0.9, 0.98, 0.989), (8, 28, 185, 963, 1759)),
+    (g.hydrogen(), (0.1, 0.5, 0.9, 0.98, 0.989), (9, 28, 185, 964, 1760)),
+    (g.harmonic(), (0.5, 3.0, 10.0, 20.0), (11, 41, 187, 563)),
+    (g.q_deformed(0.5), (0.3, 0.8, 1.3, 1.39), (11, 30, 193, 935)),
+    (g.q_deformed(1.5), (1.0, 10.0, 100.0), (11, 22, 33)),
+    (g.square_well(2.0), (0.5, 3.0, 20.0), (7, 14, 39)),
+]
+_PINNED_SERIES_LENGTHS = [
+    ("harmonic", "gha", (0.5, 3.0, 10.0), ((11, 11), (41, 41), (187, 187))),
+    ("harmonic", "linear", (0.5, 3.0, 10.0),
+     ((11, 11), (41, 41), (187, 187))),
+    ("type1", "gha", (0.1, 0.5, 0.9, 0.989),
+     ((8, 7), (27, 27), (177, 184), (1691, 1759))),
+    ("type1", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+    ("type2", "gha", (0.1, 0.5, 0.9, 0.989),
+     ((8, 8), (29, 29), (191, 197), (1823, 1885))),
+    ("type2", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+    ("hydrogen", "gha", (0.1, 0.5, 0.9, 0.989),
+     ((8, 8), (29, 30), (191, 197), (1824, 1885))),
+    ("hydrogen", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+    ("morse", "gha", (0.03, 0.1, 0.3), ((6, 5), (6, 5), (6, 5))),
+]
+
+
+def test_tail_counts_pinned():
+    from ghastates.series import SUPPORTED
+    for spec, radii, dims in _PINNED_GHA_DIMS:
+        assert tuple(g.gha_coherent_state(spec, r).dim for r in radii) == dims
+    assert tuple(g.linear_coherent_state(r).dim
+                 for r in (0.5, 3.0, 20.0, 25.0)) == (11, 41, 563, 827)
+    assert g.linear_coherent_state(3.0 * np.exp(1j)).dim == 41
+    assert {(s, k) for s, k, _, _ in _PINNED_SERIES_LENGTHS} == set(SUPPORTED)
+    for system, kind, radii, lengths in _PINNED_SERIES_LENGTHS:
+        spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
+        got = tuple((len(ms.mean_w), len(ms.cross_w))
+                    for ms in (g.moment_series(spec, kind, r) for r in radii))
+        assert got == lengths, (system, kind)
+    # each loop stops at the same 2000-term cap
+    with pytest.raises(TailBoundError):
+        g.linear_coherent_state(45.0)
+    with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
+        g.gha_coherent_state(g.type1(), 0.999)
+    with pytest.raises(TailBoundError):
+        g.moment_series(g.type1(), "gha", 0.999)
+
+
+def test_large_r_states_raise_non_finite():
+    # |a|^2 overflows from r = 26.64 on, and the amplitudes at r = 40
+    for r in (30.0, 40.0):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
+                g.linear_coherent_state(r)
+            with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
+                g.gha_coherent_state(g.harmonic(), r)
+
+
+def test_fock_state_rejects_nan():
+    with pytest.raises(DimensionMismatchError):
+        g.FockState(np.full(4, np.nan), 0, "harmonic")
