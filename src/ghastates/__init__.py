@@ -38,6 +38,7 @@ from .spectrum import (
     hydrogen,
     iterate_characteristic,
     ladder_coefficient,
+    levels,
     make_spectrum,
     morse,
     morse_from_physical,
@@ -71,7 +72,7 @@ __all__ = [
     "evolve", "expectations_oracle", "expectations_series", "from_table",
     "gha_coherent_state", "harmonic", "hydrogen", "iterate_characteristic",
     "j0_from_ladder", "klauder_continuity_check", "ladder_coefficient",
-    "linear_coherent_state", "load_key_values", "make_spectrum",
+    "levels", "linear_coherent_state", "load_key_values", "make_spectrum",
     "moment_series", "morse", "morse_from_physical", "next_energy",
     "nilpotency_index", "parse_key_values", "peak_deviation", "q_deformed",
     "refined_extremum", "spectrum_from_config", "square_well",

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .spectrum import (
     SpectrumModel,
-    energy,
-    ladder_coefficient,
-    next_energy,
+    ladder_coefficients,
+    levels,
     nilpotency_index,
 )
 
@@ -94,8 +93,8 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
     if L_scale <= 0 or hbar <= 0:
         raise DimensionMismatchError("L_scale and hbar must be positive")
 
-    eps = np.array([energy(spec, n) for n in range(dim)])
-    ladder = np.array([ladder_coefficient(spec, n) for n in range(dim - 1)])
+    eps = levels(spec, dim)
+    ladder = ladder_coefficients(spec, dim - 1)
 
     J0 = np.diag(eps)
     A_dag = np.diag(ladder, -1)
@@ -106,7 +105,7 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
     xi = (L_scale / math.sqrt(2.0)) * (D + D_dag).astype(complex)
     rho = 1j * hbar / (math.sqrt(2.0) * L_scale) * (D_dag - D).astype(complex)
 
-    _check_reconstruction(spec, A, D, eps, dim)
+    _check_reconstruction(eps, ladder)
 
     _freeze(J0, A, A_dag, N_op, D, D_dag, xi, rho)
     return AlgebraRep(system=spec.system, dim=dim, J0=J0, A=A, A_dag=A_dag,
@@ -114,20 +113,16 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
                       L_scale=L_scale, hbar=hbar)
 
 
-def _check_reconstruction(spec: SpectrumModel, A: np.ndarray, D: np.ndarray,
-                          eps: np.ndarray, dim: int) -> None:
+def _check_reconstruction(eps: np.ndarray, ladder: np.ndarray) -> None:
     # Construction self-check: D must also follow from the ladder route
-    # D = sqrt(N+1) (f(J0) - eps_0)^{-1/2} A.  The top diagonal entry of the
-    # inverse never multiplies anything (the last row of A is zero), so it
-    # is masked rather than inverted.
-    gaps = np.array([next_energy(spec, n) for n in range(dim - 1)]) \
-        - spec.ground_energy
+    # D = sqrt(N+1) (f(J0) - eps_0)^{-1/2} A.  Both are zero off their first
+    # superdiagonal, so only that band is compared.  A gap that is not
+    # positive has no inverse root and is masked to zero.
+    gaps = eps[1:] - eps[0]
     inv = np.where(gaps > 0, 1.0 / np.sqrt(np.where(gaps > 0, gaps, 1.0)), 0.0)
-    scale = np.zeros(dim)
-    scale[:-1] = np.sqrt(np.arange(1, dim, dtype=float)) * inv
-    D_alt = scale[:, None] * A
-    err = np.abs(D_alt - D).max()
-    if err > _SELF_CHECK_TOL * (1.0 + np.abs(D).max()):
+    root = np.sqrt(np.arange(1, len(eps), dtype=float))
+    err = np.abs(root * inv * ladder - root).max()
+    if err > _SELF_CHECK_TOL * (1.0 + root.max()):
         raise ShapeMismatchError(
             f"ladder reconstruction of D disagrees with the direct rule "
             f"by {err:.3e}")
@@ -149,7 +144,9 @@ def _f_diag(rep: AlgebraRep, spec: SpectrumModel) -> np.ndarray:
         raise DimensionMismatchError(
             "identity checks on a tabulated spectrum need the image of every "
             f"represented level; rebuild with dim <= {spec.max_level}")
-    return np.diag([next_energy(spec, n) for n in range(rep.dim)])
+    if spec.system == "morse":  # the wrap f(eps_nmax) = eps_0
+        return np.diag(np.roll(levels(spec, rep.dim), -1))
+    return np.diag(levels(spec, rep.dim + 1)[1:])
 
 
 def casimir(rep: AlgebraRep, spec: SpectrumModel) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
 from .spectrum import (
     EV,
     MorsePhysicalParams,
-    energy,
+    levels,
     make_spectrum,
     nilpotency_index,
 )
@@ -168,8 +168,8 @@ def main() -> None:
 
 @main.command()
 @_spectrum_options
-@click.option("--dim", type=int, default=30, show_default=True,
-              help="Truncation dimension (finite ladders ignore this).")
+@click.option("--dim", type=int, default=None, help="Truncation dimension: "
+              "30, or n_max for a table; Morse is always represented whole.")
 @click.option("--tol", type=float, default=1e-12, show_default=True,
               help="Pass tolerance for the scaled identity residuals.")
 @click.option("--out", type=str, default=None,
@@ -183,7 +183,10 @@ def verify(ctx, **kwargs) -> None:
     """Check every algebraic identity numerically; exit 0 iff all pass."""
     v = _merged(ctx, kwargs.get("config"))
     spec = _guard(spectrum_from_config, v)
+    # Morse is represented whole; a table's checks need each level's image
     dim = spec.max_level + 1 if spec.system == "morse" else v["dim"]
+    if dim is None:
+        dim = 30 if spec.max_level is None else spec.max_level
     rep = _guard(build_rep, spec, dim)
     report = _guard(verify_algebra, rep, spec, v["tol"])
     body = "\n".join(report.to_records()) if v["fmt"] == "records" \
@@ -312,8 +315,8 @@ def morse_info(ctx, **kwargs) -> None:
     click.echo(f"n_max = {spec.max_level}")
     click.echo(f"nilpotency index = {nilpotency_index(spec)}")
     click.echo("level table (dimensionless energies):")
-    for n in range(spec.max_level + 1):
-        click.echo(f"  n = {n:>3d}   eps = {energy(spec, n):.12g}")
+    for n, eps in enumerate(levels(spec, spec.max_level + 1)):
+        click.echo(f"  n = {n:>3d}   eps = {eps:.12g}")
 
 
 if __name__ == "__main__":

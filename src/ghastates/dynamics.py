@@ -39,7 +39,7 @@ from .errors import (
     WrongSystemError,
 )
 from .series import MomentSeries, moment_series
-from .spectrum import SpectrumModel, energy
+from .spectrum import SpectrumModel, levels
 from .states import FockState, gha_coherent_state, linear_coherent_state
 
 _VAR_TOL = 1e-12
@@ -93,7 +93,7 @@ def uncertainty(es: ExpectationSet, hbar: float = 1.0) -> float:
 
 def evolve(state: FockState, spec: SpectrumModel, t: float) -> FockState:
     """Apply the propagator: coefficient n gains the phase exp(-i eps_n t)."""
-    eps = np.array([energy(spec, n) for n in range(state.dim)])
+    eps = levels(spec, state.dim)
     return FockState(state.coeffs * np.exp(-1j * eps * t),
                      state.index_offset, state.spectrum_id, state.kind)
 

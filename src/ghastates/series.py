@@ -31,7 +31,7 @@ from .errors import (
     RadiusOfConvergenceError,
     WrongSystemError,
 )
-from .spectrum import SpectrumModel
+from .spectrum import SpectrumModel, levels
 from .states import _TAIL, _grow, closed_form_normalization
 
 #: (system, kind) pairs with a closed-form series
@@ -55,21 +55,9 @@ class MomentSeries:
     diag: float
 
 
-# levels without the factor b, which scales the gaps of the bounded ladders
-_LEVELS = {
-    "harmonic": lambda spec, k: float(k),
-    "type1": lambda spec, k: k / (k + 1.0),
-    "type2": lambda spec, k: k * k / (k + 1.0) ** 2,
-    "hydrogen": lambda spec, k: -1.0 / (k + 1.0) ** 2,
-    "morse": lambda spec, k: -((spec.p - k) ** 2),
-}
-
-
 def _gaps(spec: SpectrumModel, count: int, step: int) -> np.ndarray:
-    eps = _LEVELS[spec.system]
-    scale = spec.b if spec.system in ("type1", "type2", "hydrogen") else 1.0
-    return np.array([scale * (eps(spec, k) - eps(spec, k + step))
-                     for k in range(count)])
+    eps = levels(spec, count + step)
+    return eps[:-step] - eps[step:]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -28,10 +30,6 @@ EV = 1.602176634e-19    # J
 
 CATALOG = ("harmonic", "q_deformed", "square_well", "type1", "type2",
            "hydrogen", "morse")
-
-#: systems whose conventional level labels start at 1 (used for presentation
-#: and CSV export only; internal storage is always 0-based)
-_OFFSET_ONE = frozenset({"type1", "type2", "hydrogen"})
 
 
 @dataclass(frozen=True)
@@ -228,23 +226,12 @@ def _check_b(b: float) -> None:
 # ---------------------------------------------------------------------------
 # level data
 
-def _check_level(spec: SpectrumModel, n: int) -> None:
-    if n < 0:
-        raise LevelOutOfRangeError(f"level index must be >= 0, got {n}")
-    if spec.max_level is not None and n > spec.max_level:
-        raise LevelOutOfRangeError(
-            f"level {n} beyond the top level n_max = {spec.max_level}")
-
-
-def energy(spec: SpectrumModel, n: int) -> float:
-    """Level ``n`` in the model's dimensionless units."""
-    _check_level(spec, n)
+def _formula(spec: SpectrumModel, n):
+    """eps_n for an array ``n`` of level indices: each formula, written once."""
     s = spec.system
-    if s == "harmonic":
-        return float(n)
+    if s == "harmonic" or (s == "q_deformed" and spec.q == 1.0):
+        return n
     if s == "q_deformed":
-        if spec.q == 1.0:
-            return float(n)
         return (1.0 - spec.q ** n) / (1.0 - spec.q)
     if s == "square_well":
         return spec.b * (n + 1) ** 2
@@ -257,8 +244,46 @@ def energy(spec: SpectrumModel, n: int) -> float:
     if s == "morse":
         return -((spec.p - n) ** 2)
     if s == "custom":
-        return spec.energies[n]
+        return np.asarray(spec.energies)[n.astype(int)]
     raise WrongSystemError(f"unknown system tag {s!r}")
+
+
+def _levels(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
+    # an array even for one level, as numpy's pow rounds unlike libm's; float
+    # indices are exact up to 2^53, and int64 products like (n+1)^2 wrap
+    if start < 0:
+        raise LevelOutOfRangeError(f"level index must be >= 0, got {start}")
+    if spec.max_level is not None and stop - 1 > spec.max_level:
+        raise LevelOutOfRangeError(
+            f"level {stop - 1} beyond the top level n_max = {spec.max_level}")
+    return _formula(spec, np.arange(start, stop, dtype=float))
+
+
+def _ladder(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
+    gaps = _levels(spec, start, stop + 1)[1:] - spec.ground_energy
+    below = np.flatnonzero(gaps < 0)
+    if below.size:
+        k = below[0]
+        raise NegativeGapError(
+            f"eps_{start + k + 1} lies below the ground energy (gap "
+            f"{gaps[k]:.3g}); the spectrum is inconsistent with a ladder "
+            "representation")
+    return np.sqrt(gaps)
+
+
+def levels(spec: SpectrumModel, count: int) -> np.ndarray:
+    """The levels eps_0 .. eps_{count-1} as one array."""
+    return _levels(spec, 0, count)
+
+
+def ladder_coefficients(spec: SpectrumModel, count: int) -> np.ndarray:
+    """N_0 .. N_{count-1}, with N_n = sqrt(eps_{n+1} - eps_0)."""
+    return _ladder(spec, 0, count)
+
+
+def energy(spec: SpectrumModel, n: int) -> float:
+    """Level ``n``; equal to the bit to ``levels(spec, k)[n]`` for k > n."""
+    return float(_levels(spec, n, n + 1)[0])
 
 
 def characteristic_fn(spec: SpectrumModel, x: float) -> float:
@@ -316,26 +341,14 @@ def next_energy(spec: SpectrumModel, n: int) -> float:
     For the Morse system the map is overridden at the top so the raising
     operator annihilates the highest state: f(eps_nmax) = eps_0.
     """
-    _check_level(spec, n)
-    if spec.max_level is not None and n == spec.max_level:
-        if spec.system == "morse":
-            return spec.ground_energy
-        raise LevelOutOfRangeError(
-            f"tabulated spectrum has no level above n = {n}")
-    return energy(spec, n + 1)
+    if spec.system == "morse" and n == spec.max_level:
+        return spec.ground_energy
+    return float(_levels(spec, n, n + 2)[1])
 
 
 def ladder_coefficient(spec: SpectrumModel, n: int) -> float:
     """N_n = sqrt(eps_{n+1} - eps_0), the raising matrix element at level n."""
-    if spec.max_level is not None and n >= spec.max_level:
-        raise LevelOutOfRangeError(
-            f"ladder coefficient is defined for n < n_max = {spec.max_level}")
-    gap = next_energy(spec, n) - spec.ground_energy
-    if gap < 0:
-        raise NegativeGapError(
-            f"eps_{n + 1} lies below the ground energy (gap {gap:.3g}); "
-            "the spectrum is inconsistent with a ladder representation")
-    return math.sqrt(gap)
+    return float(_ladder(spec, n, n + 1)[0])
 
 
 def iterate_characteristic(spec: SpectrumModel, n: int) -> float:
@@ -344,7 +357,7 @@ def iterate_characteristic(spec: SpectrumModel, n: int) -> float:
     Agrees with :func:`energy` on the whole ladder; the two routes differ
     only by floating-point round-off.
     """
-    _check_level(spec, n)
+    _levels(spec, n, n + 1)  # range check
     x = spec.ground_energy
     for _ in range(n):
         x = characteristic_fn(spec, x)

@@ -32,7 +32,7 @@ from .errors import (
     TailBoundError,
     WrongSystemError,
 )
-from .spectrum import SpectrumModel, ladder_coefficient
+from .spectrum import SpectrumModel, ladder_coefficients
 
 _TAIL = 1e-14
 _CAP = 2000  # most levels of a state, or terms of a series
@@ -83,7 +83,7 @@ def state_ladder(spec: SpectrumModel, count: int) -> np.ndarray:
     Equal to the algebra's N_n for every system except hydrogen, whose
     degeneracy folding multiplies N_n by (n+1)/(n+2).
     """
-    ladder = np.array([ladder_coefficient(spec, n) for n in range(count)])
+    ladder = ladder_coefficients(spec, count)
     if spec.system == "hydrogen":
         n = np.arange(count)
         ladder = ladder * (n + 1) / (n + 2)
@@ -171,9 +171,14 @@ def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
     r2 = abs(z) ** 2
     if r2 == 0.0:
         return 2
+    # the ladder in doubling chunks: a long one could overflow for q > 1
+    ladder = state_ladder(spec, 2)
 
     def ratio(k: int) -> float:
-        step = ladder_at(spec, k)
+        nonlocal ladder
+        if k == len(ladder):
+            ladder = state_ladder(spec, min(2 * k, _CAP))
+        step = ladder[k]
         if step == 0.0:
             raise DegenerateSpectrumError(
                 f"ladder coefficient N_{k} vanishes below the requested dim")
@@ -200,14 +205,6 @@ def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
             f"coherent-state norm is {norm} at r = {abs(z):.6g}: the "
             "amplitudes overflow")
     return a / norm
-
-
-def ladder_at(spec: SpectrumModel, n: int) -> float:
-    """Single effective ladder coefficient (see :func:`state_ladder`)."""
-    step = ladder_coefficient(spec, n)
-    if spec.system == "hydrogen":
-        step *= (n + 1) / (n + 2)
-    return step
 
 
 # ---------------------------------------------------------------------------

@@ -153,3 +153,13 @@ def test_scaled_canonical_commutator():
     rep = g.build_rep(g.harmonic(), 12, L_scale=0.3, hbar=2.0)
     C = g.commutator(rep.xi, rep.rho)
     assert np.abs(C - 2.0j * np.eye(12))[:, :11].max() < 1e-13
+
+
+def test_reconstruction_check_rejects_perturbed_ladder(monkeypatch):
+    from ghastates import algebra
+    true_ladder = algebra.ladder_coefficients
+    g.build_rep(g.type1(), 12)  # the unperturbed ladder passes
+    monkeypatch.setattr(algebra, "ladder_coefficients",
+                        lambda spec, count: true_ladder(spec, count) * 1.001)
+    with pytest.raises(ShapeMismatchError, match="ladder reconstruction"):
+        g.build_rep(g.type1(), 12)

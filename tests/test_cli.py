@@ -257,3 +257,17 @@ def test_spectrum_file_both_spellings(runner, tmp_path):
     assert specs[0].max_level == 7 and specs[0].omega is not None
     with pytest.raises(InvalidParameterError):
         spectrum_from_config({"system": "morse", "p": "deep"})
+
+
+def test_verify_table_defaults_to_its_size(runner, tmp_path):
+    # an eight-level table: the identity checks map levels 0..6 onto 1..7
+    cfg = tmp_path / "table.cfg"
+    table = ", ".join(repr(n / (n + 1.0)) for n in range(8))
+    cfg.write_text(f"system = custom\nenergies = {table}\n", encoding="utf-8")
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert "dim=7" in res.output and "overall: pass" in res.output
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--dim", "5"])
+    assert res.exit_code == 0 and "dim=5" in res.output
+    res = runner.invoke(main, ["verify", "--system", "harmonic"])
+    assert "dim=30" in res.output

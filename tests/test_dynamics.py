@@ -18,6 +18,7 @@ from ghastates.dynamics import (
 )
 from ghastates.errors import (
     ClampWarning,
+    GhaError,
     ImaginaryResidualError,
     InvalidParameterError,
     NegativeVarianceError,
@@ -350,11 +351,12 @@ _PROPERTY_SYSTEMS = [("type1", "gha", 0.9), ("type2", "gha", 0.9),
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(case=st.sampled_from(_PROPERTY_SYSTEMS),
        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       phi=st.floats(-math.pi, math.pi), t_end=st.floats(0.5, 500.0))
-def test_trace_both_routes_property(case, frac, phi, t_end):
+       phi=st.floats(-math.pi, math.pi), t_end=st.floats(0.5, 500.0),
+       b=st.floats(1e-3, 1e4))
+def test_trace_both_routes_property(case, frac, phi, t_end, b):
     name, kind, r_max = case
     r = frac * r_max
-    spec = g.make_spectrum(name)
+    spec = g.make_spectrum(name, b=b)
     tr = g.trace(spec, kind, r, phi, t_end=t_end, n_points=257, path="both")
     assert np.isfinite(tr.values).all()
     assert tr.values.min() >= 0.5 - 1e-9
@@ -363,3 +365,28 @@ def test_trace_both_routes_property(case, frac, phi, t_end):
                     path="both")
     assert again.values.tobytes() == tr.values.tobytes()
     assert again.alt_values.tobytes() == tr.alt_values.tobytes()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(spec=st.builds(g.square_well, st.floats(1e-3, 1e4))
+       | st.builds(g.q_deformed, st.floats(0.05, 0.95) | st.floats(1.05, 3.0)),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       phi=st.floats(-math.pi, math.pi), t_end=st.floats(0.5, 500.0))
+def test_trace_oracle_route_property(spec, frac, phi, t_end):
+    # systems without a series route: r up to 0.9 of the convergence radius,
+    # or up to 5 where the ladder grows without bound
+    radius = g.convergence_radius(spec)
+    r = frac * (0.9 * radius if math.isfinite(radius) else 5.0)
+
+    def run():
+        try:
+            state = coherent_state_for(spec, "gha", r, phi)
+            tr = g.trace(spec, "gha", r, phi, t_end=t_end, n_points=257)
+        except GhaError as exc:
+            return type(exc).__name__, str(exc)
+        assert abs(np.linalg.norm(state.coeffs) - 1.0) <= 1e-12
+        assert np.isfinite(tr.values).all()
+        assert tr.values.min() >= 0.5 - 1e-9
+        return tr.values.tobytes()
+
+    assert run() == run()

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ghastates as g
 from ghastates.errors import (
@@ -9,6 +12,7 @@ from ghastates.errors import (
     LevelOutOfRangeError,
     NegativeGapError,
 )
+from ghastates.spectrum import ladder_coefficients
 
 
 def test_energy_examples():
@@ -200,3 +204,51 @@ def test_spectrum_is_frozen():
     spec = g.type1()
     with pytest.raises(Exception):
         spec.b = 2.0
+
+
+@st.composite
+def _level_tables(draw):
+    """A spectrum over its whole parameter domain, and a level count."""
+    kind = draw(st.sampled_from(["b", "q", "harmonic", "morse", "custom"]))
+    if kind == "b":
+        spec = g.make_spectrum(
+            draw(st.sampled_from(["square_well", "type1", "type2", "hydrogen"])),
+            b=draw(st.floats(1e-3, 1e4)))
+    elif kind == "q":
+        spec = g.q_deformed(draw(st.floats(0.05, 0.999) | st.floats(1.001, 3.0)))
+    elif kind == "harmonic":
+        spec = g.harmonic()
+    elif kind == "morse":
+        spec = g.morse(draw(st.floats(1.05, 40.0).filter(
+            lambda p: p != math.floor(p))))
+    else:
+        table = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8,
+                              unique=True).map(sorted))
+        assume(min(np.diff(table)) > 1e-6)
+        spec = g.from_table(table)
+    if spec.max_level is not None:
+        return spec, spec.max_level + 1
+    return spec, draw(st.integers(1, 50))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_level_tables())
+def test_level_table_property(case):
+    spec, count = case
+    eps = g.levels(spec, count)
+    scalar = np.array([g.energy(spec, k) for k in range(count)])
+    assert eps.tobytes() == scalar.tobytes()
+    # N_n^2 + eps_0 is the next level; near a zero level (hydrogen's high
+    # levels, the top of a Morse well) the sum cancels, so the tolerance is
+    # relative to the larger term
+    ladder = ladder_coefficients(spec, min(count - 1, 20))
+    nxt = eps[1:len(ladder) + 1]
+    assert np.all(np.abs(ladder ** 2 + eps[0] - nxt)
+                  <= 1e-13 * np.maximum(np.abs(nxt), abs(eps[0])))
+    for n, e in enumerate(eps):
+        assert abs(g.iterate_characteristic(spec, n) - e) <= 1e-12 * (1 + abs(e))
+    if spec.max_level is not None:
+        with pytest.raises(LevelOutOfRangeError):
+            g.levels(spec, spec.max_level + 2)
+        with pytest.raises(LevelOutOfRangeError):
+            g.energy(spec, spec.max_level + 1)

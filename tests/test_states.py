@@ -293,3 +293,12 @@ def test_large_r_states_raise_non_finite():
 def test_fock_state_rejects_nan():
     with pytest.raises(DimensionMismatchError):
         g.FockState(np.full(4, np.nan), 0, "harmonic")
+
+
+def test_adaptive_count_reads_no_level_it_does_not_need():
+    # the ladder comes in doubling chunks, so a steep q > 1 ladder stops
+    # before q**n overflows (RuntimeWarning is an error under pytest)
+    for q in (1e20, 1e150):
+        state = g.gha_coherent_state(g.q_deformed(q), 0.5)
+        assert state.dim == 2
+        assert abs(state.coeffs[1]) == pytest.approx(1 / math.sqrt(5), rel=1e-15)
