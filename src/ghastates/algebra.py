@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,44 +39,50 @@ _SELF_CHECK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AlgebraRep:
-    """Matrices of all generators at one truncation dimension.
+    """All generators at one truncation dimension, stored as bands.
 
-    Arrays are read-only; a representation is safe to share between threads.
-    ``xi`` and ``rho`` are zero off their first sub- and superdiagonals, which
-    the banded matrix route relies on; any other entry is rejected.
+    ``eps`` is the J0 diagonal, ``ladder`` the subdiagonal N_n of A_dag, and
+    ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho,
+    kept apart so that a non-Hermitian pair stays visible to the oracle.
+    The dense ``J0, A, A_dag, N_op, D, D_dag, xi, rho`` are built on first
+    access and cached.  Every array is read-only, so a representation is
+    safe to share between threads: a racing first access builds identical
+    read-only arrays.
     """
 
     system: str
-    dim: int
-    J0: np.ndarray
-    A: np.ndarray
-    A_dag: np.ndarray
-    N_op: np.ndarray
-    D: np.ndarray
-    D_dag: np.ndarray
-    xi: np.ndarray
-    rho: np.ndarray
+    eps: np.ndarray
+    ladder: np.ndarray
+    xi_bands: tuple[np.ndarray, np.ndarray]
+    rho_bands: tuple[np.ndarray, np.ndarray]
     L_scale: float = 1.0
     hbar: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("xi", "rho"):
-            X = getattr(self, name)
-            band = (np.count_nonzero(np.diagonal(X, 1))
-                    + np.count_nonzero(np.diagonal(X, -1)))
-            if np.count_nonzero(X) != band:
-                raise ShapeMismatchError(
-                    f"{name} has entries off its first sub- and superdiagonal")
+    dim = property(lambda s: len(s.eps))
+    J0 = cached_property(lambda s: _dense(s.dim, (0, s.eps)))
+    A_dag = cached_property(lambda s: _dense(s.dim, (-1, s.ladder)))
+    A = cached_property(lambda s: s.A_dag.T)
+    N_op = cached_property(
+        lambda s: _dense(s.dim, (0, np.arange(s.dim, dtype=float))))
+    D_dag = cached_property(
+        lambda s: _dense(s.dim, (-1, np.sqrt(np.arange(1.0, s.dim)))))
+    D = cached_property(lambda s: s.D_dag.T)
+    xi = cached_property(lambda s: _dense(s.dim, *zip((1, -1), s.xi_bands)))
+    rho = cached_property(lambda s: _dense(s.dim, *zip((1, -1), s.rho_bands)))
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
+def _dense(dim: int, *bands: tuple[int, np.ndarray]) -> np.ndarray:
+    """Read-only dim x dim matrix holding each (offset, values) band."""
+    M = np.zeros((dim, dim), dtype=bands[0][1].dtype)
+    for k, values in bands:
+        np.fill_diagonal(M[max(-k, 0):, max(k, 0):], values)
+    M.flags.writeable = False
+    return M
 
 
 def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
               hbar: float = 1.0) -> AlgebraRep:
-    """Build all generator matrices at truncation dimension ``dim``.
+    """Build the bands of all generators at truncation dimension ``dim``.
 
     Finite ladders must be represented whole: for the Morse system ``dim``
     has to equal ``n_max + 1``.  Tabulated spectra allow ``dim`` up to their
@@ -95,22 +102,16 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
 
     eps = levels(spec, dim)
     ladder = ladder_coefficients(spec, dim - 1)
-
-    J0 = np.diag(eps)
-    A_dag = np.diag(ladder, -1)
-    A = A_dag.T.copy()
-    N_op = np.diag(np.arange(dim, dtype=float))
-    D_dag = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), -1)
-    D = D_dag.T.copy()
-    xi = (L_scale / math.sqrt(2.0)) * (D + D_dag).astype(complex)
-    rho = 1j * hbar / (math.sqrt(2.0) * L_scale) * (D_dag - D).astype(complex)
-
     _check_reconstruction(eps, ladder)
 
-    _freeze(J0, A, A_dag, N_op, D, D_dag, xi, rho)
-    return AlgebraRep(system=spec.system, dim=dim, J0=J0, A=A, A_dag=A_dag,
-                      N_op=N_op, D=D, D_dag=D_dag, xi=xi, rho=rho,
-                      L_scale=L_scale, hbar=hbar)
+    # xi and rho from D (sqrt(n) above the diagonal) and D_dag (below it)
+    root = np.sqrt(np.arange(1.0, dim))
+    xi = (L_scale / math.sqrt(2.0)) * root.astype(complex)
+    i_scale = 1j * hbar / (math.sqrt(2.0) * L_scale)
+    rho = (i_scale * (-root).astype(complex), i_scale * root.astype(complex))
+    for a in (eps, ladder, xi, *rho):
+        a.flags.writeable = False
+    return AlgebraRep(spec.system, eps, ladder, (xi, xi), rho, L_scale, hbar)
 
 
 def _check_reconstruction(eps: np.ndarray, ladder: np.ndarray) -> None:
@@ -265,7 +266,7 @@ def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
 
     if spec.system == "square_well":
         rb = math.sqrt(spec.b)
-        sqrtH = np.diag(np.sqrt(np.diag(rep.J0)))
+        sqrtH = np.diag(np.sqrt(rep.eps))
         add("well_raising",
             commutator(rep.J0, rep.A_dag)
             - (2.0 * rb * rep.A_dag @ sqrtH + spec.b * rep.A_dag),
@@ -280,7 +281,7 @@ def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
             _scale_of(rep.A @ rep.A_dag))
 
     if spec.system == "morse":
-        root = np.diag(np.sqrt(-np.diag(rep.J0)))
+        root = np.diag(np.sqrt(-rep.eps))
         add("bound_raising",
             commutator(rep.J0, rep.A_dag)
             - (2.0 * rep.A_dag @ root - rep.A_dag),

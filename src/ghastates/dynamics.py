@@ -5,17 +5,17 @@ exp(-i eps_n t) with hbar = 1.  The levels eps_n include b, so t is time
 in units of hbar per the energy unit b is given in; it equals b t / hbar
 only at b = 1.  Morse levels are in units of hbar omega, so there t
 stands for omega t.  The canonical moments are computed along two
-independent routes: directly from the stored generator matrices (the
-oracle) and from the closed-form series catalog.  The matrix route is the
-source of truth; the series route must reproduce it to 1e-9.
+independent routes: directly from the stored generators (the oracle) and
+from the closed-form series catalog.  The matrix route is the source of
+truth; the series route must reproduce it to 1e-9.
 
-The oracle never forms the evolved state on the grid.  xi and rho are zero
-off their first sub- and superdiagonals, and xi^2 and rho^2 off the diagonal
-and the second ones, so each moment is a constant from the diagonal plus
-trigonometric sums over two bands, with weights read from the stored
-matrices by ``np.diagonal``.  That costs O(dim T) rather than O(dim^2 T),
-and the weights still come from the matrices and the Fock vector, never
-from the series catalog.
+The oracle never forms the evolved state on the grid, nor any dim x dim
+matrix.  xi and rho are zero off their first sub- and superdiagonals, and
+xi^2 and rho^2 off the diagonal and the second ones, so each moment is a
+constant from the diagonal plus trigonometric sums over two bands, with
+weights read from the bands the representation stores.  That costs
+O(dim T) rather than O(dim^2 T), and the weights still come from the
+generators and the Fock vector, never from the series catalog.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     NonFiniteResultError,
     UncertaintyFloorError,
     WrongSystemError,
+    require_finite,
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
@@ -93,6 +94,7 @@ def uncertainty(es: ExpectationSet, hbar: float = 1.0) -> float:
 
 def evolve(state: FockState, spec: SpectrumModel, t: float) -> FockState:
     """Apply the propagator: coefficient n gains the phase exp(-i eps_n t)."""
+    require_finite(t=t)
     eps = levels(spec, state.dim)
     return FockState(state.coeffs * np.exp(-1j * eps * t),
                      state.index_offset, state.spectrum_id, state.kind)
@@ -129,13 +131,12 @@ def _oracle_grid(state: FockState, spec: SpectrumModel, rep: AlgebraRep,
     # frequencies eps_n - eps_{n+k}; band -k is summed with conjugated
     # weights on the same frequencies and conjugated back, so +k and -k stay
     # separate and the imaginary residual still tests Hermiticity.
-    eps = np.diagonal(rep.J0)
+    eps = rep.eps
     c = _embed(state, rep.dim)
     cc = c.conj()
     loop_weights = np.abs(c[:-1]) ** 2 + np.abs(c[1:]) ** 2
     firsts, squares, consts = [], [], []
-    for X in (rep.xi, rep.rho):
-        up, down = np.diagonal(X, 1), np.diagonal(X, -1)
+    for up, down in (rep.xi_bands, rep.rho_bands):
         firsts += [cc[:-1] * up * c[1:], (cc[1:] * down * c[:-1]).conj()]
         # X^2 from the stored bands: X[n, n+1] X[n+1, n+2] on band 2; the
         # loop X[n, n+1] X[n+1, n] sits on the diagonal at n and at n+1
@@ -201,6 +202,7 @@ def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
                         t: float, L_scale: float = 1.0, hbar: float = 1.0,
                         tail: float = 1e-14) -> ExpectationSet:
     """Moments from the closed-form series at a single time point."""
+    require_finite(phi=phi, t=t, L_scale=L_scale, hbar=hbar)
     ms = moment_series(spec, kind, r, tail=tail)
     arrays = _series_grid(ms, phi, np.array([float(t)]), L_scale, hbar)
     return ExpectationSet(*(float(a[0]) for a in arrays))
@@ -237,10 +239,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     """
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
-    for name, value in (("r", r), ("phi", phi), ("t_start", t_start),
-                        ("t_end", t_end)):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
     if path not in ("oracle", "series", "both"):

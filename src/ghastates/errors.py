@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+finite-input check."""
+
+import cmath
 
 
 class GhaError(Exception):
@@ -69,3 +72,10 @@ class ConditioningWarning(UserWarning):
 
 class ClampWarning(UserWarning):
     """A marginally negative variance was clamped to zero."""
+
+
+def require_finite(**values: complex) -> None:
+    """Raise ``InvalidParameterError`` naming the first non-finite value."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")

@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteResultError,
     RadiusOfConvergenceError,
     WrongSystemError,
+    require_finite,
 )
 from .spectrum import SpectrumModel, levels
 from .states import _TAIL, _grow, closed_form_normalization
@@ -145,6 +146,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
     (the matrix path covers those), and checks the r-domain of the bounded
     ladders.
     """
+    require_finite(r=r)
     if kind not in ("gha", "linear"):
         raise WrongSystemError(f"unknown state kind {kind!r}")
     if (spec.system, kind) not in SUPPORTED:

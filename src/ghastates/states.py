@@ -31,6 +31,7 @@ from .errors import (
     RadiusOfConvergenceError,
     TailBoundError,
     WrongSystemError,
+    require_finite,
 )
 from .spectrum import SpectrumModel, ladder_coefficients
 
@@ -222,6 +223,7 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
     mass is below ``tail``; an explicit smaller ``dim`` is an error.
     """
     z = complex(z)
+    require_finite(z=z)
     _check_label(spec, z)
     zr = raw_eigenvalue(spec, z)
 
@@ -250,6 +252,7 @@ def linear_coherent_state(z: complex, dim: int | None = None,
                           tail: float = _TAIL) -> FockState:
     """Exponential-weight coherent state; independent of any spectrum."""
     z = complex(z)
+    require_finite(z=z)
     r2 = abs(z) ** 2
     needed = max(len(_grow(1.0, lambda k: r2 / (k + 1), 0, tail)), 2)
     dim = _fit_dim(needed, dim, z, tail)

@@ -23,10 +23,10 @@ from ghastates.errors import (
     InvalidParameterError,
     NegativeVarianceError,
     NonFiniteResultError,
-    ShapeMismatchError,
     WrongSystemError,
 )
-from ghastates.series import moment_series
+from ghastates.series import SUPPORTED, moment_series
+from ghastates.spectrum import ladder_coefficients
 
 
 def test_evolve_identity_at_t0():
@@ -297,19 +297,60 @@ def test_oracle_detects_non_hermitian_rho():
     spec = g.type1()
     st = coherent_state_for(spec, "gha", 0.5, 0.3)
     rep = _rep_for(spec, st, 1.0, 1.0)
-    rho = rep.rho.copy()
-    rho[0, 1] *= 1.5  # still banded, no longer Hermitian
-    bad = dataclasses.replace(rep, rho=rho)
+    up, down = rep.rho_bands
+    up = up.copy()
+    up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
+    bad = dataclasses.replace(rep, rho_bands=(up, down))
     with pytest.raises(ImaginaryResidualError):
         _oracle_grid(st, spec, bad, np.linspace(0.0, 5.0, 11))
 
 
-def test_rep_rejects_off_band_xi():
-    rep = g.build_rep(g.type1(), 6)
-    xi = rep.xi.copy()
-    xi[0, 2] = 1e-3
-    with pytest.raises(ShapeMismatchError):
-        dataclasses.replace(rep, xi=xi)
+def _eager_dense(spec, dim, L_scale, hbar):
+    # reference: every generator built eagerly with np.diag, bands and zeros
+    eps = g.levels(spec, dim)
+    A_dag = np.diag(ladder_coefficients(spec, dim - 1), -1)
+    D_dag = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), -1)
+    D = D_dag.T.copy()
+    return {
+        "J0": np.diag(eps), "A": A_dag.T.copy(), "A_dag": A_dag,
+        "N_op": np.diag(np.arange(dim, dtype=float)), "D": D, "D_dag": D_dag,
+        "xi": (L_scale / math.sqrt(2.0)) * (D + D_dag).astype(complex),
+        "rho": 1j * hbar / (math.sqrt(2.0) * L_scale)
+        * (D_dag - D).astype(complex),
+    }
+
+
+# the diagonals each dense view may occupy (numpy's offset: column - row)
+_VIEW_BANDS = {"J0": (0,), "N_op": (0,), "A": (1,), "D": (1,),
+               "A_dag": (-1,), "D_dag": (-1,), "xi": (1, -1), "rho": (1, -1)}
+
+
+@pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
+                         ids=[c[0].system for c in _ORACLE_CASES])
+def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
+    st = coherent_state_for(spec, kind, r, 0.7)
+    rep = _rep_for(spec, st, 1.3, 0.8)
+    idx = np.arange(rep.dim)
+    offset = idx[None, :] - idx[:, None]
+    for name, want in _eager_dense(spec, rep.dim, 1.3, 0.8).items():
+        view = getattr(rep, name)
+        assert view.dtype == want.dtype and view.shape == want.shape
+        assert view.tobytes() == want.tobytes(), name  # bit for bit, signed 0
+        assert not np.any(view[~np.isin(offset, _VIEW_BANDS[name])]), name
+        assert not view.flags.writeable, name
+        assert getattr(rep, name) is view, name
+
+    # no trace route builds a dim x dim matrix
+    def refuse(*args):
+        raise AssertionError("trace built a dense matrix")
+
+    monkeypatch.setattr(g.algebra, "_dense", refuse)
+    paths = ["oracle"]
+    if (spec.system, kind) in SUPPORTED:
+        paths += ["series", "both"]
+    for path in paths:
+        g.trace(spec, kind, r, 0.7, t_end=20.0, n_points=101, path=path,
+                L_scale=1.3, hbar=0.8)
 
 
 def test_trace_rejects_non_finite_r():
@@ -324,6 +365,26 @@ def test_trace_rejects_non_finite_times():
         g.trace(g.harmonic(), "linear", 3.0, t_start=-math.inf)
     with pytest.raises(InvalidParameterError):
         g.trace(g.harmonic(), "linear", 3.0, phi=math.nan)
+
+
+_NON_FINITE_CALLS = {
+    "expectations_series-t": lambda: g.expectations_series(
+        g.type1(), "gha", 0.5, 0.0, t=math.nan),
+    "evolve-t": lambda: g.evolve(g.gha_coherent_state(g.type1(), 0.4),
+                                 g.type1(), math.nan),
+    "moment_series-r": lambda: moment_series(g.type1(), "gha", math.nan),
+    "gha_state-inf": lambda: g.gha_coherent_state(g.harmonic(), math.inf),
+    "gha_state-morse-nan": lambda: g.gha_coherent_state(g.morse(7.59),
+                                                        math.nan),
+    "linear_state-nan": lambda: g.linear_coherent_state(math.nan),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(),
+                         ids=_NON_FINITE_CALLS.keys())
+def test_non_finite_inputs_raise_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        call()
 
 
 def test_trace_overflow_raises_non_finite():
@@ -355,8 +416,19 @@ _PROPERTY_SYSTEMS = [("type1", "gha", 0.9), ("type2", "gha", 0.9),
        b=st.floats(1e-3, 1e4))
 def test_trace_both_routes_property(case, frac, phi, t_end, b):
     name, kind, r_max = case
-    r = frac * r_max
-    spec = g.make_spectrum(name, b=b)
+    _check_both_routes(g.make_spectrum(name, b=b), kind, frac * r_max, phi,
+                       t_end)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=st.floats(1.02, 30.0).filter(lambda p: not p.is_integer()),
+       r=st.floats(0.0, 3.0, exclude_min=True, exclude_max=True),
+       phi=st.floats(-math.pi, math.pi), t_end=st.floats(0.5, 500.0))
+def test_trace_morse_both_routes_property(p, r, phi, t_end):
+    _check_both_routes(g.morse(p), "gha", r, phi, t_end)
+
+
+def _check_both_routes(spec, kind, r, phi, t_end):
     tr = g.trace(spec, kind, r, phi, t_end=t_end, n_points=257, path="both")
     assert np.isfinite(tr.values).all()
     assert tr.values.min() >= 0.5 - 1e-9
