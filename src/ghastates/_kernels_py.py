@@ -8,8 +8,9 @@ matrix route.  On a uniform grid ``t_j = t_0 + j dt`` the grid is tiled as
 ``exp(i f t_{bM}) * exp(i f m dt)``: two small exp tables, shared by every
 weight row, joined by complex matrix-vector products.  That takes
 ``(B + M) K`` transcendental calls in place of ``2 T K``, and, unlike a
-recurrence, accumulates no round-off along the grid.  Other grids are
-evaluated directly.
+recurrence, accumulates no round-off along the grid.  Any other grid (one
+point, non-uniform, empty) takes tiles of width 1, so every start is a
+grid point and the right table is exp(0) = 1.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ def weighted_trig_sums(weights, freqs, phase, times):
     per weight row.
     """
     weights = np.asarray(weights)
-    weights = np.ascontiguousarray(weights,
-                                   dtype=np.result_type(weights, float))
     freqs = np.ascontiguousarray(freqs, dtype=float)
     times = np.ascontiguousarray(times, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1:] != freqs.shape:
@@ -54,27 +53,20 @@ def weighted_trig_sums(weights, freqs, phase, times):
     count = len(times)
     dt = _uniform_step(times)
     if dt is None:
-        args = np.multiply.outer(times, freqs) + phase
-        cos, sin = np.cos(args), np.sin(args)
-        u = np.ascontiguousarray(rows.real)[:, :, None]
-        re, im = np.matmul(cos, u), np.matmul(sin, u)
-        if np.iscomplexobj(rows):  # (u + i v)(cos + i sin)
-            v = np.ascontiguousarray(rows.imag)[:, :, None]
-            re, im = re - np.matmul(sin, v), im + np.matmul(cos, v)
-        re, im = re[:, :, 0], im[:, :, 0]
+        dt, width = 0.0, 1
     else:
         width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
-        starts = times[::width]            # t_{bM}, b < B = ceil(T / M)
-        left = rows[:, None, :] * np.exp(
-            1j * (np.multiply.outer(starts, freqs) + phase))
-        right = np.exp(1j * np.multiply.outer(dt * np.arange(width), freqs))
-        # one matrix-vector product per row and tile row, not one matrix
-        # product: a threaded BLAS gemm rounds differently with the thread
-        # count and, at these sizes, can take longer than the whole
-        # single-thread product
-        sums = np.matmul(left[:, :, None, :], right.T)
-        sums = sums.reshape(len(rows), -1)[:, :count]
-        re, im = sums.real, sums.imag
+    starts = times[::width]                # t_{bM}, b < B = ceil(T / M)
+    left = rows[:, None, :] * np.exp(
+        1j * (np.multiply.outer(starts, freqs) + phase))
+    right = np.exp(1j * np.multiply.outer(dt * np.arange(width), freqs))
+    # one matrix-vector product per row and tile row, not one matrix
+    # product: a threaded BLAS gemm rounds differently with the thread
+    # count and, at these sizes, can take longer than the whole
+    # single-thread product
+    sums = np.matmul(left[:, :, None, :], right.T)
+    sums = sums.reshape(len(rows), -1)[:, :count]
+    re, im = sums.real, sums.imag
     if weights.ndim == 1:
         return re[0], im[0]
     return re, im

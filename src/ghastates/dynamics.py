@@ -41,7 +41,7 @@ from .errors import (
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
-from .states import FockState, gha_coherent_state, linear_coherent_state
+from .states import _TAIL, FockState, gha_coherent_state, linear_coherent_state
 
 _VAR_TOL = 1e-12
 _IMAG_TOL = 1e-12
@@ -124,8 +124,7 @@ def _embed(state: FockState, dim: int) -> np.ndarray:
     return c
 
 
-def _oracle_grid(state: FockState, spec: SpectrumModel, rep: AlgebraRep,
-                 times: np.ndarray):
+def _oracle_grid(state: FockState, rep: AlgebraRep, times: np.ndarray):
     # <X>(t) = sum_{m,n} conj(c_m) X_mn c_n exp(i (eps_m - eps_n) t).  Band
     # k of X (entries X[n, n+k]) has weights conj(c_n) X[n, n+k] c_{n+k} and
     # frequencies eps_n - eps_{n+k}; band -k is summed with conjugated
@@ -159,7 +158,7 @@ def _oracle_grid(state: FockState, spec: SpectrumModel, rep: AlgebraRep,
 
 
 def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
-                       dim: int | None = None, tail: float = 1e-14) -> FockState:
+                       dim: int | None = None, tail: float = _TAIL) -> FockState:
     """Build the (system, kind) state at label z = r exp(i phi)."""
     z = r * complex(math.cos(phi), math.sin(phi))
     if kind == "gha":
@@ -200,7 +199,7 @@ def _series_grid(ms: MomentSeries, phi: float, times: np.ndarray,
 
 def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
                         t: float, L_scale: float = 1.0, hbar: float = 1.0,
-                        tail: float = 1e-14) -> ExpectationSet:
+                        tail: float = _TAIL) -> ExpectationSet:
     """Moments from the closed-form series at a single time point."""
     require_finite(phi=phi, t=t, L_scale=L_scale, hbar=hbar)
     ms = moment_series(spec, kind, r, tail=tail)
@@ -230,7 +229,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
           t_start: float = 0.0, t_end: float = 100.0, n_points: int = 2001,
           path: str = "oracle", dim: int | None = None,
           L_scale: float = 1.0, hbar: float = 1.0,
-          tail: float = 1e-14) -> UncertaintyTrace:
+          tail: float = _TAIL) -> UncertaintyTrace:
     """Uncertainty product Delta(xi) Delta(rho)/hbar on a uniform grid.
 
     ``path`` selects the evaluation route; with ``"both"`` the matrix route
@@ -239,7 +238,8 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     """
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
-    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end)
+    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end,
+                   L_scale=L_scale, hbar=hbar)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
     if path not in ("oracle", "series", "both"):
@@ -251,7 +251,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     if path in ("oracle", "both"):
         state = coherent_state_for(spec, kind, r, phi, dim, tail)
         rep = _rep_for(spec, state, L_scale, hbar)
-        oracle_m = _oracle_grid(state, spec, rep, times)
+        oracle_m = _oracle_grid(state, rep, times)
     if path in ("series", "both"):
         ms = moment_series(spec, kind, r, tail=tail)
         series_m = _series_grid(ms, phi, times, L_scale, hbar)

@@ -47,7 +47,6 @@ class SpectrumModel:
     q: float | None = None
     p: float | None = None
     energies: tuple[float, ...] | None = None
-    ground_energy: float = 0.0
     max_level: int | None = None
     index_offset: int = 0
     omega: float | None = None
@@ -112,7 +111,7 @@ def q_deformed(q: float) -> SpectrumModel:
 def square_well(b: float = 1.0) -> SpectrumModel:
     """Infinite well with levels b (n+1)^2; the ground level sits at b."""
     _check_b(b)
-    return SpectrumModel(system="square_well", b=float(b), ground_energy=float(b))
+    return SpectrumModel(system="square_well", b=float(b))
 
 
 def type1(b: float = 1.0) -> SpectrumModel:
@@ -131,8 +130,7 @@ def hydrogen(b: float = 1.0) -> SpectrumModel:
     """Coulomb ladder; storage slot n holds the physical level n+1,
     eps_n = -b/(n+1)^2."""
     _check_b(b)
-    return SpectrumModel(system="hydrogen", b=float(b),
-                         ground_energy=-float(b), index_offset=1)
+    return SpectrumModel(system="hydrogen", b=float(b), index_offset=1)
 
 
 def morse(p: float, n_max: int | None = None,
@@ -158,8 +156,7 @@ def morse(p: float, n_max: int | None = None,
         if not 1 <= n_max <= top:
             raise InvalidParameterError(
                 f"n_max override must lie in [1, floor(p)] = [1, {top}]")
-    return SpectrumModel(system="morse", p=p, ground_energy=-(p * p),
-                         max_level=n_max, omega=omega)
+    return SpectrumModel(system="morse", p=p, max_level=n_max, omega=omega)
 
 
 def from_table(energies) -> SpectrumModel:
@@ -168,7 +165,7 @@ def from_table(energies) -> SpectrumModel:
     if len(table) < 2:
         raise InvalidParameterError("an energy table needs at least two levels")
     return SpectrumModel(system="custom", energies=table,
-                         ground_energy=table[0], max_level=len(table) - 1)
+                         max_level=len(table) - 1)
 
 
 def make_spectrum(system: str, *, b: float = 1.0, q: float | None = None,
@@ -260,7 +257,7 @@ def _levels(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
 
 
 def _ladder(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
-    gaps = _levels(spec, start, stop + 1)[1:] - spec.ground_energy
+    gaps = _levels(spec, start, stop + 1)[1:] - energy(spec, 0)
     below = np.flatnonzero(gaps < 0)
     if below.size:
         k = below[0]
@@ -342,7 +339,7 @@ def next_energy(spec: SpectrumModel, n: int) -> float:
     operator annihilates the highest state: f(eps_nmax) = eps_0.
     """
     if spec.system == "morse" and n == spec.max_level:
-        return spec.ground_energy
+        return energy(spec, 0)
     return float(_levels(spec, n, n + 2)[1])
 
 
@@ -358,7 +355,7 @@ def iterate_characteristic(spec: SpectrumModel, n: int) -> float:
     only by floating-point round-off.
     """
     _levels(spec, n, n + 1)  # range check
-    x = spec.ground_energy
+    x = energy(spec, 0)
     for _ in range(n):
         x = characteristic_fn(spec, x)
     return x

@@ -146,6 +146,7 @@ def _grow(first: float, ratio: Callable[[int], float], k0: int,
     """Terms first, first*ratio(k0), ... until the geometric majorant of
     the rest, valid once the ratio decreases (the catalog ladders are
     monotone), drops below ``tail`` relative to the accumulated total."""
+    require_finite(tail=tail)
     if first == 0.0:
         return []
     terms = [first]

@@ -256,7 +256,7 @@ def test_grid_helpers_shapes():
     st = coherent_state_for(spec, "gha", 0.3, 0.2)
     rep = _rep_for(spec, st, 1.0, 1.0)
     ts = np.linspace(0, 5, 7)
-    mo = _oracle_grid(st, spec, rep, ts)
+    mo = _oracle_grid(st, rep, ts)
     ms = _series_grid(moment_series(spec, "gha", 0.3), 0.2, ts, 1.0, 1.0)
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
@@ -281,10 +281,10 @@ def test_banded_oracle_matches_dense(spec, kind, r):
     st = coherent_state_for(spec, kind, r, 0.7)
     rep = _rep_for(spec, st, 1.3, 0.8)
     rng = np.random.default_rng(11)
-    # a uniform grid (factored kernel) and a non-uniform one (direct path)
+    # a uniform grid (wide kernel tiles) and a non-uniform one (width 1)
     for times in (np.linspace(0.0, 30.0, 41),
                   np.sort(rng.uniform(0.0, 30.0, 23))):
-        grid = _oracle_grid(st, spec, rep, times)
+        grid = _oracle_grid(st, rep, times)
         for j, t in enumerate(times):
             es = g.expectations_oracle(g.evolve(st, spec, t), rep)
             ref = [es.mean_xi, es.mean_rho, es.mean_xi2, es.mean_rho2]
@@ -302,7 +302,7 @@ def test_oracle_detects_non_hermitian_rho():
     up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
     bad = dataclasses.replace(rep, rho_bands=(up, down))
     with pytest.raises(ImaginaryResidualError):
-        _oracle_grid(st, spec, bad, np.linspace(0.0, 5.0, 11))
+        _oracle_grid(st, bad, np.linspace(0.0, 5.0, 11))
 
 
 def _eager_dense(spec, dim, L_scale, hbar):
@@ -377,6 +377,15 @@ _NON_FINITE_CALLS = {
     "gha_state-morse-nan": lambda: g.gha_coherent_state(g.morse(7.59),
                                                         math.nan),
     "linear_state-nan": lambda: g.linear_coherent_state(math.nan),
+    "trace-oracle-L_scale": lambda: g.trace(g.type1(), "gha", 0.5,
+                                            L_scale=math.nan),
+    "trace-series-L_scale": lambda: g.trace(g.type1(), "gha", 0.5,
+                                            path="series", L_scale=math.nan),
+    "trace-hbar-inf": lambda: g.trace(g.type1(), "gha", 0.5, path="both",
+                                      hbar=math.inf),
+    "build_rep-L_scale": lambda: g.build_rep(g.type1(), 10, L_scale=math.nan),
+    "gha_state-tail": lambda: g.gha_coherent_state(g.type1(), 0.5,
+                                                   tail=math.nan),
 }
 
 

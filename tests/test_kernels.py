@@ -21,6 +21,7 @@ def _reference(weights, freqs, phase, times):
 
 
 def _factored(times):
+    # tiles wider than one point: every other grid takes width 1
     return _kernels_py._uniform_step(times) is not None
 
 
@@ -34,7 +35,8 @@ def test_python_kernel_matches_reference():
     assert np.abs(got_c - ref_c).max() < 1e-12
     assert np.abs(got_s - ref_s).max() < 1e-12
 
-    # longer grids and both paths, within a bound that scales with sum |w|
+    # longer grids and both tile widths, within a bound that scales with
+    # sum |w|
     f[:3] = 0.0  # zero frequencies alongside the negative draws
     assert (f < 0).any()
     scale = np.abs(w).sum()
@@ -120,8 +122,10 @@ def test_output_independent_of_blas_threads():
         "w4 = rng.normal(size=(4, 177)) + 1j * rng.normal(size=(4, 177))\n"
         "re, im = _kernels_py.weighted_trig_sums(\n"
         "    w4, f, 0.0, np.linspace(0.0, 1000.0, 20001))\n"
-        "print(hashlib.sha256(c.tobytes() + s.tobytes() + re.tobytes()\n"
-        "                     + im.tobytes()).hexdigest())\n")
+        "out = [c, s, re, im]\n"
+        "for t in (np.sort(rng.uniform(0.0, 1000.0, 3001)), np.array([7.5])):\n"
+        "    out += _kernels_py.weighted_trig_sums(w4, f, 0.4, t)\n"
+        "print(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = set()
     for threads in ("1", "2"):
