@@ -10,7 +10,8 @@ weight row, joined by complex matrix-vector products.  That takes
 ``(B + M) K`` transcendental calls in place of ``2 T K``, and, unlike a
 recurrence, accumulates no round-off along the grid.  Any other grid (one
 point, non-uniform, empty) takes tiles of width 1, so every start is a
-grid point and the right table is exp(0) = 1.
+grid point and the right table is exp(0) = 1; its left table, a row per
+point, is built a few MB at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 
 # a uniform grid reproduces t_0 + j dt to a few ulp of its largest |t|
 _UNIFORM_ULPS = 4.0
+# the left table is built in blocks of tile starts of about this many bytes
+_BLOCK_BYTES = 1 << 22
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -57,14 +60,19 @@ def weighted_trig_sums(weights, freqs, phase, times):
     else:
         width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
     starts = times[::width]                # t_{bM}, b < B = ceil(T / M)
-    left = rows[:, None, :] * np.exp(
-        1j * (np.multiply.outer(starts, freqs) + phase))
     right = np.exp(1j * np.multiply.outer(dt * np.arange(width), freqs))
-    # one matrix-vector product per row and tile row, not one matrix
-    # product: a threaded BLAS gemm rounds differently with the thread
-    # count and, at these sizes, can take longer than the whole
-    # single-thread product
-    sums = np.matmul(left[:, :, None, :], right.T)
+    # B <= M, so a uniform grid's left table is no larger than its right
+    # one and takes one block; width-1 grids (B = T) are cut into blocks
+    block = max(width, _BLOCK_BYTES // max(16 * rows.size, 1))
+    sums = np.empty((len(rows), len(starts), 1, width), dtype=complex)
+    for b in range(0, len(starts), block):
+        left = rows[:, None, :] * np.exp(
+            1j * (np.multiply.outer(starts[b:b + block], freqs) + phase))
+        # one matrix-vector product per row and tile row, not one matrix
+        # product: a threaded BLAS gemm rounds differently with the thread
+        # count and, at these sizes, can take longer than the whole
+        # single-thread product
+        np.matmul(left[:, :, None, :], right.T, out=sums[:, b:b + block])
     sums = sums.reshape(len(rows), -1)[:, :count]
     re, im = sums.real, sums.imag
     if weights.ndim == 1:

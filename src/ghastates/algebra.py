@@ -26,7 +26,7 @@ from .errors import (
     DimensionMismatchError,
     ShapeMismatchError,
     WrongSystemError,
-    require_finite,
+    require_positive,
 )
 from .spectrum import (
     SpectrumModel,
@@ -98,9 +98,7 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
     if spec.system == "custom" and dim > spec.max_level + 1:
         raise DimensionMismatchError(
             f"tabulated spectrum supports dim <= {spec.max_level + 1}")
-    require_finite(L_scale=L_scale, hbar=hbar)
-    if L_scale <= 0 or hbar <= 0:
-        raise DimensionMismatchError("L_scale and hbar must be positive")
+    require_positive(L_scale=L_scale, hbar=hbar)
 
     eps = levels(spec, dim)
     ladder = ladder_coefficients(spec, dim - 1)

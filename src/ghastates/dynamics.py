@@ -38,6 +38,7 @@ from .errors import (
     UncertaintyFloorError,
     WrongSystemError,
     require_finite,
+    require_positive,
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
@@ -201,7 +202,8 @@ def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
                         t: float, L_scale: float = 1.0, hbar: float = 1.0,
                         tail: float = _TAIL) -> ExpectationSet:
     """Moments from the closed-form series at a single time point."""
-    require_finite(phi=phi, t=t, L_scale=L_scale, hbar=hbar)
+    require_finite(phi=phi, t=t)
+    require_positive(L_scale=L_scale, hbar=hbar)
     ms = moment_series(spec, kind, r, tail=tail)
     arrays = _series_grid(ms, phi, np.array([float(t)]), L_scale, hbar)
     return ExpectationSet(*(float(a[0]) for a in arrays))
@@ -238,8 +240,8 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     """
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
-    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end,
-                   L_scale=L_scale, hbar=hbar)
+    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end)
+    require_positive(L_scale=L_scale, hbar=hbar)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
     if path not in ("oracle", "series", "both"):
@@ -300,17 +302,18 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
 
 
 def write_trace_csv(tr: UncertaintyTrace, path) -> None:
-    """Deterministic CSV: 12 significant digits, LF newlines."""
+    """Deterministic CSV with LF newlines: one ``%.12g`` template per row,
+    the same 12 significant digits as formatting each value on its own.
+    """
     cols = ["t", "mean_xi", "mean_rho", "var_xi", "var_rho", "uncertainty"]
     arrays = [tr.t_grid, tr.mean_xi, tr.mean_rho, tr.var_xi, tr.var_rho,
               tr.values]
     if tr.alt_values is not None:
         cols.append("discrepancy")
         arrays.append(np.abs(tr.values - tr.alt_values))
-    lines = [",".join(cols)]
-    for row in zip(*arrays):
-        lines.append(",".join(f"{x:.12g}" for x in row))
-    _write_lines(lines, path)
+    template = ",".join(["%.12g"] * len(arrays))
+    rows = zip(*(a.tolist() for a in arrays))
+    _write_lines([",".join(cols)] + [template % row for row in rows], path)
 
 
 # ---------------------------------------------------------------------------

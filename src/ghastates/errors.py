@@ -79,3 +79,11 @@ def require_finite(**values: complex) -> None:
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def require_positive(**values: float) -> None:
+    """Raise ``InvalidParameterError`` unless every value is finite and > 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if not value > 0:
+            raise InvalidParameterError(f"{name} must be positive, got {value!r}")

@@ -366,7 +366,7 @@ def klauder_continuity_check(spec: SpectrumModel, z: complex,
 
 def state_to_csv(state: FockState, path) -> None:
     """Write (index, re, im) rows; indices carry the presentation offset."""
-    lines = ["index,re,im"]
-    for k, c in enumerate(state.coeffs):
-        lines.append(f"{k + state.index_offset},{c.real:.12g},{c.imag:.12g}")
-    _write_lines(lines, path)
+    c = state.coeffs
+    rows = zip(range(state.index_offset, state.index_offset + len(c)),
+               c.real.tolist(), c.imag.tolist())
+    _write_lines(["index,re,im"] + ["%d,%.12g,%.12g" % r for r in rows], path)

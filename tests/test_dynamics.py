@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghastates as g
+from ghastates import cli
+from ghastates.config import _write_lines
 from ghastates.dynamics import (
     _oracle_grid,
     _rep_for,
@@ -212,6 +215,86 @@ def test_trace_csv_format_and_determinism():
     assert buf.getvalue().splitlines()[0].endswith(",discrepancy")
 
 
+def _reference_trace_csv(tr, path):
+    # the per-value writer the row template replaced
+    cols = ["t", "mean_xi", "mean_rho", "var_xi", "var_rho", "uncertainty"]
+    arrays = [tr.t_grid, tr.mean_xi, tr.mean_rho, tr.var_xi, tr.var_rho,
+              tr.values]
+    if tr.alt_values is not None:
+        cols.append("discrepancy")
+        arrays.append(np.abs(tr.values - tr.alt_values))
+    lines = [",".join(cols)]
+    for row in zip(*arrays):
+        lines.append(",".join(f"{x:.12g}" for x in row))
+    _write_lines(lines, path)
+
+
+def _csv_pair(tr):
+    got, ref = io.StringIO(), io.StringIO()
+    g.write_trace_csv(tr, got)
+    _reference_trace_csv(tr, ref)
+    return got.getvalue(), ref.getvalue()
+
+
+# signed zeros, the smallest subnormal, huge, non-finite and values whose
+# 13th digit rounds half (the last two exactly, to even)
+_SPOT_VALUES = np.array([0.0, -0.0, 5e-324, 1e300, math.nan, math.inf,
+                         -math.inf, 1.0000000000005, -2.5e-7,
+                         100000000000.5, 100000000001.5, 0.1])
+
+
+@pytest.mark.parametrize("with_alt", [False, True],
+                         ids=["no-discrepancy", "discrepancy"])
+def test_trace_csv_spot_values_match_per_value_format(with_alt):
+    cols = [np.roll(_SPOT_VALUES, k) for k in range(6)]
+    tr = g.UncertaintyTrace(*cols, meta={},
+                            alt_values=np.full(len(_SPOT_VALUES), 0.25)
+                            if with_alt else None)
+    got, ref = _csv_pair(tr)
+    assert got == ref
+    assert "-0," in got and "nan" in got and "-inf" in got
+    assert got.splitlines()[0].endswith(",discrepancy") == with_alt
+
+
+_CSV_TRACES = {
+    "type1": (g.type1(), "gha", 0.6, "both"),
+    "type2": (g.type2(), "linear", 0.5, "both"),
+    "hydrogen": (g.hydrogen(), "gha", 0.7, "series"),
+    "harmonic": (g.harmonic(), "linear", 3.0, "both"),
+    "q_deformed": (g.q_deformed(0.5), "gha", 0.8, "oracle"),
+    "square_well": (g.square_well(), "gha", 0.5, "oracle"),
+    "morse": (g.morse(7.59), "gha", 0.2, "both"),
+    "custom": (g.from_table([0.0, 1.0, 1.8, 2.5, 3.1, 3.6, 4.0, 4.3, 4.5]),
+               "gha", 0.3, "oracle"),
+}
+
+
+@pytest.mark.parametrize("spec,kind,r,path", _CSV_TRACES.values(),
+                         ids=_CSV_TRACES.keys())
+def test_trace_csv_matches_per_value_format(spec, kind, r, path):
+    tr = g.trace(spec, kind, r, t_end=50.0, n_points=501, path=path)
+    got, ref = _csv_pair(tr)
+    assert got == ref
+
+
+@pytest.mark.parametrize("figure_id", ["1", "2", "3", "4", "5", "6", "7",
+                                       "o2"])
+def test_figure_files_match_per_value_format(figure_id, tmp_path,
+                                             monkeypatch):
+    runner = CliRunner()
+    outputs = []
+    for writer in (g.write_trace_csv, _reference_trace_csv):
+        monkeypatch.setattr(cli, "write_trace_csv", writer)
+        out = tmp_path / writer.__name__
+        out.mkdir()
+        res = runner.invoke(cli.main, ["figure", figure_id, "--out-dir",
+                                       str(out), "--points", "201"])
+        assert res.exit_code == 0, res.output
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
+
+
 def test_moment_series_unsupported():
     with pytest.raises(WrongSystemError):
         moment_series(g.q_deformed(0.5), "gha", 0.3)
@@ -394,6 +477,28 @@ _NON_FINITE_CALLS = {
 def test_non_finite_inputs_raise_invalid_parameter(call):
     with pytest.raises(InvalidParameterError, match="must be finite"):
         call()
+
+
+_SCALED_CALLS = {
+    "trace-oracle": lambda **kw: g.trace(g.type1(), "gha", 0.5, **kw),
+    "trace-series": lambda **kw: g.trace(g.type1(), "gha", 0.5,
+                                         path="series", **kw),
+    "trace-both": lambda **kw: g.trace(g.type1(), "gha", 0.5, path="both",
+                                       **kw),
+    "build_rep": lambda **kw: g.build_rep(g.type1(), 10, **kw),
+    "expectations_series": lambda **kw: g.expectations_series(
+        g.type1(), "gha", 0.5, 0.0, 1.0, **kw),
+}
+
+
+@pytest.mark.parametrize("scale", [{"L_scale": 0.0}, {"L_scale": -1.0},
+                                   {"hbar": -1.0}],
+                         ids=["L_scale=0", "L_scale=-1", "hbar=-1"])
+@pytest.mark.parametrize("call", _SCALED_CALLS.values(),
+                         ids=_SCALED_CALLS.keys())
+def test_non_positive_scales_raise_invalid_parameter(call, scale):
+    with pytest.raises(InvalidParameterError, match="must be positive"):
+        call(**scale)
 
 
 def test_trace_overflow_raises_non_finite():

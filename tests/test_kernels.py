@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,45 @@ def test_single_row_matches_one_dimensional_call():
         assert c2.shape == (1, len(times))
         assert c.tobytes() == c2[0].tobytes()
         assert s.tobytes() == s2[0].tobytes()
+
+
+def _unblocked(weights, freqs, phase, times):
+    # the kernel with its whole left table built at once
+    rows = np.atleast_2d(weights)
+    dt = _kernels_py._uniform_step(times)
+    width = 1 if dt is None else math.isqrt(len(times) - 1) + 1
+    left = rows[:, None, :] * np.exp(
+        1j * (np.multiply.outer(times[::width], freqs) + phase))
+    right = np.exp(1j * np.multiply.outer((dt or 0.0) * np.arange(width),
+                                          freqs))
+    sums = np.matmul(left[:, :, None, :], right.T)
+    sums = sums.reshape(len(rows), -1)[:, :len(times)]
+    return sums.real, sums.imag
+
+
+def test_blocks_keep_bits_and_bound_memory(monkeypatch):
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(4, 200)) + 1j * rng.normal(size=(4, 200))
+    f = rng.normal(size=200)
+    non_uniform = np.sort(rng.uniform(0.0, 1000.0, 20001))
+    grids = [np.linspace(0.0, 1000.0, 20001), non_uniform, np.array([7.5])]
+    # the default, and blocks of 7 starts with a ragged last one
+    for block_bytes in (_kernels_py._BLOCK_BYTES, 7 * 16 * w.size):
+        monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", block_bytes)
+        for times in grids:
+            got = _kernels_py.weighted_trig_sums(w, f, 0.3, times)
+            ref = _unblocked(w, f, 0.3, times)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+    # the whole left table here is 4 x 20001 x 200 complex, 256 MB
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        _kernels_py.weighted_trig_sums(w, f, 0.3, non_uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_large_argument_within_conditioning():

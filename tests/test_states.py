@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ghastates as g
+from ghastates.config import _write_lines
 from ghastates.errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
@@ -228,6 +229,45 @@ def test_csv_export_offsets():
     assert lines[0] == "index,re,im"
     assert lines[1].startswith("1,")  # presentation labels start at 1
     assert len(lines) == st.dim + 1
+
+
+def _reference_state_csv(state, path):
+    # the per-value writer the row template replaced
+    lines = ["index,re,im"]
+    for k, c in enumerate(state.coeffs):
+        lines.append(f"{k + state.index_offset},{c.real:.12g},{c.imag:.12g}")
+    _write_lines(lines, path)
+
+
+def _spot_state(index_offset):
+    # signed zeros, the smallest subnormal and a 13th digit that rounds half
+    re = np.array([0.6, -0.0, 5e-324, 0.0, 1.0000000000005e-3, -2.5e-7])
+    im = np.array([-0.0, -0.0, 0.0, 1e-300, -0.0, 0.0])
+    im[-1] = math.sqrt(1.0 - (re ** 2).sum())
+    c = np.empty(len(re), dtype=complex)
+    c.real, c.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
+    return g.FockState(c, index_offset, "spot")
+
+
+@pytest.mark.parametrize("state", [
+    _spot_state(0),
+    _spot_state(1),
+    g.gha_coherent_state(g.type1(), 0.3 * np.exp(0.7j)),   # offset 1
+    g.gha_coherent_state(g.harmonic(), 2.0),               # offset 0
+    g.linear_coherent_state(1.5 - 0.5j),
+], ids=["spot-offset0", "spot-offset1", "type1", "harmonic", "linear"])
+def test_state_csv_matches_per_value_format(state):
+    got, ref = io.StringIO(), io.StringIO()
+    g.state_to_csv(state, got)
+    _reference_state_csv(state, ref)
+    assert got.getvalue() == ref.getvalue()
+
+
+def test_state_csv_spot_rows():
+    # the spot state keeps its signed zeros through to the file
+    buf = io.StringIO()
+    g.state_to_csv(_spot_state(1), buf)
+    assert buf.getvalue().splitlines()[1:3] == ["1,0.6,-0", "2,-0,-0"]
 
 
 # Truncation lengths recorded before the state and series tail loops were
