@@ -44,7 +44,8 @@ class AlgebraRep:
 
     ``eps`` is the J0 diagonal, ``ladder`` the subdiagonal N_n of A_dag, and
     ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho,
-    kept apart so that a non-Hermitian pair stays visible to the oracle.
+    kept apart so that the oracle can check each sub-band against the
+    conjugate of its super-band before it sums the super-band alone.
     The dense ``J0, A, A_dag, N_op, D, D_dag, xi, rho`` are built on first
     access and cached.  Every array is read-only, so a representation is
     safe to share between threads: a racing first access builds identical
@@ -223,8 +224,7 @@ def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
     truncation defect of the canonical pair lives; that defect is reported
     in the boundary column.  Failures are report content, never exceptions.
     """
-    if tol <= 0:
-        raise ShapeMismatchError("tolerance must be positive")
+    require_positive(tol=tol)
     d = rep.dim
     eye = np.eye(d)
     fJ0 = _f_diag(rep, spec)

@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteResultError,
     TailBoundError,
     UncertaintyFloorError,
+    require_positive,
 )
 from .spectrum import (
     EV,
@@ -228,6 +229,7 @@ def trace_cmd(ctx, **kwargs) -> None:
     v = _merged(ctx, kwargs.get("config"))
     if v.get("r") is None:
         _fail(EXIT_VALIDATION, "--r is required (flag or config)")
+    _guard(require_positive, tol=v["tol"])
     spec = _guard(spectrum_from_config, v)
     tr = _guard(trace, spec, v["kind"], v["r"], v["phi"], v["t_start"],
                 v["t_end"], v["points"], v["route"], v["dim"])

@@ -55,7 +55,8 @@ class NegativeVarianceError(GhaError, RuntimeError):
 
 class ImaginaryResidualError(GhaError, RuntimeError):
     """Expectation value of a Hermitian operator has a non-negligible
-    imaginary part."""
+    imaginary part, or the stored bands of such an operator are not
+    Hermitian (a sub-band differs from the conjugate of its super-band)."""
 
 
 class NonFiniteResultError(GhaError, RuntimeError):

@@ -28,12 +28,11 @@ import numpy as np
 
 from .errors import (
     NonFiniteResultError,
-    RadiusOfConvergenceError,
     WrongSystemError,
     require_finite,
 )
 from .spectrum import SpectrumModel, levels
-from .states import _TAIL, _grow, closed_form_normalization
+from .states import _TAIL, _check_radius, _grow, closed_form_normalization
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -153,10 +152,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
         raise WrongSystemError(
             f"no closed-form moment series for ({spec.system}, {kind}); "
             "use the matrix path")
-    if r < 0:
-        raise RadiusOfConvergenceError("r must be >= 0")
-    if spec.system in ("type1", "type2", "hydrogen") and r >= 1.0:
-        raise RadiusOfConvergenceError(f"r = {r} is outside [0, 1)")
+    _check_radius(spec, r, kind)
 
     s = spec.system
     if s == "morse":

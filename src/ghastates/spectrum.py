@@ -22,6 +22,8 @@ from .errors import (
     LevelOutOfRangeError,
     NegativeGapError,
     WrongSystemError,
+    require_finite,
+    require_positive,
 )
 
 # CODATA values used only at the physical-input boundary.
@@ -80,9 +82,8 @@ class MorsePhysicalParams:
     hbar: float = HBAR
 
     def __post_init__(self) -> None:
-        for name in ("beta", "V0", "m_r", "hbar"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+        require_positive(beta=self.beta, V0=self.V0, m_r=self.m_r,
+                         hbar=self.hbar)
 
     @property
     def nu(self) -> float:
@@ -103,6 +104,7 @@ def harmonic() -> SpectrumModel:
 
 
 def q_deformed(q: float) -> SpectrumModel:
+    require_finite(q=q)
     if q <= 0:
         raise InvalidParameterError("deformation parameter q must be > 0")
     return SpectrumModel(system="q_deformed", q=float(q))
@@ -142,6 +144,7 @@ def morse(p: float, n_max: int | None = None,
     lowered below floor(p) to truncate the ladder explicitly.
     """
     p = float(p)
+    require_finite(p=p)
     if p <= 0:
         raise InvalidParameterError("Morse parameter p must be > 0")
     if p == math.floor(p):
@@ -162,6 +165,7 @@ def morse(p: float, n_max: int | None = None,
 def from_table(energies) -> SpectrumModel:
     """Tabulated spectrum; the level map is the table shift itself."""
     table = tuple(float(e) for e in energies)
+    require_finite(**{f"energies[{n}]": e for n, e in enumerate(table)})
     if len(table) < 2:
         raise InvalidParameterError("an energy table needs at least two levels")
     return SpectrumModel(system="custom", energies=table,
@@ -216,6 +220,7 @@ def morse_from_physical(phys: MorsePhysicalParams,
 
 
 def _check_b(b: float) -> None:
+    require_finite(b=b)
     if b < 0:
         raise InvalidParameterError("energy constant b must be >= 0")
 
@@ -289,6 +294,7 @@ def characteristic_fn(spec: SpectrumModel, x: float) -> float:
     This is the unrestricted map; the finite-ladder wrap of the Morse system
     applies only through :func:`next_energy`.
     """
+    require_finite(x=x)
     s = spec.system
     b = spec.b
     if s == "harmonic":

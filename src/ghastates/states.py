@@ -112,6 +112,16 @@ def convergence_radius(spec: SpectrumModel) -> float:
     return math.inf
 
 
+def _check_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
+    """Raise ``RadiusOfConvergenceError`` unless 0 <= r < radius; only the
+    nonlinear (gha) states have a finite radius, linear ones have none."""
+    if r < 0:
+        raise RadiusOfConvergenceError("r must be >= 0")
+    radius = convergence_radius(spec) if kind == "gha" else math.inf
+    if r >= radius:
+        raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
+
+
 def _check_label(spec: SpectrumModel, z: complex) -> None:
     radius = convergence_radius(spec)
     if math.isinf(radius):
@@ -273,11 +283,9 @@ def closed_form_normalization(spec: SpectrumModel, r: float) -> float:
     reciprocal of the series norm; the numerically normalized vector must
     reproduce it to 1e-10 relative.
     """
-    if r < 0:
-        raise RadiusOfConvergenceError("r must be >= 0")
+    require_finite(r=r)
+    _check_radius(spec, r)
     s = spec.system
-    if s in ("type1", "type2", "hydrogen") and r >= 1.0:
-        raise RadiusOfConvergenceError(f"r = {r} is outside [0, 1)")
     x = r * r
     if s == "type1":
         return 1.0 - x
@@ -336,6 +344,7 @@ def eigenstate_residual(spec: SpectrumModel, state: FockState,
     ladders admit only approximate eigenstates; the residual is reported,
     not asserted.
     """
+    require_finite(z=z)
     c = state.coeffs
     d = state.dim
     if state.kind == "linear":

@@ -271,3 +271,39 @@ def test_verify_table_defaults_to_its_size(runner, tmp_path):
     assert res.exit_code == 0 and "dim=5" in res.output
     res = runner.invoke(main, ["verify", "--system", "harmonic"])
     assert "dim=30" in res.output
+
+
+def test_non_finite_model_parameters_exit_validation(runner, tmp_path):
+    table = tmp_path / "table.cfg"
+    table.write_text("system = custom\nenergies = 0, 0.5, nan, 0.75\n",
+                     encoding="utf-8")
+    out = ["--out", str(tmp_path / "x.csv")]
+    for args in (
+            ["trace", "--system", "type1", "--b", "nan", "--r", "0.5", *out],
+            ["trace", "--system", "q-deformed", "--q", "nan", "--r", "0.5",
+             *out],
+            ["trace", "--system", "square-well", "--b", "inf", "--r", "0.5",
+             *out],
+            ["trace", "--system", "morse", "--p", "inf", "--r", "0.1", *out],
+            ["trace", "--system", "morse", "--p", "nan", "--r", "0.1", *out],
+            ["trace", "--config", str(table), "--r", "0.1", *out],
+            ["verify", "--system", "type1", "--b", "nan"],
+            ["morse-info", "--beta", "nan", "--v0", "5.211",
+             "--mr", "1.33e-26"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, (args, res.output)
+        assert "must be finite" in res.output, args
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_tolerance_must_be_positive(runner, tmp_path):
+    for tol in ("0", "-1", "nan"):
+        res = runner.invoke(main, ["verify", "--system", "type1",
+                                   "--tol", tol])
+        assert res.exit_code == 1, (tol, res.output)
+        # a NaN tolerance used to pass every route discrepancy
+        res = runner.invoke(main, ["trace", "--system", "type1", "--r", "0.5",
+                                   "--path", "both", "--tol", tol,
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 1, (tol, res.output)
+        assert "tol must be" in res.output

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ghastates as g
 from ghastates import cli
+from ghastates._kernels_py import weighted_trig_sums
 from ghastates.config import _write_lines
 from ghastates.dynamics import (
     _oracle_grid,
@@ -26,6 +27,7 @@ from ghastates.errors import (
     InvalidParameterError,
     NegativeVarianceError,
     NonFiniteResultError,
+    RadiusOfConvergenceError,
     WrongSystemError,
 )
 from ghastates.series import SUPPORTED, moment_series
@@ -388,6 +390,41 @@ def test_oracle_detects_non_hermitian_rho():
         _oracle_grid(st, bad, np.linspace(0.0, 5.0, 11))
 
 
+def _count_kernel_rows(monkeypatch):
+    rows = []
+
+    def counting(weights, *args):
+        rows.append(len(weights))
+        return weighted_trig_sums(weights, *args)
+
+    monkeypatch.setattr(g.dynamics, "weighted_trig_sums", counting)
+    return rows
+
+
+# entry -1 is X[dim - 2, dim - 1]: both levels lie above the state's support,
+# so no moment on any time grid carries the defect
+@pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1), ("rho", -1)])
+def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
+    spec = g.type1()
+    st = coherent_state_for(spec, "gha", 0.5, 0.3)
+    rep = _rep_for(spec, st, 1.0, 1.0)
+    assert rep.dim == st.dim + 2
+    up, down = getattr(rep, f"{name}_bands")
+    up = up.copy()
+    up[n] *= 1.5
+    bad = dataclasses.replace(rep, **{f"{name}_bands": (up, down)})
+    rows = _count_kernel_rows(monkeypatch)
+    with pytest.raises(ImaginaryResidualError, match=name):
+        _oracle_grid(st, bad, np.linspace(0.0, 5.0, 11))
+    assert rows == []  # raised before any kernel call
+
+
+def test_oracle_sums_one_row_per_operator(monkeypatch):
+    rows = _count_kernel_rows(monkeypatch)
+    g.trace(g.type1(), "gha", 0.5, t_end=10.0, n_points=101)
+    assert rows == [2, 2]  # <xi>, <rho>, then <xi^2>, <rho^2>
+
+
 def _eager_dense(spec, dim, L_scale, hbar):
     # reference: every generator built eagerly with np.diag, bands and zeros
     eps = g.levels(spec, dim)
@@ -469,6 +506,23 @@ _NON_FINITE_CALLS = {
     "build_rep-L_scale": lambda: g.build_rep(g.type1(), 10, L_scale=math.nan),
     "gha_state-tail": lambda: g.gha_coherent_state(g.type1(), 0.5,
                                                    tail=math.nan),
+    "type1-b": lambda: g.type1(math.nan),
+    "square_well-b-inf": lambda: g.square_well(math.inf),
+    "q_deformed-q": lambda: g.q_deformed(math.nan),
+    "morse-p-inf": lambda: g.morse(math.inf),
+    "morse-p-nan": lambda: g.morse(math.nan),
+    "from_table-nan": lambda: g.from_table([0.0, 0.5, math.nan, 0.75]),
+    "morse_physical-beta": lambda: g.MorsePhysicalParams(
+        beta=math.nan, V0=1.0, m_r=1.0),
+    "closed_form_normalization-nan": lambda: g.closed_form_normalization(
+        g.type1(), math.nan),
+    "closed_form_normalization-inf": lambda: g.closed_form_normalization(
+        g.harmonic(), math.inf),
+    "eigenstate_residual-z": lambda: g.eigenstate_residual(
+        g.type1(), g.gha_coherent_state(g.type1(), 0.4), math.nan),
+    "characteristic_fn-x": lambda: g.characteristic_fn(g.type1(), math.nan),
+    "verify_algebra-tol": lambda: g.verify_algebra(
+        g.build_rep(g.type1(), 10), g.type1(), tol=math.nan),
 }
 
 
@@ -515,6 +569,20 @@ def test_series_underflow_raises_non_finite():
             g.trace(g.harmonic(), "linear", r, path="series")
     tr = g.trace(g.harmonic(), "linear", 26.5, path="series", n_points=11)
     assert np.abs(tr.values - 0.5).max() < 1e-9
+
+
+@pytest.mark.parametrize("spec", [g.type1(), g.type1(4.0), g.type2(),
+                                  g.hydrogen()],
+                         ids=["type1", "type1-b4", "type2", "hydrogen"])
+def test_linear_states_have_no_radius_on_either_route(spec):
+    # only the nonlinear states of the bounded ladders stop at r = 1
+    for r in (1.5, 10.0):
+        tr = g.trace(spec, "linear", r, 0.4, t_end=50.0, n_points=501,
+                     path="both")
+        assert tr.max_discrepancy <= 1e-9
+        with pytest.raises(RadiusOfConvergenceError,
+                           match=rf"r = {r} is outside \[0, 1\)"):
+            moment_series(spec, "gha", r)
 
 
 # (system, kind, largest r): 0.9 of the convergence radius; the harmonic
