@@ -10,9 +10,12 @@ four canonical moments share one structure:
 
 with w_k = N^2 a_k a_{k+1} sqrt(k+1), v_k = N^2 a_k a_{k+2} sqrt((k+1)(k+2)),
 S = N^2 sum_k k a_k^2, and frequencies given by the level gaps,
-W_k = eps_k - eps_{k+1}, V_k = eps_k - eps_{k+2}.  This module spells those
-weights out per system in closed form; it never touches the matrix
-representation, which provides the independent cross-check.
+W_k = eps_k - eps_{k+1}, V_k = eps_k - eps_{k+2}.  The amplitudes obey
+a_{k+1}^2 / a_k^2 = r^2 / L_k, with L_k from one table of closed-form
+squared ladders written here (Curado & Rego-Monteiro, J. Phys. A 34, 3253
+(2001)); one builder turns the table into the three term ratios.  The
+weights never read the spectrum's ladders or the matrix representation,
+which provides the independent cross-check.
 
 Infinite series are truncated adaptively once a geometric majorant bounds
 the remaining tail below the requested fraction of the accumulated sum.
@@ -26,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFiniteResultError,
-    WrongSystemError,
-    require_finite,
-)
+from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import _TAIL, _check_radius, _grow, closed_form_normalization
+from .states import _CAP, _TAIL, _check_radius, _grow, closed_form_normalization
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -61,80 +60,56 @@ def _gaps(spec: SpectrumModel, count: int, step: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-system weight catalog
+# the squared ladders and the one weight builder
 
-def _linear_weights(r: float, tail: float):
+#: L_k = Ntilde_k^2 / b of the gha states on an index array k, with
+#: a_{k+1}^2 / a_k^2 = r^2 / L_k; hydrogen's includes its degeneracy fold,
+#: and the Morse state stops below its top level.  Written here, not read
+#: from the spectrum; integer powers stay exact in int64 up to k = _CAP.
+_SQUARED_LADDERS = {
+    "harmonic": lambda spec, k: k + 1.0,
+    "type1": lambda spec, k: (k + 1) / (k + 2),
+    "type2": lambda spec, k: (k + 1) ** 2 / (k + 2) ** 2,
+    "hydrogen": lambda spec, k: (k + 1) ** 3 * (k + 3) / (k + 2) ** 4,
+    "morse": lambda spec, k: np.where(k < spec.max_level - 1,
+                                      (k + 1) * (2.0 * spec.p - k - 1), np.inf),
+}
+
+
+def _squared_ladder(spec: SpectrumModel, kind: str) -> list[float]:
+    """L_0 .. L_{_CAP+2}; every linear state has the harmonic L_k = k + 1."""
+    table = _SQUARED_LADDERS["harmonic" if kind == "linear" else spec.system]
+    return table(spec, np.arange(_CAP + 3)).tolist()
+
+
+def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
+    """The mean terms w_k, cross terms v_k and the sum S, as term ratios of
+    the squared ladders; the exponential weights keep the exact S = r^2."""
     x = r * r
-    n2 = math.exp(-x)
-    if n2 < sys.float_info.min:
-        # a subnormal or zero N^2 would silently drop or distort every term
-        raise NonFiniteResultError(
-            f"linear-state normalization exp(-r^2) underflows at r = {r:.6g}")
-    mean = _grow(n2 * r, lambda k: x / (k + 1), 0, tail)
-    cross = _grow(n2 * x, lambda k: x / (k + 1), 0, tail)
-    return mean, cross, x
-
-
-def _type1_gha_weights(spec: SpectrumModel, r: float, tail: float):
-    x = r * r
-    n2 = closed_form_normalization(spec, r) ** 2
-    mean = _grow(n2 * math.sqrt(2.0) * r,
-                 lambda k: x * (k + 2) / (k + 1) * math.sqrt((k + 3) / (k + 2)),
+    L = _squared_ladder(spec, kind)
+    exponential = kind == "linear" or spec.system == "harmonic"
+    if exponential:
+        n2 = math.exp(-x)
+        if n2 < sys.float_info.min:
+            # a subnormal or zero N^2 would silently drop or distort every term
+            raise NonFiniteResultError(
+                f"linear-state normalization exp(-r^2) underflows at r = {r:.6g}")
+    else:
+        n2 = closed_form_normalization(spec, r) ** 2
+    if spec.system == "morse":
+        tail = 0.0  # stop at the first zero ratio: the top level
+    # each ratio divides x by a square root whose radicand is (k+1)^2 for
+    # every linear state, so their terms round as x / (k+1) does
+    mean = _grow(n2 * r / math.sqrt(L[0]),
+                 lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2)),
                  0, tail)
-    cross = _grow(n2 * math.sqrt(6.0) * x,
-                  lambda k: x * (k + 2) / (k + 1) * math.sqrt((k + 4) / (k + 2)),
+    cross = _grow(n2 * x * math.sqrt(2.0 / (L[0] * L[1])),
+                  lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3)),
                   0, tail)
-    diag = sum(_grow(n2 * 2.0 * x, lambda k: x * (k + 2) / k, 1, tail))
+    if exponential:
+        return mean, cross, x
+    diag = sum(_grow(n2 * x / L[0], lambda k: x / (k * L[k] / (k + 1)), 1, tail))
     return mean, cross, diag
-
-
-def _type2_gha_weights(spec: SpectrumModel, r: float, tail: float):
-    x = r * r
-    n2 = closed_form_normalization(spec, r) ** 2
-    mean = _grow(n2 * 2.0 * r,
-                 lambda k: x * (k + 3) / (k + 1) * math.sqrt((k + 2) / (k + 1)),
-                 0, tail)
-    cross = _grow(n2 * 3.0 * math.sqrt(2.0) * x,
-                  lambda k: x * (k + 2) * (k + 4) / ((k + 1) * (k + 3))
-                  * math.sqrt((k + 3) / (k + 1)),
-                  0, tail)
-    diag = sum(_grow(n2 * 4.0 * x, lambda k: x * (k + 2) ** 2 / (k * (k + 1)),
-                     1, tail))
-    return mean, cross, diag
-
-
-def _hydrogen_gha_weights(spec: SpectrumModel, r: float, tail: float):
-    x = r * r
-    n2 = closed_form_normalization(spec, r) ** 2
-    mean = _grow(n2 * 4.0 / math.sqrt(3.0) * r,
-                 lambda k: x * (k + 2) * (k + 3) / (k + 1) ** 2
-                 * math.sqrt((k + 3) / (k + 4)),
-                 0, tail)
-    cross = _grow(n2 * 3.0 * math.sqrt(3.0) * x,
-                  lambda k: x * ((k + 2) / (k + 1)) ** 2
-                  * ((k + 4) / (k + 3)) ** 1.5 * math.sqrt((k + 4) / (k + 5)),
-                  0, tail)
-    diag = sum(_grow(n2 * (16.0 / 3.0) * x,
-                     lambda k: x * (k + 2) ** 4 / (k * (k + 1) ** 2 * (k + 3)),
-                     1, tail))
-    return mean, cross, diag
-
-
-def _morse_gha_weights(spec: SpectrumModel, r: float):
-    p = spec.p
-    top = spec.max_level
-    # unnormalized amplitudes on levels 0 .. n_max - 1
-    a = np.empty(top)
-    a[0] = 1.0
-    for n in range(1, top):
-        a[n] = a[n - 1] * r / math.sqrt(n * (2.0 * p - n))
-    n2 = 1.0 / float(np.dot(a, a))
-    k = np.arange(top - 1)
-    mean = n2 * a[:-1] * a[1:] * np.sqrt(k + 1.0)
-    k2 = np.arange(max(top - 2, 0))
-    cross = n2 * a[:-2] * a[2:] * np.sqrt((k2 + 1.0) * (k2 + 2.0))
-    diag = n2 * float(np.dot(np.arange(top), a * a))
-    return list(mean), list(cross), diag
 
 
 def moment_series(spec: SpectrumModel, kind: str, r: float,
@@ -154,16 +129,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
             "use the matrix path")
     _check_radius(spec, r, kind)
 
-    s = spec.system
-    if s == "morse":
-        mean, cross, diag = _morse_gha_weights(spec, r)
-    elif kind == "gha" and s != "harmonic":
-        weights = {"type1": _type1_gha_weights, "type2": _type2_gha_weights,
-                   "hydrogen": _hydrogen_gha_weights}[s]
-        mean, cross, diag = weights(spec, r, tail)
-    else:
-        mean, cross, diag = _linear_weights(r, tail)
-
+    mean, cross, diag = _weights(spec, kind, r, tail)
     return MomentSeries(
         mean_w=np.asarray(mean, dtype=float),
         mean_f=_gaps(spec, len(mean), 1),

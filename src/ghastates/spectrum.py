@@ -155,10 +155,14 @@ def morse(p: float, n_max: int | None = None,
     if n_max is None:
         n_max = top
     else:
-        n_max = int(n_max)
-        if not 1 <= n_max <= top:
+        require_finite(n_max=n_max)
+        if n_max != int(n_max) or not 1 <= n_max <= top:
             raise InvalidParameterError(
-                f"n_max override must lie in [1, floor(p)] = [1, {top}]")
+                f"n_max override must be an integer in [1, floor(p)] = "
+                f"[1, {top}], got {n_max!r}")
+        n_max = int(n_max)
+    if omega is not None:
+        require_positive(omega=omega)
     return SpectrumModel(system="morse", p=p, max_level=n_max, omega=omega)
 
 

@@ -306,6 +306,50 @@ def test_moment_series_unsupported():
         moment_series(g.type1(), "squeezed", 0.3)
 
 
+def test_squared_ladder_table_matches_the_algebra():
+    # the series table is written independently of spectrum.py; a typo in
+    # it would otherwise only show as a route discrepancy
+    from ghastates.series import _squared_ladder
+    from ghastates.states import state_ladder
+    for system, kind in SUPPORTED:
+        for b in ((1.0, 3.7) if system in ("type1", "type2", "hydrogen")
+                  else (1.0,)):
+            spec = g.morse(7.59) if system == "morse" else g.make_spectrum(
+                system, b=b)
+            L = np.array(_squared_ladder(spec, kind))
+            if kind == "linear":
+                assert np.array_equal(L, np.arange(1, len(L) + 1))
+                continue
+            count = spec.max_level - 1 if system == "morse" else 2000
+            want = state_ladder(spec, count) ** 2 / spec.b
+            assert np.all(np.abs(L[:count] - want) <= 1e-13 * want), (system, b)
+            if system == "morse":
+                assert np.isinf(L[count:]).all()
+
+
+def test_series_route_reads_no_ladder_and_no_rep(monkeypatch):
+    import ghastates.algebra as algebra
+    import ghastates.spectrum as spectrum
+    import ghastates.states as states
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series route read the algebra")
+
+    names = ("ladder_coefficients", "state_ladder", "build_rep")
+    for module in (g, spectrum, states, algebra, g.series, g.dynamics):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        g.gha_coherent_state(g.type1(), 0.5)
+    for system, kind in SUPPORTED:
+        spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
+        ms = moment_series(spec, kind, 0.5)
+        assert len(ms.mean_w) > 0 and np.isfinite(ms.mean_w).all()
+        tr = g.trace(spec, kind, 0.5, path="series", n_points=11)
+        assert np.isfinite(tr.values).all()
+
+
 def test_series_r_zero_is_vacuum():
     es = g.expectations_series(g.type1(), "gha", 0.0, 0.0, 3.0)
     assert es.mean_xi == 0.0 and es.mean_rho == 0.0

@@ -252,3 +252,14 @@ def test_level_table_property(case):
             g.levels(spec, spec.max_level + 2)
         with pytest.raises(LevelOutOfRangeError):
             g.energy(spec, spec.max_level + 1)
+
+
+def test_morse_rejects_bad_n_max_and_omega():
+    # n_max must be a finite integer and omega a finite positive scale;
+    # trace copies omega into meta["energy_scale"]
+    for kwargs in (dict(n_max=math.nan), dict(n_max=math.inf),
+                   dict(n_max=2.5), dict(omega=math.nan), dict(omega=-1.0),
+                   dict(omega=0.0)):
+        with pytest.raises(InvalidParameterError):
+            g.morse(7.59, **kwargs)
+    assert g.morse(7.59, n_max=3.0, omega=2.5).max_level == 3
