@@ -76,17 +76,32 @@ _SQUARED_LADDERS = {
 }
 
 
-def _squared_ladder(spec: SpectrumModel, kind: str) -> list[float]:
-    """L_0 .. L_{_CAP+2}; every linear state has the harmonic L_k = k + 1."""
+def _squared_ladder(spec: SpectrumModel, kind: str,
+                    count: int = _CAP + 3) -> list[float]:
+    """L_0 .. L_{count-1}, by default every entry a series up to the cap
+    reads; every linear state has the harmonic L_k = k + 1."""
     table = _SQUARED_LADDERS["harmonic" if kind == "linear" else spec.system]
-    return table(spec, np.arange(_CAP + 3)).tolist()
+    return table(spec, np.arange(count)).tolist()
+
+
+class _Ladder(dict):
+    """L_k by index, grown in doubling chunks as a series reads on: a short
+    series reads a few of the entries a long one may need."""
+
+    def __init__(self, spec: SpectrumModel, kind: str):
+        super().__init__()
+        self.spec, self.kind = spec, kind
+
+    def __missing__(self, k: int) -> float:
+        self.update(enumerate(_squared_ladder(self.spec, self.kind, 2 * k + 16)))
+        return self[k]
 
 
 def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
     """The mean terms w_k, cross terms v_k and the sum S, as term ratios of
     the squared ladders; the exponential weights keep the exact S = r^2."""
     x = r * r
-    L = _squared_ladder(spec, kind)
+    L = _Ladder(spec, kind)
     exponential = kind == "linear" or spec.system == "harmonic"
     if exponential:
         n2 = math.exp(-x)

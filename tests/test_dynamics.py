@@ -327,6 +327,37 @@ def test_squared_ladder_table_matches_the_algebra():
                 assert np.isinf(L[count:]).all()
 
 
+def test_chunked_squared_ladder_keeps_every_weight(monkeypatch):
+    # the table grows in chunks as the series reads it; each entry is
+    # elementwise int64 arithmetic, so the weights keep their bits
+    import ghastates.series as series
+    full = series._squared_ladder
+    radii = {"bounded": (0.3, 0.9, 0.985), "morse": (0.03, 0.3, 1.0),
+             "unbounded": (0.5, 3.0, 12.0)}
+    for system, kind in SUPPORTED:
+        spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
+        group = ("morse" if system == "morse" else "bounded"
+                 if kind == "gha" and system != "harmonic" else "unbounded")
+        for r in radii[group]:
+            counts = []
+
+            def chunk(spec, kind, count):
+                counts.append(count)
+                return full(spec, kind, count)
+
+            monkeypatch.setattr(series, "_squared_ladder", chunk)
+            got = moment_series(spec, kind, r)
+            monkeypatch.setattr(series, "_squared_ladder",
+                                lambda spec, kind, count: full(spec, kind))
+            want = moment_series(spec, kind, r)
+            for name in ("mean_w", "cross_w", "diag"):
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), (
+                    system, kind, r, name)
+            # sized to the terms read, not to the cap
+            assert max(counts) <= 4 * len(want.mean_w) + 32
+
+
 def test_series_route_reads_no_ladder_and_no_rep(monkeypatch):
     import ghastates.algebra as algebra
     import ghastates.spectrum as spectrum

@@ -79,14 +79,19 @@ def test_single_row_matches_one_dimensional_call():
 
 
 def _unblocked(weights, freqs, phase, times):
-    # the kernel with its whole left table built at once
+    # the kernel with its whole left table built at once; a uniform grid's
+    # tables are the kernel's four-table progressions
     rows = np.atleast_2d(weights)
     dt = _kernels_py._uniform_step(times)
     width = 1 if dt is None else math.isqrt(len(times) - 1) + 1
-    left = rows[:, None, :] * np.exp(
-        1j * (np.multiply.outer(times[::width], freqs) + phase))
-    right = np.exp(1j * np.multiply.outer((dt or 0.0) * np.arange(width),
-                                          freqs))
+    starts = times[::width]
+    if dt is None:
+        phasors = np.exp(1j * (np.multiply.outer(starts, freqs) + phase))
+    else:
+        phasors = _kernels_py._progression(times[0], dt, width, len(starts),
+                                           freqs, phase)
+    left = rows[:, None, :] * phasors
+    right = _kernels_py._progression(0.0, dt or 0.0, 1, width, freqs)
     sums = np.matmul(left[:, :, None, :], right.T)
     sums = sums.reshape(len(rows), -1)[:, :len(times)]
     return sums.real, sums.imag
@@ -115,6 +120,44 @@ def test_blocks_keep_bits_and_bound_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 15, 16, 17, 45, 141, 142])
+def test_progression_matches_direct_exp(count):
+    rng = np.random.default_rng(count)
+    f = rng.normal(size=23)
+    f[:2] = 0.0
+    for start, step, stride, phase in ((0.0, 0.05, 1, 0.0),
+                                       (-37.5, 0.53, 1, 0.35),
+                                       (-37.5, 0.0125, 45, 0.35)):
+        got = _kernels_py._progression(start, step, stride, count, f, phase)
+        t = start + step * (stride * np.arange(count))
+        want = np.exp(1j * (np.multiply.outer(t, f) + phase))
+        assert got.shape == want.shape == (count, 23)
+        if count:
+            bound = 8 * np.finfo(float).eps * np.abs(
+                np.multiply.outer(t, f)).max()
+            assert np.abs(got - want).max() <= bound
+        empty = _kernels_py._progression(start, step, stride, count, f[:0],
+                                         phase)
+        assert empty.shape == (count, 0)
+
+
+def test_exp_work_grows_as_fourth_root_of_the_grid(monkeypatch):
+    # a complex exp costs tens of products per element, so a uniform call
+    # evaluates about 4 T^(1/4) K of them and multiplies the rest
+    exp, elements = np.exp, []
+
+    def counting(x, *args, **kwargs):
+        elements.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    rng = np.random.default_rng(4)
+    w, f = rng.normal(size=(2, 200))
+    times = np.linspace(0.0, 1000.0, 20001)
+    monkeypatch.setattr(_kernels_py.np, "exp", counting)
+    _kernels_py.weighted_trig_sums(w, f, 0.3, times)
+    assert 0 < sum(elements) <= 6 * len(times) ** 0.25 * len(f)
 
 
 def test_large_argument_within_conditioning():
