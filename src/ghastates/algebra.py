@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     ShapeMismatchError,
     WrongSystemError,
+    require_integer,
     require_positive,
 )
 from .spectrum import (
@@ -90,6 +91,7 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
     has to equal ``n_max + 1``.  Tabulated spectra allow ``dim`` up to their
     table length.
     """
+    require_integer(dim=dim)
     if dim < 2:
         raise DimensionMismatchError("representation dimension must be >= 2")
     if spec.system == "morse" and dim != spec.max_level + 1:

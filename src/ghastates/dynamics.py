@@ -40,6 +40,7 @@ from .errors import (
     UncertaintyFloorError,
     WrongSystemError,
     require_finite,
+    require_integer,
     require_positive,
 )
 from .series import MomentSeries, moment_series
@@ -236,6 +237,9 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     provides the reported values and the series route is kept alongside,
     with their largest pointwise difference in ``max_discrepancy``.
     """
+    require_integer(n_points=n_points)
+    if dim is not None:
+        require_integer(dim=dim)
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
     require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end)

@@ -1,7 +1,8 @@
-"""Exception and warning types shared across the package, and the one
-finite-input check."""
+"""Exception and warning types shared across the package, and the input
+checks every entry point shares."""
 
 import cmath
+import numbers
 
 
 class GhaError(Exception):
@@ -88,3 +89,10 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not value > 0:
             raise InvalidParameterError(f"{name} must be positive, got {value!r}")
+
+
+def require_integer(**values) -> None:
+    """Raise ``InvalidParameterError`` naming the first non-integer value."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")

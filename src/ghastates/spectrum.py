@@ -112,26 +112,26 @@ def q_deformed(q: float) -> SpectrumModel:
 
 def square_well(b: float = 1.0) -> SpectrumModel:
     """Infinite well with levels b (n+1)^2; the ground level sits at b."""
-    _check_b(b)
+    require_positive(b=b)
     return SpectrumModel(system="square_well", b=float(b))
 
 
 def type1(b: float = 1.0) -> SpectrumModel:
     """Bounded ladder eps_n = b n/(n+1)."""
-    _check_b(b)
+    require_positive(b=b)
     return SpectrumModel(system="type1", b=float(b), index_offset=1)
 
 
 def type2(b: float = 1.0) -> SpectrumModel:
     """Bounded ladder eps_n = b n^2/(n+1)^2."""
-    _check_b(b)
+    require_positive(b=b)
     return SpectrumModel(system="type2", b=float(b), index_offset=1)
 
 
 def hydrogen(b: float = 1.0) -> SpectrumModel:
     """Coulomb ladder; storage slot n holds the physical level n+1,
     eps_n = -b/(n+1)^2."""
-    _check_b(b)
+    require_positive(b=b)
     return SpectrumModel(system="hydrogen", b=float(b), index_offset=1)
 
 
@@ -221,12 +221,6 @@ def morse_from_physical(phys: MorsePhysicalParams,
         raise InvalidParameterError(
             f"nu = {nu:.4g} <= 1: the well is too shallow for a bound ladder")
     return morse((nu - 1.0) / 2.0, n_max=n_max, omega=phys.omega)
-
-
-def _check_b(b: float) -> None:
-    require_finite(b=b)
-    if b < 0:
-        raise InvalidParameterError("energy constant b must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    InvalidParameterError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
     WrongSystemError,
     require_finite,
+    require_integer,
 )
 from .spectrum import SpectrumModel, ladder_coefficients
 
@@ -157,6 +159,8 @@ def _grow(first: float, ratio: Callable[[int], float], k0: int,
     the rest, valid once the ratio decreases (the catalog ladders are
     monotone), drops below ``tail`` relative to the accumulated total."""
     require_finite(tail=tail)
+    if not 0.0 <= tail < 1.0:
+        raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
     if first == 0.0:
         return []
     terms = [first]
@@ -235,6 +239,8 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
     """
     z = complex(z)
     require_finite(z=z)
+    if dim is not None:
+        require_integer(dim=dim)
     _check_label(spec, z)
     zr = raw_eigenvalue(spec, z)
 
@@ -264,6 +270,8 @@ def linear_coherent_state(z: complex, dim: int | None = None,
     """Exponential-weight coherent state; independent of any spectrum."""
     z = complex(z)
     require_finite(z=z)
+    if dim is not None:
+        require_integer(dim=dim)
     r2 = abs(z) ** 2
     needed = max(len(_grow(1.0, lambda k: r2 / (k + 1), 0, tail)), 2)
     dim = _fit_dim(needed, dim, z, tail)

@@ -307,3 +307,11 @@ def test_tolerance_must_be_positive(runner, tmp_path):
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 1, (tol, res.output)
         assert "tol must be" in res.output
+
+
+def test_zero_b_exits_validation(runner, tmp_path):
+    res = runner.invoke(main, ["trace", "--system", "type1", "--b", "0",
+                               "--r", "0.5", "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1, res.output
+    assert "b must be positive" in res.output
+    assert not (tmp_path / "x.csv").exists()

@@ -440,10 +440,8 @@ _ORACLE_CASES = [
 def test_banded_oracle_matches_dense(spec, kind, r):
     st = coherent_state_for(spec, kind, r, 0.7)
     rep = _rep_for(spec, st, 1.3, 0.8)
-    rng = np.random.default_rng(11)
-    # a uniform grid (wide kernel tiles) and a non-uniform one (width 1)
-    for times in (np.linspace(0.0, 30.0, 41),
-                  np.sort(rng.uniform(0.0, 30.0, 23))):
+    # the second grid starts below zero and its last tile is ragged
+    for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
         grid = _oracle_grid(st, rep, times)
         for j, t in enumerate(times):
             es = g.expectations_oracle(g.evolve(st, spec, t), rep)
@@ -628,6 +626,35 @@ _SCALED_CALLS = {
 def test_non_positive_scales_raise_invalid_parameter(call, scale):
     with pytest.raises(InvalidParameterError, match="must be positive"):
         call(**scale)
+
+
+_COUNT_CALLS = {
+    "trace-n_points": lambda: g.trace(g.type1(), "gha", 0.5, n_points=2.5),
+    "trace-dim": lambda: g.trace(g.type1(), "gha", 0.5, dim=40.5),
+    "trace-series-dim": lambda: g.trace(g.type1(), "gha", 0.5, path="series",
+                                        dim=40.5),
+    "gha_state-dim": lambda: g.gha_coherent_state(g.type1(), 0.5, dim=40.5),
+    "gha_state-morse-dim": lambda: g.gha_coherent_state(g.morse(7.59), 0.1,
+                                                        dim=8.0),
+    "linear_state-dim": lambda: g.linear_coherent_state(0.5, dim=30.0),
+    "build_rep-dim": lambda: g.build_rep(g.type1(), 2.5),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS.values(),
+                         ids=_COUNT_CALLS.keys())
+def test_non_integer_counts_raise_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("path", ["oracle", "series", "both"])
+@pytest.mark.parametrize("tail", [-1.0, 1.0, 2.0])
+def test_tail_outside_unit_interval_rejected(path, tail):
+    # tail = 2 used to stop both series early, 0.2 apart; tail = -1 ran the
+    # loop to its cap and reported a TailBoundError
+    with pytest.raises(InvalidParameterError, match="tail must lie in"):
+        g.trace(g.type1(), "gha", 0.5, path=path, tail=tail)
 
 
 def test_trace_overflow_raises_non_finite():

@@ -21,11 +21,6 @@ def _reference(weights, freqs, phase, times):
     return cos_out, sin_out
 
 
-def _factored(times):
-    # tiles wider than one point: every other grid takes width 1
-    return _kernels_py._uniform_step(times) is not None
-
-
 def test_python_kernel_matches_reference():
     rng = np.random.default_rng(7)
     w = rng.normal(size=23)
@@ -36,24 +31,20 @@ def test_python_kernel_matches_reference():
     assert np.abs(got_c - ref_c).max() < 1e-12
     assert np.abs(got_s - ref_s).max() < 1e-12
 
-    # longer grids and both tile widths, within a bound that scales with
-    # sum |w|
+    # longer grids and one point, within a bound that scales with sum |w|
     f[:3] = 0.0  # zero frequencies alongside the negative draws
     assert (f < 0).any()
     scale = np.abs(w).sum()
     cases = [
-        (np.linspace(0.0, 100.0, 2001), True),
-        (np.linspace(0.0, 100.0, 1000), True),  # last tile ragged: 32*32 > 1000
-        (np.linspace(-37.5, 62.5, 777), True),
-        (np.linspace(0.0, 1.0, 2), True),
-        (np.sort(rng.uniform(0.0, 50.0, 300)), False),
-        (np.linspace(0.0, 100.0, 2001) + rng.uniform(0.0, 1e-9, 2001), False),
-        (np.array([3.7]), False),
+        np.linspace(0.0, 100.0, 2001),
+        np.linspace(0.0, 100.0, 1000),  # last tile ragged: 32*32 > 1000
+        np.linspace(-37.5, 62.5, 777),
+        np.linspace(0.0, 1.0, 2),
+        np.array([3.7]),
     ]
     # complex weight rows sharing the frequencies, as on the matrix route
     rows = rng.normal(size=(3, 23)) + 1j * rng.normal(size=(3, 23))
-    for times, factored in cases:
-        assert _factored(times) == factored
+    for times in cases:
         ref_c, ref_s = _reference(w, f, 0.35, times)
         got_c, got_s = _kernels_py.weighted_trig_sums(w, f, 0.35, times)
         assert np.abs(got_c - ref_c).max() < 1e-12 * scale
@@ -70,7 +61,7 @@ def test_single_row_matches_one_dimensional_call():
     rng = np.random.default_rng(9)
     w, f = rng.normal(size=(2, 30))
     for times in (np.linspace(0.0, 1000.0, 20001),
-                  np.sort(rng.uniform(0.0, 50.0, 300))):
+                  np.linspace(-37.5, 62.5, 300)):
         c, s = _kernels_py.weighted_trig_sums(w, f, 0.2, times)
         c2, s2 = _kernels_py.weighted_trig_sums(w[None, :], f, 0.2, times)
         assert c2.shape == (1, len(times))
@@ -78,48 +69,36 @@ def test_single_row_matches_one_dimensional_call():
         assert s.tobytes() == s2[0].tobytes()
 
 
-def _unblocked(weights, freqs, phase, times):
-    # the kernel with its whole left table built at once; a uniform grid's
-    # tables are the kernel's four-table progressions
-    rows = np.atleast_2d(weights)
-    dt = _kernels_py._uniform_step(times)
-    width = 1 if dt is None else math.isqrt(len(times) - 1) + 1
-    starts = times[::width]
-    if dt is None:
-        phasors = np.exp(1j * (np.multiply.outer(starts, freqs) + phase))
-    else:
-        phasors = _kernels_py._progression(times[0], dt, width, len(starts),
-                                           freqs, phase)
-    left = rows[:, None, :] * phasors
-    right = _kernels_py._progression(0.0, dt or 0.0, 1, width, freqs)
-    sums = np.matmul(left[:, :, None, :], right.T)
-    sums = sums.reshape(len(rows), -1)[:, :len(times)]
-    return sums.real, sums.imag
-
-
-def test_blocks_keep_bits_and_bound_memory(monkeypatch):
+def test_kernel_bounds_memory():
+    # a table of every phasor of this call would be 4 x 20001 x 200 complex,
+    # 256 MB; the two tile tables and the sums take a few MB
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 200)) + 1j * rng.normal(size=(4, 200))
     f = rng.normal(size=200)
-    non_uniform = np.sort(rng.uniform(0.0, 1000.0, 20001))
-    grids = [np.linspace(0.0, 1000.0, 20001), non_uniform, np.array([7.5])]
-    # the default, and blocks of 7 starts with a ragged last one
-    for block_bytes in (_kernels_py._BLOCK_BYTES, 7 * 16 * w.size):
-        monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", block_bytes)
-        for times in grids:
-            got = _kernels_py.weighted_trig_sums(w, f, 0.3, times)
-            ref = _unblocked(w, f, 0.3, times)
-            for a, b in zip(got, ref):
-                assert a.tobytes() == b.tobytes()
-    # the whole left table here is 4 x 20001 x 200 complex, 256 MB
-    monkeypatch.undo()
+    times = np.linspace(0.0, 1000.0, 20001)
     tracemalloc.start()
     try:
-        _kernels_py.weighted_trig_sums(w, f, 0.3, non_uniform)
+        _kernels_py.weighted_trig_sums(w, f, 0.3, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("count", [2, 3, 777, 2001, 20001])
+def test_linspace_grid_is_the_kernels_progression(count):
+    # the kernel takes dt from a grid's endpoints and never tests the grid:
+    # for the grids trace, the CLI and the benchmark build, linspace gives
+    # every point but the last as a + j dt to the bit, and its last point
+    # within a few ulp of the largest |t|
+    for a, b in ((0.0, 60.0), (0.0, 100.0), (0.0, 1000.0), (-37.5, 62.5),
+                 (1e6, 1e6 + 100.0)):
+        times = np.linspace(a, b, count)
+        assert times[0] == a and times[-1] == b
+        ideal = a + ((b - a) / (count - 1)) * np.arange(count)
+        assert times[:-1].tobytes() == ideal[:-1].tobytes()
+        ulp = np.finfo(float).eps * np.abs(times).max()
+        assert abs(times[-1] - ideal[-1]) <= 4 * ulp
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 15, 16, 17, 45, 141, 142])
@@ -167,7 +146,6 @@ def test_large_argument_within_conditioning():
     w = rng.normal(size=11)
     f = 1e7 * rng.uniform(-1.0, 1.0, size=11)
     times = np.linspace(0.0, 100.0, 2001)
-    assert _factored(times)
     ref_c, ref_s = _reference(w, f, 0.35, times)
     got_c, got_s = _kernels_py.weighted_trig_sums(w, f, 0.35, times)
     bound = (8 * np.finfo(float).eps * np.abs(np.multiply.outer(times, f)).max()
@@ -206,7 +184,7 @@ def test_output_independent_of_blas_threads():
         "re, im = _kernels_py.weighted_trig_sums(\n"
         "    w4, f, 0.0, np.linspace(0.0, 1000.0, 20001))\n"
         "out = [c, s, re, im]\n"
-        "for t in (np.sort(rng.uniform(0.0, 1000.0, 3001)), np.array([7.5])):\n"
+        "for t in (np.linspace(-37.5, 62.5, 3001), np.array([7.5])):\n"
         "    out += _kernels_py.weighted_trig_sums(w4, f, 0.4, t)\n"
         "print(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -137,6 +137,17 @@ def test_integer_p_rejected():
         g.morse(-1.5)
 
 
+def test_zero_b_rejected():
+    # at b = 0 every level is zero: the series route returned a constant
+    # trace while the oracle raised a different error per system
+    for build in (g.square_well, g.type1, g.type2, g.hydrogen):
+        with pytest.raises(InvalidParameterError, match="b must be positive"):
+            build(0.0)
+    for system in ("square-well", "type1", "type2", "hydrogen"):
+        with pytest.raises(InvalidParameterError):
+            g.make_spectrum(system, b=0.0)
+
+
 def test_morse_from_physical_o2():
     phys = g.MorsePhysicalParams(beta=2.78e10, V0=5.211 * g.EV, m_r=1.33e-26)
     # faithful evaluation of the dimensionless well depth and time scale
