@@ -13,13 +13,35 @@ coarse exp table times a fine one of about sqrt(M) rows, so a call takes
 about ``4 T^(1/4) K`` complex exps and ``(B + M) K`` products, not ``2 T K``
 exps, and, unlike a recurrence, accumulates no round-off.  One point is one
 tile of width 1 with ``dt = 0``.
+
+A call on more than one point first trades its K frequencies for fewer
+(Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 40, A529 (2018)).  Centred
+at t_c with s = t - t_c in [-tau, tau], exp(i f s) for f in a core
+[f_c - h, f_c + h] is interpolated in f at P Chebyshev points of the second
+kind in barycentric form (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)), so
+each weight w_k becomes w_k exp(i f_k t_c) l_p(x_k) on the node frequencies.
+The Chebyshev coefficients of exp(i c x), c = h tau, are 2 i^p J_p(c) with
+|J_p(c)| <= (c/2)^p / p!: P is the least count with 2 (c/2)^P / P! <= eps/2
+and P >= c, and the sums move by a few eps * sum |w|.  End frequencies are
+peeled off as exact terms, one at a time, while P + peeled drops.  A call
+with P + peeled >= K (wide gaps, long grids, few terms) or one point keeps
+its own frequencies, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
+
+#: _C_MAX[P - 1] is the largest c that P nodes take: the c with
+#: 2 (c/2)^P / P! = eps/2, capped at P.  A trace sums at most 2001
+#: frequencies, so past the end no call saves any.
+_COUNTS = np.arange(1, 2049)
+_C_MAX = np.minimum(_COUNTS, 2.0 * np.exp(
+    (math.log(np.finfo(float).eps / 4) + np.cumsum(np.log(_COUNTS)))
+    / _COUNTS)).tolist()  # cumsum(log P) = ln P!
 
 
 def _progression(start, step, stride, count, freqs, phase=0.0):
@@ -32,6 +54,52 @@ def _progression(start, step, stride, count, freqs, phase=0.0):
         start + step * (width * n[:-(-count // width)]), freqs) + phase))
     table = coarse[:, None, :] * fine  # shape given: K = 0 is allowed
     return table.reshape(len(coarse) * width, len(freqs))[:count]
+
+
+def _nodes(c):
+    """Chebyshev node count for c = h tau, or inf past the table."""
+    p = bisect_left(_C_MAX, c)
+    return p + 1 if p < len(_C_MAX) else math.inf
+
+
+def _aggregated(rows, freqs, times):
+    """(rows, freqs, start) of the same sums on fewer frequencies over the
+    grid shifted by its centre, or the call's own if none are saved."""
+    K = len(freqs)
+    if len(times) < 2 or K < 2:
+        return rows, freqs, times[0]
+    t_c, tau = (times[0] + times[-1]) / 2, abs(times[-1] - times[0]) / 2
+    order = np.argsort(freqs)
+    f = freqs[order].tolist()
+    lo, hi, size = 0, K - 1, _nodes((f[-1] - f[0]) / 2 * tau)
+    while lo < hi:  # peel the end whose removal narrows the core most
+        a, b = ((lo + 1, hi) if f[hi] - f[lo + 1] <= f[hi - 1] - f[lo]
+                else (lo, hi - 1))
+        nodes = _nodes((f[b] - f[a]) / 2 * tau)
+        if nodes + 1 >= size:  # one more exact term, no fewer in all
+            break
+        lo, hi, size = a, b, nodes
+    if size + lo + K - 1 - hi >= K:
+        return rows, freqs, times[0]
+    f_c, h = (f[lo] + f[hi]) / 2, (f[hi] - f[lo]) / 2
+    core = order[lo:hi + 1]
+    peeled = np.concatenate((order[:lo], order[hi + 1:]))
+    x_p = np.cos(np.pi / max(size - 1, 1) * np.arange(size))
+    lam = (-1.0) ** np.arange(size)
+    lam[[0, -1]] /= 2
+    # (h or 1.0): h = 0 leaves one node, where every l_p(x) = 1
+    d = np.subtract.outer(x_p, (freqs[core] - f_c) / (h or 1.0))
+    on = d == 0  # a frequency on a node keeps its weight there
+    d[:, on.any(axis=0)] = np.inf
+    d[on] = 1.0
+    basis = lam[:, None] / d
+    basis /= basis.sum(axis=0)
+    shifted = rows * np.exp(1j * (freqs * t_c))
+    # one complex matrix-vector product per row with a (P, K) table, as
+    # below: a real or a (K, P) table rounds with the BLAS thread count
+    merged = np.matmul(shifted[:, None, core], basis.astype(complex).T)
+    return (np.concatenate([merged[:, 0], shifted[:, peeled]], axis=1),
+            np.concatenate((f_c + h * x_p, freqs[peeled])), times[0] - t_c)
 
 
 def weighted_trig_sums(weights, freqs, phase, times):
@@ -51,9 +119,10 @@ def weighted_trig_sums(weights, freqs, phase, times):
     count = len(times)
     dt = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
+    rows, freqs, start = _aggregated(rows, freqs, times)
     # B = ceil(T / M) <= M tile starts t_{bM}, so the left table is no
     # larger than the right one
-    left = rows[:, None, :] * _progression(times[0], dt, width,
+    left = rows[:, None, :] * _progression(start, dt, width,
                                            -(-count // width), freqs, phase)
     right = _progression(0.0, dt, 1, width, freqs)
     # one matrix-vector product per row and tile row, not one matrix

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import _CAP, _TAIL, _check_radius, _grow, closed_form_normalization
+from .states import (_CAP, _TAIL, _check_radius, _check_tail, _grow,
+                     closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -84,24 +85,34 @@ def _squared_ladder(spec: SpectrumModel, kind: str,
     return table(spec, np.arange(count)).tolist()
 
 
-class _Ladder(dict):
-    """L_k by index, grown in doubling chunks as a series reads on: a short
-    series reads a few of the entries a long one may need."""
-
-    def __init__(self, spec: SpectrumModel, kind: str):
-        super().__init__()
-        self.spec, self.kind = spec, kind
-
-    def __missing__(self, k: int) -> float:
-        self.update(enumerate(_squared_ladder(self.spec, self.kind, 2 * k + 16)))
-        return self[k]
-
-
 def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
     """The mean terms w_k, cross terms v_k and the sum S, as term ratios of
     the squared ladders; the exponential weights keep the exact S = r^2."""
     x = r * r
-    L = _Ladder(spec, kind)
+    L = _squared_ladder(spec, kind, 16)
+
+    def reach(k: int) -> None:
+        # L_k by list index, grown in doubling chunks as a series reads
+        # on: a short series reads a few of the entries a long one may need
+        L[len(L):] = _squared_ladder(spec, kind, 2 * k + 16)[len(L):]
+
+    # each ratio divides x by a square root whose radicand is (k+1)^2 for
+    # every linear state, so their terms round as x / (k+1) does
+    def mean_ratio(k: int) -> float:
+        if k + 1 >= len(L):
+            reach(k + 1)
+        return x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))
+
+    def cross_ratio(k: int) -> float:
+        if k + 2 >= len(L):
+            reach(k + 2)
+        return x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3))
+
+    def diag_ratio(k: int) -> float:
+        if k >= len(L):
+            reach(k)
+        return x / (k * L[k] / (k + 1))
+
     exponential = kind == "linear" or spec.system == "harmonic"
     if exponential:
         n2 = math.exp(-x)
@@ -113,17 +124,11 @@ def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
         n2 = closed_form_normalization(spec, r) ** 2
     if spec.system == "morse":
         tail = 0.0  # stop at the first zero ratio: the top level
-    # each ratio divides x by a square root whose radicand is (k+1)^2 for
-    # every linear state, so their terms round as x / (k+1) does
-    mean = _grow(n2 * r / math.sqrt(L[0]),
-                 lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2)),
-                 0, tail)
-    cross = _grow(n2 * x * math.sqrt(2.0 / (L[0] * L[1])),
-                  lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3)),
-                  0, tail)
+    mean = _grow(n2 * r / math.sqrt(L[0]), mean_ratio, 0, tail)
+    cross = _grow(n2 * x * math.sqrt(2.0 / (L[0] * L[1])), cross_ratio, 0, tail)
     if exponential:
         return mean, cross, x
-    diag = sum(_grow(n2 * x / L[0], lambda k: x / (k * L[k] / (k + 1)), 1, tail))
+    diag = sum(_grow(n2 * x / L[0], diag_ratio, 1, tail))
     return mean, cross, diag
 
 
@@ -136,6 +141,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
     ladders.
     """
     require_finite(r=r)
+    _check_tail(tail)
     if kind not in ("gha", "linear"):
         raise WrongSystemError(f"unknown state kind {kind!r}")
     if (spec.system, kind) not in SUPPORTED:

@@ -153,14 +153,19 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     return a
 
 
+def _check_tail(tail: float) -> None:
+    """Raise ``InvalidParameterError`` unless 0 <= tail < 1; every entry
+    checks it first, also where no tail loop runs."""
+    require_finite(tail=tail)
+    if not 0.0 <= tail < 1.0:
+        raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
+
+
 def _grow(first: float, ratio: Callable[[int], float], k0: int,
           tail: float) -> list[float]:
     """Terms first, first*ratio(k0), ... until the geometric majorant of
     the rest, valid once the ratio decreases (the catalog ladders are
     monotone), drops below ``tail`` relative to the accumulated total."""
-    require_finite(tail=tail)
-    if not 0.0 <= tail < 1.0:
-        raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
     if first == 0.0:
         return []
     terms = [first]
@@ -239,6 +244,7 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
     """
     z = complex(z)
     require_finite(z=z)
+    _check_tail(tail)
     if dim is not None:
         require_integer(dim=dim)
     _check_label(spec, z)
@@ -270,6 +276,7 @@ def linear_coherent_state(z: complex, dim: int | None = None,
     """Exponential-weight coherent state; independent of any spectrum."""
     z = complex(z)
     require_finite(z=z)
+    _check_tail(tail)
     if dim is not None:
         require_integer(dim=dim)
     r2 = abs(z) ** 2

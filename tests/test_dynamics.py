@@ -657,6 +657,19 @@ def test_tail_outside_unit_interval_rejected(path, tail):
         g.trace(g.type1(), "gha", 0.5, path=path, tail=tail)
 
 
+@pytest.mark.parametrize("path", ["oracle", "series", "both"])
+def test_tail_checked_where_no_tail_loop_runs(path):
+    # a finite ladder never runs the tail loop, and the series route sets
+    # a Morse tail to 0; the bad input is rejected on every route all the same
+    with pytest.raises(InvalidParameterError, match="tail must lie in"):
+        g.trace(g.morse(7.59), "gha", 0.1, path=path, tail=-1.0)
+
+
+def test_tail_checked_at_r_zero():
+    with pytest.raises(InvalidParameterError, match="tail must lie in"):
+        g.gha_coherent_state(g.type1(), 0.0, tail=5.0)
+
+
 def test_trace_overflow_raises_non_finite():
     # z^n / sqrt(n!) overflows in the state amplitudes at r = 40
     with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError):

@@ -198,3 +198,116 @@ def test_output_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
     assert len(digests) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev aggregation of a call's frequencies
+
+def _gaps(spec, count, step):
+    from ghastates.spectrum import levels
+    eps = levels(spec, count + step)
+    return eps[:-step] - eps[step:]
+
+
+_GAP_SPECTRA = {
+    "type1": lambda g: g.type1(),
+    "type2": lambda g: g.type2(),
+    "hydrogen": lambda g: g.hydrogen(),
+    "harmonic": lambda g: g.harmonic(),
+    "q0.5": lambda g: g.q_deformed(0.5),
+    "q0.9": lambda g: g.q_deformed(0.9),
+}
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 12.5, 25.0, 125.0])
+def test_node_count_bounds_the_bessel_tail(c):
+    # exp(i c x) = J_0(c) + 2 sum_p i^p J_p(c) T_p(x): the coefficients
+    # the P nodes leave out sum to at most eps
+    mpmath = pytest.importorskip("mpmath")
+    nodes = _kernels_py._nodes(c)
+    assert c <= nodes < c + 80
+    tail, p = mpmath.mpf(0), nodes
+    while True:
+        term = abs(mpmath.besselj(p, c))
+        tail += term
+        if p > c and term < mpmath.mpf(10) ** -40:
+            break
+        p += 1
+    assert 2 * tail <= np.finfo(float).eps
+    assert _kernels_py._nodes(1e9) == math.inf  # past the table: no saving
+
+
+@pytest.mark.parametrize("system", sorted(_GAP_SPECTRA))
+def test_aggregated_sums_match_direct_exp(system):
+    import ghastates as g
+    spec = _GAP_SPECTRA[system](g)
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 100.0, 2001)
+    for count in (80, 380, 1200):
+        for step in (1, 2):
+            f = _gaps(spec, count, step)
+            assert len(_kernels_py._aggregated(np.ones((1, count)), f,
+                                               times)[1]) < count
+            direct = np.exp(1j * (np.multiply.outer(times, f) + 0.3))
+            rows = rng.normal(size=(2, count)) + 1j * rng.normal(
+                size=(2, count))
+            real = rng.normal(size=count)
+            re, im = _kernels_py.weighted_trig_sums(rows, f, 0.3, times)
+            c, s = _kernels_py.weighted_trig_sums(real, f, 0.3, times)
+            for row, got in zip([*rows, real], [*(re + 1j * im), c + 1j * s]):
+                bound = 1e-14 * np.abs(row).sum()
+                assert np.abs(got - direct @ row).max() <= bound, (
+                    system, count, step)
+
+
+def test_near_radius_traces_aggregate(monkeypatch):
+    # the calls of oracle-near-radius-like traces take the aggregated path
+    import ghastates as g
+    seen, aggregated = [], _kernels_py._aggregated
+
+    def record(rows, freqs, times):
+        out = aggregated(rows, freqs, times)
+        seen.append((len(freqs), len(out[1])))
+        return out
+
+    monkeypatch.setattr(_kernels_py, "_aggregated", record)
+    for system, kind, radii in (("type1", "gha", (0.8, 0.95)),
+                                ("type2", "gha", (0.8, 0.95)),
+                                ("hydrogen", "gha", (0.8, 0.95)),
+                                ("harmonic", "linear", (8.0, 12.0))):
+        for r in radii:
+            seen.clear()
+            g.trace(g.make_spectrum(system), kind, r, 0.3, 0.0, 100.0, 2001,
+                    path="both")
+            assert len(seen) == 4
+            for count, kept in seen:
+                assert count >= 80
+                assert kept == 1 if system == "harmonic" else kept <= 25
+
+
+def test_aggregated_output_independent_of_blas_threads():
+    # the node weights come from one matrix-vector product per row, so an
+    # aggregated call keeps its bytes at any BLAS thread count
+    script = (
+        "import hashlib, numpy as np\n"
+        "import ghastates as g\n"
+        "from ghastates import _kernels_py\n"
+        "eps = g.levels(g.type1(), 1201)\n"
+        "f = eps[:-1] - eps[1:]\n"
+        "rng = np.random.default_rng(5)\n"
+        "w = rng.normal(size=(2, 1200)) + 1j * rng.normal(size=(2, 1200))\n"
+        "t = np.linspace(0.0, 100.0, 2001)\n"
+        "assert len(_kernels_py._aggregated(w, f, t)[1]) < 1200\n"
+        "re, im = _kernels_py.weighted_trig_sums(w, f, 0.3, t)\n"
+        "print(hashlib.sha256(re.tobytes() + im.tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1

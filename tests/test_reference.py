@@ -59,12 +59,29 @@ POINTS = [
     ("hydrogen", "linear", 3.0, 0.3, 1e7),
 ]
 
+#: points near the radius on [0, 100] x 2001, where the kernel sums each
+#: call's level gaps at a few Chebyshev nodes: (system, kind, r, phi, q,
+#: routes); q_deformed has no series route
+FINE_GRID = dict(t_start=0.0, t_end=100.0, n_points=2001)
+FINE_CHECKED = (0, 1000, 2000)
+FINE_POINTS = [
+    ("type1", "gha", 0.95, 1.1, None, ("oracle", "series")),
+    ("type2", "gha", 0.95, -2.0, None, ("oracle", "series")),
+    ("hydrogen", "gha", 0.95, 2.5, None, ("oracle", "series")),
+    ("harmonic", "linear", 12.0, 0.7, None, ("oracle", "series")),
+    ("q_deformed", "gha", 1.3, 0.3, 0.5, ("oracle",)),
+    ("q_deformed", "gha", 1.0, 0.3, 1.5, ("oracle",)),
+]
+
 _P = 7.59
 _BOUNDED = ("type1", "type2", "hydrogen")
 
 
-def _level(system, b, n):
+def _level(system, b, n, q=None):
     n = mp.mpf(n)
+    if system == "q_deformed":
+        q = mp.mpf(q)
+        return (1 - q ** n) / (1 - q)
     if system == "harmonic":
         return n
     if system == "type1":
@@ -76,7 +93,7 @@ def _level(system, b, n):
     return -(mp.mpf(_P) - n) ** 2  # morse
 
 
-def _amplitudes(system, kind, r, b):
+def _amplitudes(system, kind, r, b, q=None):
     """Amplitudes |a_0|, |a_1|, ... at phase 0, to a relative tail below
     1e-22; the Morse state stops one slot below its top level floor(p).
     The ladders are real, so at label r e^{i phi} level n only gains the
@@ -84,7 +101,7 @@ def _amplitudes(system, kind, r, b):
     z = mp.mpf(r)
     if kind == "gha" and system in _BOUNDED:
         z *= mp.sqrt(b)
-    e0 = _level(system, b, 0)
+    e0 = _level(system, b, 0, q)
     amps = [mp.mpf(1)]
     total = mp.mpf(1)
     while system != "morse" or len(amps) < math.floor(_P):
@@ -92,7 +109,7 @@ def _amplitudes(system, kind, r, b):
         if kind == "linear":
             ladder = mp.sqrt(n + 1)
         else:
-            ladder = mp.sqrt(_level(system, b, n + 1) - e0)
+            ladder = mp.sqrt(_level(system, b, n + 1, q) - e0)
             if system == "hydrogen":
                 ladder *= mp.mpf(n + 1) / (n + 2)
         amps.append(amps[-1] * z / ladder)
@@ -103,15 +120,15 @@ def _amplitudes(system, kind, r, b):
     return amps
 
 
-def _reference(system, kind, r, phi, b, times):
+def _reference(system, kind, r, phi, b, times, q=None):
     """Columns of COLUMNS at each time, as floats.  With c_n(t) =
     a_n exp(-i eps_n t): <D> = sum conj(c_n) c_{n+1} sqrt(n+1),
     <D^2> = sum conj(c_n) c_{n+2} sqrt((n+1)(n+2)), xi = (D + D^+)/sqrt(2)
     and rho = (D - D^+)/(i sqrt(2))."""
     with mp.workdps(40):
         b, phi = mp.mpf(b), mp.mpf(phi)
-        a = _amplitudes(system, kind, r, b)
-        eps = [_level(system, b, n) for n in range(len(a))]
+        a = _amplitudes(system, kind, r, b, q)
+        eps = [_level(system, b, n, q) for n in range(len(a))]
         norm = mp.fsum(x * x for x in a)
         number = mp.fsum(n * x * x for n, x in enumerate(a)) / norm
         one = [a[n] * a[n + 1] * mp.sqrt(n + 1) / norm
@@ -133,20 +150,23 @@ def _reference(system, kind, r, phi, b, times):
         return np.array([[float(v) for v in row] for row in rows])
 
 
-def _spec(system, b):
-    return g.morse(_P) if system == "morse" else g.make_spectrum(system, b=b)
+def _spec(system, b, q=None):
+    if system == "morse":
+        return g.morse(_P)
+    return g.make_spectrum(system, b=b, q=q)
 
 
-def reference_errors(system, kind, r, phi, b):
+def reference_errors(system, kind, r, phi, b, q=None, grid=GRID,
+                     checked=CHECKED, routes=("oracle", "series")):
     """{route: per-column max |route - reference| / max(1, column size)}."""
-    times = np.linspace(GRID["t_start"], GRID["t_end"], GRID["n_points"])
-    ref = _reference(system, kind, r, phi, b, times[list(CHECKED)])
+    times = np.linspace(grid["t_start"], grid["t_end"], grid["n_points"])
+    ref = _reference(system, kind, r, phi, b, times[list(checked)], q)
     scale = np.maximum(1.0, np.abs(ref).max(axis=0))
     out = {}
-    for route in ("oracle", "series"):
-        tr = g.trace(_spec(system, b), kind, r, phi, path=route, **GRID)
+    for route in routes:
+        tr = g.trace(_spec(system, b, q), kind, r, phi, path=route, **grid)
         got = np.column_stack([tr.mean_xi, tr.mean_rho, tr.var_xi,
-                               tr.var_rho, tr.values])[list(CHECKED)]
+                               tr.var_rho, tr.values])[list(checked)]
         out[route] = np.abs(got - ref).max(axis=0) / scale
     return out
 
@@ -165,3 +185,16 @@ def test_routes_match_reference(point):
     for route, err in reference_errors(*point).items():
         worst = int(np.argmax(err))
         assert err[worst] <= bound, (route, COLUMNS[worst], err[worst])
+
+
+@pytest.mark.parametrize("point", FINE_POINTS,
+                         ids=[f"{p[0]}-{p[1]}-{p[2]}-q{p[4]}"
+                              for p in FINE_POINTS])
+def test_routes_match_reference_on_a_fine_grid(point):
+    system, kind, r, phi, q, routes = point
+    errors = reference_errors(system, kind, r, phi, 1.0, q, FINE_GRID,
+                              FINE_CHECKED, routes)
+    assert set(errors) == set(routes)
+    for route, err in errors.items():
+        worst = int(np.argmax(err))
+        assert err[worst] <= BOUNDS[1.0], (route, COLUMNS[worst], err[worst])
