@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ghastates as g
 from ghastates import _kernels_py
 
 
@@ -204,19 +205,13 @@ def test_output_independent_of_blas_threads():
 # the Chebyshev aggregation of a call's frequencies
 
 def _gaps(spec, count, step):
-    from ghastates.spectrum import levels
-    eps = levels(spec, count + step)
+    eps = g.levels(spec, count + step)
     return eps[:-step] - eps[step:]
 
 
-_GAP_SPECTRA = {
-    "type1": lambda g: g.type1(),
-    "type2": lambda g: g.type2(),
-    "hydrogen": lambda g: g.hydrogen(),
-    "harmonic": lambda g: g.harmonic(),
-    "q0.5": lambda g: g.q_deformed(0.5),
-    "q0.9": lambda g: g.q_deformed(0.9),
-}
+_GAP_SPECTRA = {"type1": g.type1(), "type2": g.type2(),
+                "hydrogen": g.hydrogen(), "harmonic": g.harmonic(),
+                "q0.5": g.q_deformed(0.5), "q0.9": g.q_deformed(0.9)}
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 12.5, 25.0, 125.0])
@@ -239,8 +234,7 @@ def test_node_count_bounds_the_bessel_tail(c):
 
 @pytest.mark.parametrize("system", sorted(_GAP_SPECTRA))
 def test_aggregated_sums_match_direct_exp(system):
-    import ghastates as g
-    spec = _GAP_SPECTRA[system](g)
+    spec = _GAP_SPECTRA[system]
     rng = np.random.default_rng(11)
     times = np.linspace(0.0, 100.0, 2001)
     for count in (80, 380, 1200):
@@ -262,7 +256,6 @@ def test_aggregated_sums_match_direct_exp(system):
 
 def test_near_radius_traces_aggregate(monkeypatch):
     # the calls of oracle-near-radius-like traces take the aggregated path
-    import ghastates as g
     seen, aggregated = [], _kernels_py._aggregated
 
     def record(rows, freqs, times):
