@@ -1,18 +1,19 @@
 """The trigonometric accumulation kernel behind both routes.
 
-Every moment is a sum ``sum_k w_k exp(i (f_k t + phase))`` over a time
-grid: with real weights on the series route, and with complex
-matrix-element weights, several rows sharing one frequency list, on the
-matrix route.  ``times`` is a grid ``np.linspace`` built, or one point:
-linspace computes ``t_j = t_0 + j dt`` with the step ``dt`` taken from its
-endpoints, so that step reproduces every point but the last exactly and the
-last to a few ulp.  The grid is tiled as ``j = b M + m`` and each phasor
-factors as ``exp(i f t_{bM}) * exp(i f m dt)``: two small tables, shared by
-every weight row, joined by complex matrix-vector products.  Each table is a
-coarse exp table times a fine one of about sqrt(M) rows, so a call takes
-about ``4 T^(1/4) K`` complex exps and ``(B + M) K`` products, not ``2 T K``
-exps, and, unlike a recurrence, accumulates no round-off.  One point is one
-tile of width 1 with ``dt = 0``.
+Every moment is a sum ``sum_k w_k exp(i f_k t)`` over a time grid, with
+complex weights: matrix elements on the matrix route, closed-form terms
+times the label phase on the series route.  The weight rows of one call
+share one frequency list.  ``times`` is a grid ``np.linspace`` built, or one
+point: linspace computes ``t_j = t_0 + j dt`` with the step ``dt`` taken
+from its endpoints, so that step reproduces every point but the last
+exactly and the last to a few ulp.  The grid is tiled as ``j = b M + m``
+and each phasor factors as ``exp(i f t_{bM}) * exp(i f m dt)``: two small
+tables, shared by every weight row, joined by complex matrix-vector
+products.  Each table is a coarse exp table times a fine one of about
+sqrt(M) rows, so a call takes about ``4 T^(1/4) K`` complex exps and
+``(B + M) K`` products, not ``2 T K`` exps, and, unlike a recurrence,
+accumulates no round-off.  One point is one tile of width 1 with
+``dt = 0``.
 
 A call on more than one point first trades its K frequencies for fewer
 (Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 40, A529 (2018)).  Centred
@@ -44,14 +45,14 @@ _C_MAX = np.minimum(_COUNTS, 2.0 * np.exp(
     / _COUNTS)).tolist()  # cumsum(log P) = ln P!
 
 
-def _progression(start, step, stride, count, freqs, phase=0.0):
-    """exp(i (f_k (start + n step) + phase)) for n = j stride, j < count, as
+def _progression(start, step, stride, count, freqs):
+    """exp(i f_k (start + n step)) for n = j stride, j < count, as
     coarse[q] * fine[r] with j = q w + r, w = ceil(sqrt(count)): (count, K)."""
     width = math.isqrt(max(count - 1, 0)) + 1
     n = stride * np.arange(width)  # exact integers: step * n rounds once
     fine = np.exp(1j * np.multiply.outer(step * n, freqs))
-    coarse = np.exp(1j * (np.multiply.outer(
-        start + step * (width * n[:-(-count // width)]), freqs) + phase))
+    coarse = np.exp(1j * np.multiply.outer(
+        start + step * (width * n[:-(-count // width)]), freqs))
     table = coarse[:, None, :] * fine  # shape given: K = 0 is allowed
     return table.reshape(len(coarse) * width, len(freqs))[:count]
 
@@ -102,13 +103,14 @@ def _aggregated(rows, freqs, times):
             np.concatenate((f_c + h * x_p, freqs[peeled])), times[0] - t_c)
 
 
-def weighted_trig_sums(weights, freqs, phase, times):
-    """Real and imaginary parts of sum_k w_k exp(i (f_k t + phase)).
+def weighted_trig_sums(weights, freqs, times):
+    """Real and imaginary parts of sum_k w_k exp(i f_k t).
 
-    For real weights these are sum_k w_k cos(f_k t + phase) and the matching
-    sine.  weights: shape (K,) or (R, K), real or complex; freqs: shape (K,);
-    times: shape (T,), ``np.linspace(t_0, t_end, T)`` or one point.  Returns
-    two arrays of shape (T,) or (R, T), one row per weight row.
+    For real weights these are sum_k w_k cos(f_k t) and the matching sine;
+    a phase phi enters as the weights w_k exp(i phi).  weights: shape (K,)
+    or (R, K), real or complex; freqs: shape (K,); times: shape (T,),
+    ``np.linspace(t_0, t_end, T)`` or one point.  Returns two arrays of
+    shape (T,) or (R, T), one row per weight row.
     """
     weights = np.asarray(weights)
     freqs = np.ascontiguousarray(freqs, dtype=float)
@@ -123,7 +125,7 @@ def weighted_trig_sums(weights, freqs, phase, times):
     # B = ceil(T / M) <= M tile starts t_{bM}, so the left table is no
     # larger than the right one
     left = rows[:, None, :] * _progression(start, dt, width,
-                                           -(-count // width), freqs, phase)
+                                           -(-count // width), freqs)
     right = _progression(0.0, dt, 1, width, freqs)
     # one matrix-vector product per row and tile row, not one matrix
     # product: a threaded BLAS gemm rounds differently with the thread

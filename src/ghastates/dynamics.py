@@ -18,6 +18,14 @@ real part of one trigonometric sum over its upper band, with weights read
 from the bands the representation stores.  That costs O(dim T) rather
 than O(dim^2 T), and the weights still come from the generators and the
 Fock vector, never from the series catalog.
+
+Both routes sum over the same two bands: the gaps eps_n - eps_{n+1} for
+the means and eps_n - eps_{n+2} for the squares, and the series takes the
+label phase into its weights.  So a trace makes one kernel call per band,
+two on every path; under "both" each call carries the rows of both routes,
+the shorter frequency list being a prefix of the longer.  The routes'
+independence lies in their weights (matrix elements against closed-form
+ladders), not in separate kernel calls.
 """
 
 from __future__ import annotations
@@ -128,7 +136,7 @@ def _embed(state: FockState, dim: int) -> np.ndarray:
     return c
 
 
-def _oracle_grid(state: FockState, rep: AlgebraRep, times: np.ndarray):
+def _oracle_bands(state: FockState, rep: AlgebraRep):
     # <X>(t) = sum_{m,n} conj(c_m) X_mn c_n exp(i (eps_m - eps_n) t).  Band
     # k of X (entries X[n, n+k]) has weights conj(c_n) X[n, n+k] c_{n+k} and
     # frequencies eps_n - eps_{n+k}.  For Hermitian bands, band -k sums to
@@ -151,10 +159,11 @@ def _oracle_grid(state: FockState, rep: AlgebraRep, times: np.ndarray):
         squares.append(cc[:-2] * up[:-1] * up[1:] * c[2:])
         consts.append(np.sum(loop_weights * up * down).real)
     eps = rep.eps
-    re1, _ = weighted_trig_sums(firsts, eps[:-1] - eps[1:], 0.0, times)
-    re2, _ = weighted_trig_sums(squares, eps[:-2] - eps[2:], 0.0, times)
-    return [2.0 * re1[0], 2.0 * re1[1],
-            2.0 * re2[0] + consts[0], 2.0 * re2[1] + consts[1]]
+    return [(firsts, eps[:-1] - eps[1:],
+             lambda re, im: [2.0 * re[0], 2.0 * re[1]]),
+            (squares, eps[:-2] - eps[2:],
+             lambda re, im: [2.0 * re[0] + consts[0],
+                             2.0 * re[1] + consts[1]])]
 
 
 def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
@@ -185,16 +194,43 @@ def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
 # ---------------------------------------------------------------------------
 # the series route
 
-def _series_grid(ms: MomentSeries, phi: float, times: np.ndarray,
-                 L_scale: float, hbar: float):
-    mean_c, mean_s = weighted_trig_sums(ms.mean_w, ms.mean_f, phi, times)
-    cross_c, _ = weighted_trig_sums(ms.cross_w, ms.cross_f, 2.0 * phi, times)
-    s2 = math.sqrt(2.0)
-    mxi = s2 * L_scale * mean_c
-    mrho = s2 * hbar / L_scale * mean_s
-    mxi2 = L_scale ** 2 * (cross_c + ms.diag + 0.5)
-    mrho2 = (hbar / L_scale) ** 2 * (-cross_c + ms.diag + 0.5)
-    return mxi, mrho, mxi2, mrho2
+def _series_bands(ms: MomentSeries, phi: float, L_scale: float,
+                  hbar: float):
+    # the label phase rides on the weights, w_k exp(i phi) and
+    # v_k exp(2 i phi); at phi = 0 they are (w_k, +0), and every product in
+    # the kernel rounds as with the real weights alone
+    s2, diag = math.sqrt(2.0), ms.diag
+    return [([ms.mean_w * complex(math.cos(phi), math.sin(phi))], ms.mean_f,
+             lambda re, im: [s2 * L_scale * re[0],
+                             s2 * hbar / L_scale * im[0]]),
+            ([ms.cross_w * complex(math.cos(2.0 * phi), math.sin(2.0 * phi))],
+             ms.cross_f,
+             lambda re, im: [L_scale ** 2 * (re[0] + diag + 0.5),
+                             (hbar / L_scale) ** 2 * (-re[0] + diag + 0.5)])]
+
+
+def _moments(routes, times: np.ndarray):
+    """The four moments of each route on ``times``, from one kernel call per
+    band.  A route is a list of bands (weight rows, frequencies, reduction
+    of the rows' sums to moments).  Every frequency list of a band is a
+    prefix of its longest, since all are gaps of ``spectrum.levels``, so
+    the shorter rows are zero-padded to it."""
+    out = [[] for _ in routes]
+    for band in zip(*routes):
+        freqs = max((f for _, f, _ in band), key=len)
+        rows = np.zeros((sum(len(w) for w, _, _ in band), len(freqs)),
+                        dtype=complex)
+        i = 0
+        for w, f, _ in band:
+            rows[i:i + len(w), :len(f)] = w
+            i += len(w)
+        re, im = weighted_trig_sums(rows, freqs, times)
+        i = 0
+        for (w, _, reduce), moments in zip(band, out):
+            moments += reduce(re[i:i + len(w)], im[i:i + len(w)])
+            i += len(w)
+        del re, im  # the complex sums go before the next band's call
+    return out
 
 
 def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
@@ -203,8 +239,9 @@ def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
     """Moments from the closed-form series at a single time point."""
     require_finite(phi=phi, t=t)
     require_positive(L_scale=L_scale, hbar=hbar)
-    ms = moment_series(spec, kind, r, tail=tail)
-    arrays = _series_grid(ms, phi, np.array([float(t)]), L_scale, hbar)
+    bands = _series_bands(moment_series(spec, kind, r, tail=tail), phi,
+                          L_scale, hbar)
+    [arrays] = _moments([bands], np.array([float(t)]))
     return ExpectationSet(*(float(a[0]) for a in arrays))
 
 
@@ -250,18 +287,16 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         raise InvalidParameterError(f"unknown path {path!r}")
 
     times = np.linspace(t_start, t_end, n_points)
-    oracle_m = series_m = None
+    routes = []
     state = None
     if path in ("oracle", "both"):
         state = coherent_state_for(spec, kind, r, phi, dim, tail)
-        rep = _rep_for(spec, state, L_scale, hbar)
-        oracle_m = _oracle_grid(state, rep, times)
+        routes.append(_oracle_bands(
+            state, _rep_for(spec, state, L_scale, hbar)))
     if path in ("series", "both"):
-        ms = moment_series(spec, kind, r, tail=tail)
-        series_m = _series_grid(ms, phi, times, L_scale, hbar)
-
-    primary = oracle_m if oracle_m is not None else series_m
-    mxi, mrho, mxi2, mrho2 = primary
+        routes.append(_series_bands(moment_series(spec, kind, r, tail=tail),
+                                    phi, L_scale, hbar))
+    (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
     var_xi = _clamp_var_array(mxi2, mxi, "xi")
     var_rho = _clamp_var_array(mrho2, mrho, "rho")
     values = np.sqrt(var_xi * var_rho) / hbar
@@ -274,7 +309,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     alt = None
     disc = None
     if path == "both":
-        sxi, srho, sxi2, srho2 = series_m
+        [(sxi, srho, sxi2, srho2)] = series_m
         alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")
                       * _clamp_var_array(srho2, srho, "rho")) / hbar
         disc = float(np.abs(values - alt).max())

@@ -78,40 +78,38 @@ _SQUARED_LADDERS = {
 
 
 def _squared_ladder(spec: SpectrumModel, kind: str,
-                    count: int = _CAP + 3) -> list[float]:
+                    count: int = _CAP + 3) -> np.ndarray:
     """L_0 .. L_{count-1}, by default every entry a series up to the cap
     reads; every linear state has the harmonic L_k = k + 1."""
     table = _SQUARED_LADDERS["harmonic" if kind == "linear" else spec.system]
-    return table(spec, np.arange(count)).tolist()
+    return table(spec, np.arange(count))
 
 
 def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
     """The mean terms w_k, cross terms v_k and the sum S, as term ratios of
     the squared ladders; the exponential weights keep the exact S = r^2."""
     x = r * r
-    L = _squared_ladder(spec, kind, 16)
+    table = _squared_ladder(spec, kind, 2)
 
-    def reach(k: int) -> None:
-        # L_k by list index, grown in doubling chunks as a series reads
-        # on: a short series reads a few of the entries a long one may need
-        L[len(L):] = _squared_ladder(spec, kind, 2 * k + 16)[len(L):]
+    def L(k: np.ndarray) -> np.ndarray:
+        # grown with each chunk of a series, two entries past it for the
+        # cross terms: a short series reads few of the entries a long one
+        # may need
+        nonlocal table
+        if k[-1] >= len(table):
+            table = _squared_ladder(spec, kind, int(k[-1]) + 3)
+        return table[k]
 
     # each ratio divides x by a square root whose radicand is (k+1)^2 for
     # every linear state, so their terms round as x / (k+1) does
-    def mean_ratio(k: int) -> float:
-        if k + 1 >= len(L):
-            reach(k + 1)
-        return x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))
+    def mean_ratio(k: np.ndarray) -> np.ndarray:
+        return x / np.sqrt((k + 1) * L(k) * L(k + 1) / (k + 2))
 
-    def cross_ratio(k: int) -> float:
-        if k + 2 >= len(L):
-            reach(k + 2)
-        return x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3))
+    def cross_ratio(k: np.ndarray) -> np.ndarray:
+        return x / np.sqrt((k + 1) * L(k) * L(k + 2) / (k + 3))
 
-    def diag_ratio(k: int) -> float:
-        if k >= len(L):
-            reach(k)
-        return x / (k * L[k] / (k + 1))
+    def diag_ratio(k: np.ndarray) -> np.ndarray:
+        return x / (k * L(k) / (k + 1))
 
     exponential = kind == "linear" or spec.system == "harmonic"
     if exponential:
@@ -124,11 +122,14 @@ def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
         n2 = closed_form_normalization(spec, r) ** 2
     if spec.system == "morse":
         tail = 0.0  # stop at the first zero ratio: the top level
-    mean = _grow(n2 * r / math.sqrt(L[0]), mean_ratio, 0, tail)
-    cross = _grow(n2 * x * math.sqrt(2.0 / (L[0] * L[1])), cross_ratio, 0, tail)
+    L0, L1 = table[:2].tolist()
+    mean = _grow(n2 * r / math.sqrt(L0), mean_ratio, 0, tail)
+    cross = _grow(n2 * x * math.sqrt(2.0 / (L0 * L1)), cross_ratio, 0, tail)
     if exponential:
         return mean, cross, x
-    diag = sum(_grow(n2 * x / L[0], diag_ratio, 1, tail))
+    # S summed in sequence from 0: np.sum's pairwise order rounds otherwise
+    diag = np.add.accumulate(np.append(0.0, _grow(n2 * x / L0, diag_ratio,
+                                                  1, tail)))[-1]
     return mean, cross, diag
 
 

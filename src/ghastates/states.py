@@ -161,29 +161,40 @@ def _check_tail(tail: float) -> None:
         raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
 
 
-def _grow(first: float, ratio: Callable[[int], float], k0: int,
-          tail: float) -> list[float]:
+def _grow(first: float, ratio: Callable[[np.ndarray], np.ndarray], k0: int,
+          tail: float, chunk: int = 32) -> np.ndarray:
     """Terms first, first*ratio(k0), ... until the geometric majorant of
     the rest, valid once the ratio decreases (the catalog ladders are
-    monotone), drops below ``tail`` relative to the accumulated total."""
+    monotone), drops below ``tail`` relative to the accumulated total.
+
+    ``ratio`` maps an index array to the ratios there.  It is read in
+    chunks of ``chunk`` indices, then of three times all read so far, and
+    may return fewer, raising when asked for the next index.  Terms and
+    totals accumulate in sequence, so each rounds as in a loop over one
+    term at a time."""
     if first == 0.0:
-        return []
-    terms = [first]
-    total = abs(first)
-    prev = math.inf
-    k = k0
-    while True:
-        rho = ratio(k)
-        if rho < 1.0 and rho <= prev + 1e-15:
-            if abs(terms[-1]) * rho / (1.0 - rho) <= tail * max(total, 1.0):
-                return terms
-        if len(terms) >= _CAP:
-            raise TailBoundError(
-                f"tail bound {tail:g} not reached within {_CAP} terms")
-        terms.append(terms[-1] * rho)
-        total += abs(terms[-1])
-        prev = rho
-        k += 1
+        return np.empty(0)
+    parts = []
+    last, total, prev, n = first, abs(first), math.inf, 0
+    while n < _CAP:
+        rho = ratio(np.arange(k0 + n, k0 + min(max(4 * n, chunk), _CAP)))
+        # the chunk runs past the stop, where the loop never went: terms
+        # may overflow there and 1 - rho vanish
+        with np.errstate(all="ignore"):
+            t = np.multiply.accumulate(np.concatenate(([last], rho)))
+            tot = np.add.accumulate(np.concatenate(([total], np.abs(t[1:]))))
+            stop = ((rho < 1.0)
+                    & (rho <= np.concatenate(([prev], rho[:-1])) + 1e-15)
+                    & (np.abs(t[:-1]) * rho / (1.0 - rho)
+                       <= tail * np.maximum(tot[:-1], 1.0)))
+        j = int(stop.argmax())
+        if stop[j]:
+            parts.append(t[:j + 1])
+            return np.concatenate(parts)
+        parts.append(t[:-1])
+        last, total, prev, n = t[-1], tot[-1], rho[-1], n + len(rho)
+    raise TailBoundError(
+        f"tail bound {tail:g} not reached within {_CAP} terms")
 
 
 def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
@@ -192,20 +203,26 @@ def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
     r2 = abs(z) ** 2
     if r2 == 0.0:
         return 2
-    # the ladder in doubling chunks: a long one could overflow for q > 1
+    # the ladder in growing chunks from 2 entries: a long one could
+    # overflow for q > 1
     ladder = state_ladder(spec, 2)
 
-    def ratio(k: int) -> float:
+    def ratio(k: np.ndarray) -> np.ndarray:
         nonlocal ladder
-        if k == len(ladder):
-            ladder = state_ladder(spec, min(2 * k, _CAP))
+        if k[-1] >= len(ladder):
+            ladder = state_ladder(spec, int(k[-1]) + 1)
         step = ladder[k]
-        if step == 0.0:
-            raise DegenerateSpectrumError(
-                f"ladder coefficient N_{k} vanishes below the requested dim")
-        return r2 / (step * step)
+        zero = np.flatnonzero(step == 0.0)
+        if zero.size:  # stop short of N_k = 0, and raise on reaching it
+            if zero[0] == 0:
+                raise DegenerateSpectrumError(
+                    f"ladder coefficient N_{k[0]} vanishes below the "
+                    "requested dim")
+            step = step[:zero[0]]
+        with np.errstate(over="ignore"):  # steep q > 1 ladders, past the stop
+            return r2 / (step * step)
 
-    return max(len(_grow(1.0, ratio, 0, tail)), 2)
+    return max(len(_grow(1.0, ratio, 0, tail, chunk=2)), 2)
 
 
 def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
@@ -309,13 +326,11 @@ def closed_form_normalization(spec: SpectrumModel, r: float) -> float:
     if s == "hydrogen":
         return _hydrogen_norm(x)
     if s == "morse":
-        total = 0.0
-        term = 1.0
-        for n in range(spec.max_level):
-            if n > 0:
-                term *= x / (n * (2.0 * spec.p - n))
-            total += term
-        return 1.0 / math.sqrt(total)
+        # the terms x^n / prod_{j<=n} j (2p - j) and their sum, in sequence
+        n = np.arange(1, spec.max_level)
+        terms = np.multiply.accumulate(
+            np.concatenate(([1.0], x / (n * (2.0 * spec.p - n)))))
+        return 1.0 / math.sqrt(np.add.accumulate(terms)[-1])
     if s == "harmonic":
         return math.exp(-0.5 * x)
     raise WrongSystemError(

@@ -13,9 +13,10 @@ from ghastates import cli
 from ghastates._kernels_py import weighted_trig_sums
 from ghastates.config import _write_lines
 from ghastates.dynamics import (
-    _oracle_grid,
+    _moments,
+    _oracle_bands,
     _rep_for,
-    _series_grid,
+    _series_bands,
     coherent_state_for,
     peak_deviation,
     refined_extremum,
@@ -416,8 +417,8 @@ def test_grid_helpers_shapes():
     st = coherent_state_for(spec, "gha", 0.3, 0.2)
     rep = _rep_for(spec, st, 1.0, 1.0)
     ts = np.linspace(0, 5, 7)
-    mo = _oracle_grid(st, rep, ts)
-    ms = _series_grid(moment_series(spec, "gha", 0.3), 0.2, ts, 1.0, 1.0)
+    mo, ms = _moments([_oracle_bands(st, rep), _series_bands(
+        moment_series(spec, "gha", 0.3), 0.2, 1.0, 1.0)], ts)
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
 
@@ -442,7 +443,7 @@ def test_banded_oracle_matches_dense(spec, kind, r):
     rep = _rep_for(spec, st, 1.3, 0.8)
     # the second grid starts below zero and its last tile is ragged
     for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
-        grid = _oracle_grid(st, rep, times)
+        [grid] = _moments([_oracle_bands(st, rep)], times)
         for j, t in enumerate(times):
             es = g.expectations_oracle(g.evolve(st, spec, t), rep)
             ref = [es.mean_xi, es.mean_rho, es.mean_xi2, es.mean_rho2]
@@ -460,7 +461,7 @@ def test_oracle_detects_non_hermitian_rho():
     up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
     bad = dataclasses.replace(rep, rho_bands=(up, down))
     with pytest.raises(ImaginaryResidualError):
-        _oracle_grid(st, bad, np.linspace(0.0, 5.0, 11))
+        _oracle_bands(st, bad)
 
 
 def _count_kernel_rows(monkeypatch):
@@ -488,7 +489,7 @@ def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     bad = dataclasses.replace(rep, **{f"{name}_bands": (up, down)})
     rows = _count_kernel_rows(monkeypatch)
     with pytest.raises(ImaginaryResidualError, match=name):
-        _oracle_grid(st, bad, np.linspace(0.0, 5.0, 11))
+        _oracle_bands(st, bad)
     assert rows == []  # raised before any kernel call
 
 
@@ -496,6 +497,50 @@ def test_oracle_sums_one_row_per_operator(monkeypatch):
     rows = _count_kernel_rows(monkeypatch)
     g.trace(g.type1(), "gha", 0.5, t_end=10.0, n_points=101)
     assert rows == [2, 2]  # <xi>, <rho>, then <xi^2>, <rho^2>
+
+
+def _merged_cases():
+    for system, kind in SUPPORTED:
+        spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
+        far = (0.3 if system == "morse" else 0.95 if kind == "gha"
+               and system != "harmonic" else 12.0)
+        for r in (0.5, far):
+            yield spec, kind, r
+
+
+@pytest.mark.parametrize("spec,kind,r", list(_merged_cases()),
+                         ids=[f"{s.system}-{k}-{r}" for s, k, r in
+                              _merged_cases()])
+def test_both_routes_share_one_call_per_band(spec, kind, r, monkeypatch):
+    st = coherent_state_for(spec, kind, r, 0.3)
+    oracle = _oracle_bands(st, _rep_for(spec, st, 1.0, 1.0))
+    series = _series_bands(moment_series(spec, kind, r), 0.3, 1.0, 1.0)
+    for (_, fo, _), (_, fs, _) in zip(oracle, series):
+        n = min(len(fo), len(fs))
+        assert fo[:n].tobytes() == fs[:n].tobytes()
+    rows = _count_kernel_rows(monkeypatch)
+    both = g.trace(spec, kind, r, 0.3, path="both")
+    assert rows == [3, 3]  # <xi>, <rho> and the mean series; then squares
+    # relative to the second moments the variances cancel from: at r = 12
+    # they are about 290, and the padded rows sum in another order
+    for path, got in (("oracle", both.values), ("series", both.alt_values)):
+        tr = g.trace(spec, kind, r, 0.3, path=path)
+        scale = max(1.0, *(np.abs(m ** 2 + v).max() for m, v in (
+            (tr.mean_xi, tr.var_xi), (tr.mean_rho, tr.var_rho))))
+        assert np.abs(got - tr.values).max() <= 1e-13 * scale, path
+
+
+def test_both_raises_the_states_error_before_the_series(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NonFiniteResultError("series")
+
+    monkeypatch.setattr(g.dynamics, "moment_series", fail)
+    rows = _count_kernel_rows(monkeypatch)
+    with pytest.raises(g.errors.DimensionMismatchError):
+        g.trace(g.morse(7.59), "gha", 0.3, path="both", dim=4)
+    with pytest.raises(NonFiniteResultError, match="series"):
+        g.trace(g.morse(7.59), "gha", 0.3, path="both")
+    assert rows == []
 
 
 def _eager_dense(spec, dim, L_scale, hbar):

@@ -10,6 +10,7 @@ from ghastates.errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    GhaError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
@@ -342,3 +343,168 @@ def test_adaptive_count_reads_no_level_it_does_not_need():
         state = g.gha_coherent_state(g.q_deformed(q), 0.5)
         assert state.dim == 2
         assert abs(state.coeffs[1]) == pytest.approx(1 / math.sqrt(5), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the array tail loops against the one-term-at-a-time loop they replaced
+
+def _loop_grow(first, ratio, k0, tail):
+    """``states._grow`` as a loop over one term at a time, frozen as the
+    reference: the array version must give the same term bytes."""
+    if first == 0.0:
+        return []
+    terms = [first]
+    total = abs(first)
+    prev = math.inf
+    k = k0
+    while True:
+        rho = ratio(k)
+        if rho < 1.0 and rho <= prev + 1e-15:
+            if abs(terms[-1]) * rho / (1.0 - rho) <= tail * max(total, 1.0):
+                return terms
+        if len(terms) >= 2000:
+            raise TailBoundError("tail bound not reached within 2000 terms")
+        terms.append(terms[-1] * rho)
+        total += abs(terms[-1])
+        prev = rho
+        k += 1
+
+
+def _loop_state(spec, kind, r, tail):
+    """The state's tail loops, run by the frozen loop with scalar ratios."""
+    from ghastates.states import raw_eigenvalue, state_ladder
+    if kind == "linear":
+        r2 = abs(complex(r)) ** 2
+        return [_loop_grow(1.0, lambda k: r2 / (k + 1), 0, tail)]
+    r2 = abs(raw_eigenvalue(spec, complex(r))) ** 2
+    if spec.max_level is not None or r2 == 0.0:
+        return []
+    ladder = state_ladder(spec, 2)
+
+    def ratio(k):
+        nonlocal ladder
+        if k == len(ladder):
+            ladder = state_ladder(spec, min(2 * k, 2000))
+        step = ladder[k]
+        if step == 0.0:
+            raise DegenerateSpectrumError(f"N_{k} vanishes")
+        return r2 / (step * step)
+
+    return [_loop_grow(1.0, ratio, 0, tail)]
+
+
+def _loop_series(spec, kind, r, tail):
+    """The series' tail loops, run by the frozen loop with scalar ratios."""
+    from ghastates.series import _squared_ladder
+    x = r * r
+    L = _squared_ladder(spec, kind).tolist()
+    exponential = kind == "linear" or spec.system == "harmonic"
+    n2 = (math.exp(-x) if exponential
+          else g.closed_form_normalization(spec, r) ** 2)
+    if spec.system == "morse":
+        tail = 0.0
+    loops = [
+        (n2 * r / math.sqrt(L[0]), 0,
+         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))),
+        (n2 * x * math.sqrt(2.0 / (L[0] * L[1])), 0,
+         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3))),
+    ]
+    if not exponential:
+        loops.append((n2 * x / L[0], 1, lambda k: x / (k * L[k] / (k + 1))))
+    return [_loop_grow(first, ratio, k0, tail) for first, k0, ratio in loops]
+
+
+def _terms_or_error(run):
+    """The bytes of every tail loop ``run`` makes, or its error class, and
+    the classes of the warnings it raised besides ConditioningWarning."""
+    import warnings
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        warnings.simplefilter("ignore", ConditioningWarning)
+        try:
+            out = [np.asarray(t, dtype=float).tobytes() for t in run()]
+        except GhaError as exc:
+            out = type(exc)
+    return out, {w.category for w in seen}
+
+
+def _tail_cases():
+    from ghastates.series import SUPPORTED
+    for system, kind in SUPPORTED:
+        specs = ([g.morse(7.59), g.morse(2.5)] if system == "morse"
+                 else [g.make_spectrum(system)])
+        for spec in specs:
+            yield spec, kind, True, (0.0, 1e-8, 0.3, 0.95, 0.985)
+    for q in (0.5, 1.5, 1e20, 1e150):  # no series route
+        yield g.q_deformed(q), "gha", False, (0.0, 1e-8, 0.3, 0.95, 0.985)
+    yield g.type1(), "gha", True, (0.999,)  # TailBoundError on both
+
+
+@pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
+def test_array_tail_loops_match_the_loop(tail, monkeypatch):
+    # q = 1e150 at tail 0 reads levels past q**n's overflow on both sides
+    import ghastates.series as series
+    import ghastates.states as states
+    grown, array_grow = [], states._grow
+
+    def record(*args, **kwargs):
+        grown.append(array_grow(*args, **kwargs))
+        return grown[-1]
+
+    monkeypatch.setattr(states, "_grow", record)
+    monkeypatch.setattr(series, "_grow", record)
+
+    def recorded(build):
+        def run():
+            grown.clear()
+            build()
+            return list(grown)
+        return run
+
+    checked = 0
+    for spec, kind, has_series, radii in _tail_cases():
+        for r in radii:
+            if kind == "linear":
+                new = recorded(lambda: g.linear_coherent_state(r, tail=tail))
+            else:
+                new = recorded(lambda: g.gha_coherent_state(spec, r,
+                                                            tail=tail))
+            pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
+            if has_series:
+                pairs.append((
+                    recorded(lambda: g.moment_series(spec, kind, r,
+                                                     tail=tail)),
+                    lambda: _loop_series(spec, kind, r, tail)))
+            for got, want in pairs:
+                assert _terms_or_error(got) == _terms_or_error(want), (
+                    spec.system, spec.q, kind, r, tail)
+                checked += 1
+    assert checked == 2 * (9 + 1) * 5 + 4 * 5 + 2
+
+
+def test_morse_normalization_matches_the_loop():
+    for p in (7.59, 2.5):
+        spec = g.morse(p)
+        for r in (0.0, 1e-8, 0.03, 0.3, 0.95, 3.0):
+            x = r * r
+            total, term = 0.0, 1.0
+            for n in range(spec.max_level):
+                if n > 0:
+                    term *= x / (n * (2.0 * p - n))
+                total += term
+            assert g.closed_form_normalization(spec, r) == 1.0 / math.sqrt(
+                total), (p, r)
+
+
+def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
+    # the loop raised on reaching N_k = 0, and only if no stop came first
+    import ghastates.states as states
+    ladder = np.sqrt(np.arange(1.0, 2001.0))
+    ladder[40] = 0.0
+    monkeypatch.setattr(states, "state_ladder",
+                        lambda spec, count: ladder[:count])
+    spec = g.harmonic()
+    with pytest.raises(DegenerateSpectrumError, match="N_40"):
+        states._adaptive_count(spec, 6.0, 1e-14)  # needs about 70 levels
+    assert states._adaptive_count(spec, 0.5, 1e-14) == len(
+        _loop_state(spec, "gha", 0.5, 1e-14)[0])
