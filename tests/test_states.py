@@ -479,7 +479,9 @@ def test_array_tail_loops_match_the_loop(tail, monkeypatch):
                 assert _terms_or_error(got) == _terms_or_error(want), (
                     spec.system, spec.q, kind, r, tail)
                 checked += 1
-    assert checked == 2 * (9 + 1) * 5 + 4 * 5 + 2
+    # state and series of the 9 pairs, Morse at two p, at 5 radii; the
+    # q_deformed states; type1 at r = 0.999
+    assert checked == 2 * 10 * 5 + 4 * 5 + 2
 
 
 def test_morse_normalization_matches_the_loop():
