@@ -285,6 +285,9 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         raise InvalidParameterError("t_end must exceed t_start")
     if path not in ("oracle", "series", "both"):
         raise InvalidParameterError(f"unknown path {path!r}")
+    if path == "series" and dim is not None:
+        raise InvalidParameterError(
+            "dim truncates the oracle route's state; path 'series' builds none")
 
     times = np.linspace(t_start, t_end, n_points)
     routes = []

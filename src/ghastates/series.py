@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import (_CAP, _TAIL, _check_radius, _check_tail, _grow,
+from .states import (_TAIL, _check_radius, _check_tail, _grow,
                      closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
@@ -78,38 +78,28 @@ _SQUARED_LADDERS = {
 
 
 def _squared_ladder(spec: SpectrumModel, kind: str,
-                    count: int = _CAP + 3) -> np.ndarray:
-    """L_0 .. L_{count-1}, by default every entry a series up to the cap
-    reads; every linear state has the harmonic L_k = k + 1."""
+                    k: np.ndarray) -> np.ndarray:
+    """L_k on an index array k; every linear state has the harmonic
+    L_k = k + 1."""
     table = _SQUARED_LADDERS["harmonic" if kind == "linear" else spec.system]
-    return table(spec, np.arange(count))
+    return table(spec, k)
 
 
 def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
-    """The mean terms w_k, cross terms v_k and the sum S, as term ratios of
-    the squared ladders; the exponential weights keep the exact S = r^2."""
+    """The mean terms w_k, cross terms v_k and the sum S, as three rows of
+    term ratios of the squared ladders, cut in one pass; the exponential
+    weights keep the exact S = r^2 and leave the diag row empty."""
     x = r * r
-    table = _squared_ladder(spec, kind, 2)
-
-    def L(k: np.ndarray) -> np.ndarray:
-        # grown with each chunk of a series, two entries past it for the
-        # cross terms: a short series reads few of the entries a long one
-        # may need
-        nonlocal table
-        if k[-1] >= len(table):
-            table = _squared_ladder(spec, kind, int(k[-1]) + 3)
-        return table[k]
 
     # each ratio divides x by a square root whose radicand is (k+1)^2 for
-    # every linear state, so their terms round as x / (k+1) does
-    def mean_ratio(k: np.ndarray) -> np.ndarray:
-        return x / np.sqrt((k + 1) * L(k) * L(k + 1) / (k + 2))
-
-    def cross_ratio(k: np.ndarray) -> np.ndarray:
-        return x / np.sqrt((k + 1) * L(k) * L(k + 2) / (k + 3))
-
-    def diag_ratio(k: np.ndarray) -> np.ndarray:
-        return x / (k * L(k) / (k + 1))
+    # every linear state, so their terms round as x / (k+1) does; the diag
+    # terms N^2 (k+1) a_{k+1}^2 sum to S
+    def ratio(k: np.ndarray) -> np.ndarray:
+        L = _squared_ladder(spec, kind, np.arange(k[0], k[-1] + 3))
+        Lk, Lk1, Lk2 = L[:-2], L[1:-1], L[2:]
+        return np.array((x / np.sqrt((k + 1) * Lk * Lk1 / (k + 2)),
+                         x / np.sqrt((k + 1) * Lk * Lk2 / (k + 3)),
+                         x / ((k + 1) * Lk1 / (k + 2))))
 
     exponential = kind == "linear" or spec.system == "harmonic"
     if exponential:
@@ -122,15 +112,14 @@ def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
         n2 = closed_form_normalization(spec, r) ** 2
     if spec.system == "morse":
         tail = 0.0  # stop at the first zero ratio: the top level
-    L0, L1 = table[:2].tolist()
-    mean = _grow(n2 * r / math.sqrt(L0), mean_ratio, 0, tail)
-    cross = _grow(n2 * x * math.sqrt(2.0 / (L0 * L1)), cross_ratio, 0, tail)
+    L0, L1 = _squared_ladder(spec, kind, np.arange(2)).tolist()
+    mean, cross, diag = _grow(
+        [n2 * r / math.sqrt(L0), n2 * x * math.sqrt(2.0 / (L0 * L1)),
+         0.0 if exponential else n2 * x / L0], ratio, tail)
     if exponential:
         return mean, cross, x
     # S summed in sequence from 0: np.sum's pairwise order rounds otherwise
-    diag = np.add.accumulate(np.append(0.0, _grow(n2 * x / L0, diag_ratio,
-                                                  1, tail)))[-1]
-    return mean, cross, diag
+    return mean, cross, np.add.accumulate(np.append(0.0, diag))[-1]
 
 
 def moment_series(spec: SpectrumModel, kind: str, r: float,

@@ -124,22 +124,6 @@ def _check_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
-def _check_label(spec: SpectrumModel, z: complex) -> None:
-    radius = convergence_radius(spec)
-    if math.isinf(radius):
-        return
-    r = abs(z)
-    if r >= radius:
-        raise RadiusOfConvergenceError(
-            f"|z| = {r:.6g} is outside the convergence disk "
-            f"(radius {radius:.6g}) for system {spec.system!r}")
-    if r >= 0.99 * radius:
-        warnings.warn(
-            f"|z| = {r:.6g} is within 1% of the convergence radius; the "
-            "normalization is nearly singular and precision degrades",
-            ConditioningWarning, stacklevel=3)
-
-
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     a = np.empty(count, dtype=complex)
     a[0] = 1.0
@@ -161,40 +145,49 @@ def _check_tail(tail: float) -> None:
         raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
 
 
-def _grow(first: float, ratio: Callable[[np.ndarray], np.ndarray], k0: int,
-          tail: float, chunk: int = 32) -> np.ndarray:
-    """Terms first, first*ratio(k0), ... until the geometric majorant of
-    the rest, valid once the ratio decreases (the catalog ladders are
-    monotone), drops below ``tail`` relative to the accumulated total.
+def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
+          tail: float) -> list[np.ndarray]:
+    """Rows of terms first, first*rho(0), first*rho(0)*rho(1), ..., one per
+    first term, each cut where the geometric majorant of its rest, valid
+    once its ratio decreases (the catalog ladders are monotone), drops below
+    ``tail`` relative to the row's accumulated total.
 
-    ``ratio`` maps an index array to the ratios there.  It is read in
-    chunks of ``chunk`` indices, then of three times all read so far, and
-    may return fewer, raising when asked for the next index.  Terms and
-    totals accumulate in sequence, so each rounds as in a loop over one
-    term at a time."""
-    if first == 0.0:
-        return np.empty(0)
-    parts = []
-    last, total, prev, n = first, abs(first), math.inf, 0
-    while n < _CAP:
-        rho = ratio(np.arange(k0 + n, k0 + min(max(4 * n, chunk), _CAP)))
+    ``ratio`` maps an index array k to the rows' ratios there, an
+    (R, <= len(k)) array; it may return fewer columns, and then raises when
+    asked for the next index.  It is read on 32 indices, then on three
+    times all read so far, up to the cap, where every row must have
+    stopped.  A row whose first term is 0 is empty.  Terms and totals
+    accumulate in sequence, so each rounds as in a loop over one term at a
+    time."""
+    last = np.array(firsts, dtype=float)[:, None]
+    total, prev = np.abs(last), np.full_like(last, math.inf)
+    ends = [0 if f == 0.0 else None for f in firsts]  # None until it stops
+    parts, n = [last[:, :0]], 0
+    while n < _CAP and None in ends:
+        rho = ratio(np.arange(n, min(max(4 * n, 32), _CAP)))
         # the chunk runs past the stop, where the loop never went: terms
         # may overflow there and 1 - rho vanish
         with np.errstate(all="ignore"):
-            t = np.multiply.accumulate(np.concatenate(([last], rho)))
-            tot = np.add.accumulate(np.concatenate(([total], np.abs(t[1:]))))
+            t = np.multiply.accumulate(np.concatenate((last, rho), axis=1),
+                                       axis=1)
+            tot = np.add.accumulate(
+                np.concatenate((total, np.abs(t[:, 1:])), axis=1), axis=1)
             stop = ((rho < 1.0)
-                    & (rho <= np.concatenate(([prev], rho[:-1])) + 1e-15)
-                    & (np.abs(t[:-1]) * rho / (1.0 - rho)
-                       <= tail * np.maximum(tot[:-1], 1.0)))
-        j = int(stop.argmax())
-        if stop[j]:
-            parts.append(t[:j + 1])
-            return np.concatenate(parts)
-        parts.append(t[:-1])
-        last, total, prev, n = t[-1], tot[-1], rho[-1], n + len(rho)
-    raise TailBoundError(
-        f"tail bound {tail:g} not reached within {_CAP} terms")
+                    & (rho <= np.concatenate((prev, rho[:, :-1]), axis=1)
+                       + 1e-15)
+                    & (np.abs(t[:, :-1]) * rho / (1.0 - rho)
+                       <= tail * np.maximum(tot[:, :-1], 1.0)))
+        for i, j in enumerate(stop.argmax(axis=1).tolist()):
+            if ends[i] is None and stop[i, j]:
+                ends[i] = n + j + 1
+        parts.append(t[:, :-1])
+        last, total, prev = t[:, -1:], tot[:, -1:], rho[:, -1:]
+        n += rho.shape[1]
+    if None in ends:
+        raise TailBoundError(
+            f"tail bound {tail:g} not reached within {_CAP} terms")
+    terms = np.concatenate(parts, axis=1)
+    return [row[:end] for row, end in zip(terms, ends)]
 
 
 def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
@@ -203,26 +196,23 @@ def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
     r2 = abs(z) ** 2
     if r2 == 0.0:
         return 2
-    # the ladder in growing chunks from 2 entries: a long one could
-    # overflow for q > 1
-    ladder = state_ladder(spec, 2)
 
     def ratio(k: np.ndarray) -> np.ndarray:
-        nonlocal ladder
-        if k[-1] >= len(ladder):
-            ladder = state_ladder(spec, int(k[-1]) + 1)
-        step = ladder[k]
-        zero = np.flatnonzero(step == 0.0)
-        if zero.size:  # stop short of N_k = 0, and raise on reaching it
-            if zero[0] == 0:
-                raise DegenerateSpectrumError(
-                    f"ladder coefficient N_{k[0]} vanishes below the "
-                    "requested dim")
-            step = step[:zero[0]]
-        with np.errstate(over="ignore"):  # steep q > 1 ladders, past the stop
-            return r2 / (step * step)
+        # the chunk reads a steep q > 1 ladder past the stop, where q**n
+        # may overflow
+        with np.errstate(over="ignore"):
+            step = state_ladder(spec, int(k[-1]) + 1)[k[0]:]
+            zero = np.flatnonzero(step == 0.0)
+            if zero.size:  # stop short of N_k = 0, and raise on reaching it
+                if zero[0] == 0:
+                    raise DegenerateSpectrumError(
+                        f"ladder coefficient N_{k[0]} vanishes below the "
+                        "requested dim")
+                step = step[:zero[0]]
+            return r2 / (step * step)[None]
 
-    return max(len(_grow(1.0, ratio, 0, tail, chunk=2)), 2)
+    [terms] = _grow([1.0], ratio, tail)
+    return max(len(terms), 2)
 
 
 def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
@@ -264,7 +254,13 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
     _check_tail(tail)
     if dim is not None:
         require_integer(dim=dim)
-    _check_label(spec, z)
+    r = abs(z)
+    _check_radius(spec, r)
+    if r >= 0.99 * convergence_radius(spec):
+        warnings.warn(
+            f"|z| = {r:.6g} is within 1% of the convergence radius; the "
+            "normalization is nearly singular and precision degrades",
+            ConditioningWarning, stacklevel=2)
     zr = raw_eigenvalue(spec, z)
 
     if spec.max_level is not None:
@@ -297,7 +293,8 @@ def linear_coherent_state(z: complex, dim: int | None = None,
     if dim is not None:
         require_integer(dim=dim)
     r2 = abs(z) ** 2
-    needed = max(len(_grow(1.0, lambda k: r2 / (k + 1), 0, tail)), 2)
+    [terms] = _grow([1.0], lambda k: r2 / (k[None] + 1), tail)
+    needed = max(len(terms), 2)
     dim = _fit_dim(needed, dim, z, tail)
     ladder = np.sqrt(np.arange(1, dim, dtype=float))
     a = _amplitudes(ladder, z, dim)

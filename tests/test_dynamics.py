@@ -317,7 +317,7 @@ def test_squared_ladder_table_matches_the_algebra():
                   else (1.0,)):
             spec = g.morse(7.59) if system == "morse" else g.make_spectrum(
                 system, b=b)
-            L = np.array(_squared_ladder(spec, kind))
+            L = _squared_ladder(spec, kind, np.arange(2003))
             if kind == "linear":
                 assert np.array_equal(L, np.arange(1, len(L) + 1))
                 continue
@@ -326,37 +326,6 @@ def test_squared_ladder_table_matches_the_algebra():
             assert np.all(np.abs(L[:count] - want) <= 1e-13 * want), (system, b)
             if system == "morse":
                 assert np.isinf(L[count:]).all()
-
-
-def test_chunked_squared_ladder_keeps_every_weight(monkeypatch):
-    # the table grows in chunks as the series reads it; each entry is
-    # elementwise int64 arithmetic, so the weights keep their bits
-    import ghastates.series as series
-    full = series._squared_ladder
-    radii = {"bounded": (0.3, 0.9, 0.985), "morse": (0.03, 0.3, 1.0),
-             "unbounded": (0.5, 3.0, 12.0)}
-    for system, kind in SUPPORTED:
-        spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
-        group = ("morse" if system == "morse" else "bounded"
-                 if kind == "gha" and system != "harmonic" else "unbounded")
-        for r in radii[group]:
-            counts = []
-
-            def chunk(spec, kind, count):
-                counts.append(count)
-                return full(spec, kind, count)
-
-            monkeypatch.setattr(series, "_squared_ladder", chunk)
-            got = moment_series(spec, kind, r)
-            monkeypatch.setattr(series, "_squared_ladder",
-                                lambda spec, kind, count: full(spec, kind))
-            want = moment_series(spec, kind, r)
-            for name in ("mean_w", "cross_w", "diag"):
-                assert (np.asarray(getattr(got, name)).tobytes()
-                        == np.asarray(getattr(want, name)).tobytes()), (
-                    system, kind, r, name)
-            # sized to the terms read, not to the cap
-            assert max(counts) <= 4 * len(want.mean_w) + 32
 
 
 def test_series_route_reads_no_ladder_and_no_rep(monkeypatch):
@@ -708,6 +677,15 @@ def test_tail_checked_where_no_tail_loop_runs(path):
     # a Morse tail to 0; the bad input is rejected on every route all the same
     with pytest.raises(InvalidParameterError, match="tail must lie in"):
         g.trace(g.morse(7.59), "gha", 0.1, path=path, tail=-1.0)
+
+
+def test_series_route_rejects_dim():
+    # the series route builds no state: a dim there used to be ignored
+    with pytest.raises(InvalidParameterError, match="path 'series'"):
+        g.trace(g.type1(), "gha", 0.5, path="series", dim=40)
+    for path in ("oracle", "both"):
+        assert g.trace(g.type1(), "gha", 0.5, path=path,
+                       dim=40).meta["dim"] == 40
 
 
 def test_tail_checked_at_r_zero():

@@ -1,8 +1,12 @@
+import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghastates as g
 from ghastates.config import _write_lines
@@ -336,9 +340,10 @@ def test_fock_state_rejects_nan():
         g.FockState(np.full(4, np.nan), 0, "harmonic")
 
 
-def test_adaptive_count_reads_no_level_it_does_not_need():
-    # the ladder comes in doubling chunks, so a steep q > 1 ladder stops
-    # before q**n overflows (RuntimeWarning is an error under pytest)
+def test_steep_ladder_overflow_past_the_stop_stays_silent():
+    # the tail loop reads 32 levels at once, far past where a steep q > 1
+    # ladder stops; q**n overflows there, and no RuntimeWarning (an error
+    # under pytest) may escape
     for q in (1e20, 1e150):
         state = g.gha_coherent_state(g.q_deformed(q), 0.5)
         assert state.dim == 2
@@ -379,12 +384,16 @@ def _loop_state(spec, kind, r, tail):
     r2 = abs(raw_eigenvalue(spec, complex(r))) ** 2
     if spec.max_level is not None or r2 == 0.0:
         return []
-    ladder = state_ladder(spec, 2)
+    # read, as the array loop reads it, with q**n's overflow past the stop
+    # ignored
+    with np.errstate(over="ignore"):
+        ladder = state_ladder(spec, 2)
 
     def ratio(k):
         nonlocal ladder
         if k == len(ladder):
-            ladder = state_ladder(spec, min(2 * k, 2000))
+            with np.errstate(over="ignore"):
+                ladder = state_ladder(spec, min(2 * k, 2000))
         step = ladder[k]
         if step == 0.0:
             raise DegenerateSpectrumError(f"N_{k} vanishes")
@@ -397,7 +406,7 @@ def _loop_series(spec, kind, r, tail):
     """The series' tail loops, run by the frozen loop with scalar ratios."""
     from ghastates.series import _squared_ladder
     x = r * r
-    L = _squared_ladder(spec, kind).tolist()
+    L = _squared_ladder(spec, kind, np.arange(2003)).tolist()
     exponential = kind == "linear" or spec.system == "harmonic"
     n2 = (math.exp(-x) if exponential
           else g.closed_form_normalization(spec, r) ** 2)
@@ -409,15 +418,15 @@ def _loop_series(spec, kind, r, tail):
         (n2 * x * math.sqrt(2.0 / (L[0] * L[1])), 0,
          lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3))),
     ]
-    if not exponential:
-        loops.append((n2 * x / L[0], 1, lambda k: x / (k * L[k] / (k + 1))))
+    # the exponential weights keep S = r^2 exactly: their diag row is empty
+    loops.append((0.0 if exponential else n2 * x / L[0], 1,
+                  lambda k: x / (k * L[k] / (k + 1))))
     return [_loop_grow(first, ratio, k0, tail) for first, k0, ratio in loops]
 
 
 def _terms_or_error(run):
     """The bytes of every tail loop ``run`` makes, or its error class, and
     the classes of the warnings it raised besides ConditioningWarning."""
-    import warnings
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         warnings.simplefilter("ignore", ConditioningWarning)
@@ -440,19 +449,19 @@ def _tail_cases():
     yield g.type1(), "gha", True, (0.999,)  # TailBoundError on both
 
 
-@pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
-def test_array_tail_loops_match_the_loop(tail, monkeypatch):
-    # q = 1e150 at tail 0 reads levels past q**n's overflow on both sides
+@contextlib.contextmanager
+def _stacked_pass_checks():
+    """Record the rows of every stacked tail pass; yields ``check``, which
+    compares a case's state and series passes with the frozen loops and
+    returns how many it compared."""
     import ghastates.series as series
     import ghastates.states as states
-    grown, array_grow = [], states._grow
+    grown, stacked = [], states._grow
 
     def record(*args, **kwargs):
-        grown.append(array_grow(*args, **kwargs))
-        return grown[-1]
-
-    monkeypatch.setattr(states, "_grow", record)
-    monkeypatch.setattr(series, "_grow", record)
+        rows = stacked(*args, **kwargs)
+        grown.extend(rows)
+        return rows
 
     def recorded(build):
         def run():
@@ -461,27 +470,76 @@ def test_array_tail_loops_match_the_loop(tail, monkeypatch):
             return list(grown)
         return run
 
+    def check(spec, kind, r, tail, has_series):
+        if kind == "linear":
+            new = recorded(lambda: g.linear_coherent_state(r, tail=tail))
+        else:
+            new = recorded(lambda: g.gha_coherent_state(spec, r, tail=tail))
+        pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
+        if has_series:
+            pairs.append((
+                recorded(lambda: g.moment_series(spec, kind, r, tail=tail)),
+                lambda: _loop_series(spec, kind, r, tail)))
+        for got, want in pairs:
+            assert _terms_or_error(got) == _terms_or_error(want), (
+                spec.system, spec.q, spec.p, kind, r, tail)
+        return len(pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "_grow", record)
+        patch.setattr(series, "_grow", record)
+        yield check
+
+
+@pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
+def test_array_tail_loops_match_the_loop(tail):
+    # q = 1e150 at tail 0 reads levels past q**n's overflow on both sides
     checked = 0
-    for spec, kind, has_series, radii in _tail_cases():
-        for r in radii:
-            if kind == "linear":
-                new = recorded(lambda: g.linear_coherent_state(r, tail=tail))
-            else:
-                new = recorded(lambda: g.gha_coherent_state(spec, r,
-                                                            tail=tail))
-            pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
-            if has_series:
-                pairs.append((
-                    recorded(lambda: g.moment_series(spec, kind, r,
-                                                     tail=tail)),
-                    lambda: _loop_series(spec, kind, r, tail)))
-            for got, want in pairs:
-                assert _terms_or_error(got) == _terms_or_error(want), (
-                    spec.system, spec.q, kind, r, tail)
-                checked += 1
+    with _stacked_pass_checks() as check:
+        for spec, kind, has_series, radii in _tail_cases():
+            for r in radii:
+                checked += check(spec, kind, r, tail, has_series)
     # state and series of the 9 pairs, Morse at two p, at 5 radii; the
     # q_deformed states; type1 at r = 0.999
     assert checked == 2 * 10 * 5 + 4 * 5 + 2
+
+
+def _stacked_cases():
+    from ghastates.series import SUPPORTED
+    return [(system, kind, True) for system, kind in SUPPORTED] + [
+        ("q_deformed", "gha", False)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(_stacked_cases()),
+       p=st.floats(1.5, 20.0, exclude_min=True, exclude_max=True).filter(
+           lambda p: not p.is_integer()),
+       # q below 0.99 keeps |a|^2 finite up to 0.999 of the radius
+       log_q=st.floats(-3.0, -0.005) | st.floats(0.001, 150.0),
+       frac=st.floats(0.0, 1.0),
+       tail=st.just(0.0) | st.floats(1e-16, 0.9)
+       | st.floats(-16.0, -1.0).map(lambda e: 10.0 ** e))
+def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac, tail):
+    # r up to 0.999 of the radius, or to 26 where there is none: |a|^2 of
+    # the exponential weights overflows from r = 26.64 on
+    system, kind, has_series = case
+    spec = (g.morse(p) if system == "morse"
+            else g.q_deformed(10.0 ** log_q) if system == "q_deformed"
+            else g.make_spectrum(system))
+    radius = g.convergence_radius(spec) if kind == "gha" else math.inf
+    r = frac * min(0.999 * radius, 26.0)
+    with _stacked_pass_checks() as check:
+        check(spec, kind, r, tail, has_series)
+
+
+@pytest.mark.parametrize("r", [1e-8, 0.3, 0.95, 5.0])
+def test_steep_ladder_at_tail_zero_warns_of_no_overflow(r):
+    # at tail 0 the state stops only where N_k overflows to inf, and the
+    # ladder is read a chunk past it; that overflow stays inside the loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = g.gha_coherent_state(g.q_deformed(1e150), r, tail=0.0)
+    assert state.dim >= 2
 
 
 def test_morse_normalization_matches_the_loop():
