@@ -83,7 +83,10 @@ class ExpectationSet:
 
 
 def _clamp_var_array(m2: np.ndarray, m: np.ndarray, label: str) -> np.ndarray:
-    v = np.asarray(m2 - m * m)
+    v = np.asarray(m * m)
+    np.subtract(m2, v, out=v)
+    if v.min() >= 0.0:  # NaN fails this and every test below
+        return v
     bad = v < -_VAR_TOL * np.maximum(1.0, np.abs(m2))
     if np.any(bad):
         worst = float(v[bad].min())
@@ -92,7 +95,7 @@ def _clamp_var_array(m2: np.ndarray, m: np.ndarray, label: str) -> np.ndarray:
     if np.any(v < 0.0):
         warnings.warn(f"marginally negative {label} variances clamped to zero",
                       ClampWarning, stacklevel=3)
-        v = np.maximum(v, 0.0)
+        np.maximum(v, 0.0, out=v)
     return v
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
 from .states import (_TAIL, _check_radius, _check_tail, _grow,
-                     closed_form_normalization)
+                     _warn_near_radius, closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -128,7 +128,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
 
     Raises ``WrongSystemError`` for combinations without a closed form
     (the matrix path covers those), and checks the r-domain of the bounded
-    ladders.
+    ladders; within 1% of the radius it warns as the state does.
     """
     require_finite(r=r)
     _check_tail(tail)
@@ -139,6 +139,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
             f"no closed-form moment series for ({spec.system}, {kind}); "
             "use the matrix path")
     _check_radius(spec, r, kind)
+    _warn_near_radius(spec, r, kind)
 
     mean, cross, diag = _weights(spec, kind, r, tail)
     return MomentSeries(

@@ -124,9 +124,30 @@ def _check_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
+def _warn_near_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
+    """Warn ``ConditioningWarning`` within 1% of the gha radius, from the
+    state and the series builders alike, at the line that called them."""
+    if kind == "gha" and r >= 0.99 * convergence_radius(spec):
+        warnings.warn(
+            f"|z| = {r:.6g} is within 1% of the convergence radius; the "
+            "normalization is nearly singular and precision degrades",
+            ConditioningWarning, stacklevel=3)
+
+
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
-    a = np.empty(count, dtype=complex)
-    a[0] = 1.0
+    """a_k = a_{k-1} z / N_{k-1} from a_0 = 1, as one accumulate over
+    [1, z, 1/N_0, z, 1/N_1, ...]: numpy rounds (a z) / N as (a z) * (1/N)
+    but for signed zeros, so a vector with a zero or non-finite part past
+    a_0 is redone by the loop, which also raises on a vanishing N.  On the
+    positive real axis both keep every a_k at (x >= 0, +0)."""
+    f = np.empty(2 * count - 1, dtype=complex)
+    f[0], f[1::2] = 1.0, z
+    with np.errstate(all="ignore"):
+        f[2::2] = 1.0 / ladder[:count - 1]
+        a = np.multiply.accumulate(f)[::2].copy()
+    if np.isfinite(a).all() and ((z.imag == 0.0 and z.real > 0.0)
+                                 or (a[1:].real.all() and a[1:].imag.all())):
+        return a
     for k in range(1, count):
         step = ladder[k - 1]
         if step == 0.0:
@@ -154,7 +175,7 @@ def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
 
     ``ratio`` maps an index array k to the rows' ratios there, an
     (R, <= len(k)) array; it may return fewer columns, and then raises when
-    asked for the next index.  It is read on 32 indices, then on three
+    asked for the next index.  It is read on 512 indices, then on three
     times all read so far, up to the cap, where every row must have
     stopped.  A row whose first term is 0 is empty.  Terms and totals
     accumulate in sequence, so each rounds as in a loop over one term at a
@@ -164,7 +185,7 @@ def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
     ends = [0 if f == 0.0 else None for f in firsts]  # None until it stops
     parts, n = [last[:, :0]], 0
     while n < _CAP and None in ends:
-        rho = ratio(np.arange(n, min(max(4 * n, 32), _CAP)))
+        rho = ratio(np.arange(n, min(max(4 * n, 512), _CAP)))
         # the chunk runs past the stop, where the loop never went: terms
         # may overflow there and 1 - rho vanish
         with np.errstate(all="ignore"):
@@ -256,11 +277,7 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
         require_integer(dim=dim)
     r = abs(z)
     _check_radius(spec, r)
-    if r >= 0.99 * convergence_radius(spec):
-        warnings.warn(
-            f"|z| = {r:.6g} is within 1% of the convergence radius; the "
-            "normalization is nearly singular and precision degrades",
-            ConditioningWarning, stacklevel=2)
+    _warn_near_radius(spec, r)
     zr = raw_eigenvalue(spec, z)
 
     if spec.max_level is not None:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ghastates import cli
 from ghastates._kernels_py import weighted_trig_sums
 from ghastates.config import _write_lines
 from ghastates.dynamics import (
+    _clamp_var_array,
     _moments,
     _oracle_bands,
     _rep_for,
@@ -363,6 +365,49 @@ def test_expectation_set_clamps_and_raises():
     assert es.var_xi == 0.0
     with pytest.raises(NegativeVarianceError):
         g.ExpectationSet(1.0, 0.0, 0.9, 1.0)
+
+
+def test_variance_clamp_contract_holds_past_its_early_return(monkeypatch):
+    # as scalars (ExpectationSet) and as arrays (trace): an exact zero
+    # passes silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = g.ExpectationSet(1.5, 0.0, 2.25, 1.0)
+        v = _clamp_var_array(np.array([2.25, 3.0]), np.array([1.5, 1.0]),
+                             "xi")
+    assert es.var_xi == 0.0 and math.copysign(1.0, es.var_xi) == 1.0
+    assert v.tolist() == [0.0, 2.0]
+    # 1 - (1 + 1e-15)^2 = -2.2e-15 is clamped to +0, with a warning
+    with pytest.warns(ClampWarning):
+        es = g.ExpectationSet(1.0 + 1e-15, 0.0, 1.0, 1.0)
+    with pytest.warns(ClampWarning):
+        v = _clamp_var_array(np.array([1.0, 1.0]),
+                             np.array([1.0 + 1e-15, 0.5]), "xi")
+    assert es.var_xi == 0.0 and v.tolist() == [0.0, 0.75]
+    assert math.copysign(1.0, v[0]) == 1.0
+    # -2e-12 is beyond the tolerance
+    with pytest.raises(NegativeVarianceError):
+        g.ExpectationSet(1.0, 0.0, 1.0 - 2e-12, 1.0)
+    with pytest.raises(NegativeVarianceError, match="rho"):
+        _clamp_var_array(np.array([1.0, 1.0 - 2e-12]), np.array([0.5, 1.0]),
+                         "rho")
+    # NaN fails the early return and every test after it, so the clamp
+    # passes it on and trace's finiteness check stops it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _clamp_var_array(np.array([np.nan, 1.0]), np.zeros(2), "xi")
+    assert math.isnan(v[0]) and v[1] == 1.0
+    kernel = g.dynamics.weighted_trig_sums
+
+    def poisoned(rows, freqs, times):
+        re, im = kernel(rows, freqs, times)
+        re[:, 3] = np.nan
+        return re, im
+
+    monkeypatch.setattr(g.dynamics, "weighted_trig_sums", poisoned)
+    for path in ("oracle", "series", "both"):
+        with pytest.raises(NonFiniteResultError, match=path):
+            g.trace(g.type1(), "gha", 0.5, path=path, n_points=11)
 
 
 def test_refined_extremum_quadratic():

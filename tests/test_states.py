@@ -196,6 +196,26 @@ def test_radius_checks():
     g.gha_coherent_state(q, 1.2)  # inside the disk
 
 
+def test_both_routes_warn_near_the_radius():
+    # at tail 1e-6 both routes fit under the cap here: 1,039 levels and
+    # 1,117 series terms
+    spec = g.type1()
+    with pytest.warns(ConditioningWarning, match="within 1%"):
+        g.gha_coherent_state(spec, 0.992, tail=1e-6)
+    with pytest.warns(ConditioningWarning, match="within 1%"):
+        g.moment_series(spec, "gha", 0.992, tail=1e-6)
+    for path in ("oracle", "series"):
+        with pytest.warns(ConditioningWarning, match="within 1%"):
+            g.trace(spec, "gha", 0.992, path=path, n_points=11, tail=1e-6)
+    # below the band, and for the linear states, which have no radius,
+    # neither route warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        g.gha_coherent_state(spec, 0.98, tail=1e-6)
+        g.moment_series(spec, "gha", 0.98, tail=1e-6)
+        g.moment_series(spec, "linear", 0.992, tail=1e-6)
+
+
 def test_tail_bound_errors():
     with pytest.raises(TailBoundError):
         g.gha_coherent_state(g.type1(), 0.5, dim=5)
@@ -321,7 +341,7 @@ def test_tail_counts_pinned():
         g.linear_coherent_state(45.0)
     with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
         g.gha_coherent_state(g.type1(), 0.999)
-    with pytest.raises(TailBoundError):
+    with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
         g.moment_series(g.type1(), "gha", 0.999)
 
 
@@ -568,3 +588,121 @@ def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
         states._adaptive_count(spec, 6.0, 1e-14)  # needs about 70 levels
     assert states._adaptive_count(spec, 0.5, 1e-14) == len(
         _loop_state(spec, "gha", 0.5, 1e-14)[0])
+
+
+@pytest.mark.parametrize("system, kind, r, reads, lengths", [
+    ("type2", "gha", 0.95, 1, [[379], [393, 406, 406]]),
+    ("harmonic", "linear", 12.0, 1, [[246], [246, 246, 0]]),
+    ("type1", "gha", 0.99, 2, [[1783], [1862, 1935, 1936]]),
+])
+def test_first_chunk_serves_the_benchmark_radii(system, kind, r, reads,
+                                                lengths):
+    # the benchmark's largest radii end each tail pass, state and series,
+    # in the first chunk; type1 at r = 0.99 takes a second one
+    import ghastates.series as series
+    import ghastates.states as states
+    grow, passes = states._grow, []
+
+    def counted(firsts, ratio, tail):
+        calls = []
+
+        def read(k):
+            calls.append(len(k))
+            return ratio(k)
+
+        rows = grow(firsts, read, tail)
+        passes.append((len(calls), [len(row) for row in rows]))
+        return rows
+
+    spec = g.make_spectrum(system)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        patch.setattr(states, "_grow", counted)
+        patch.setattr(series, "_grow", counted)
+        if kind == "gha":
+            g.gha_coherent_state(spec, r)
+        else:
+            g.linear_coherent_state(r)
+        g.moment_series(spec, kind, r)
+    assert passes == [(reads, n) for n in lengths]
+
+
+# ---------------------------------------------------------------------------
+# the amplitude recurrence as one accumulate against the loop it replaced
+
+def _loop_amplitudes(ladder, z, count):
+    """``states._amplitudes`` as the loop it was, frozen as the reference."""
+    a = np.empty(count, dtype=complex)
+    a[0] = 1.0
+    for k in range(1, count):
+        step = ladder[k - 1]
+        if step == 0.0:
+            raise DegenerateSpectrumError(f"N_{k - 1} vanishes")
+        a[k] = a[k - 1] * z / step
+    return a
+
+
+def _amplitude_cases():
+    """(ladder, z, count) as the constructors pass them, for every
+    SUPPORTED pair, q_deformed and square_well at fixed and drawn labels;
+    counts up to 1000 on the infinite ladders, where components underflow."""
+    from ghastates.series import SUPPORTED
+    from ghastates.states import raw_eigenvalue, state_ladder
+    rng = np.random.default_rng(20)
+    specs = [(kind, g.morse(7.59) if system == "morse"
+              else g.make_spectrum(system)) for system, kind in SUPPORTED]
+    specs += [("gha", g.q_deformed(q)) for q in (0.5, 1.5, 1e150)]
+    specs += [("gha", g.square_well(2.0))]
+    for kind, spec in specs:
+        radius = g.convergence_radius(spec) if kind == "gha" else math.inf
+        radii = [0.0, 1e-300, 1e-20, 1e-8,
+                 *rng.uniform(0.0, min(0.999 * radius, 26.0), 3)]
+        phis = [0.0, -0.0, math.pi / 2, math.pi, 1.5 * math.pi,
+                *rng.uniform(0.0, 2.0 * math.pi, 2)]
+        counts = ([spec.max_level] if spec.max_level is not None
+                  else [2, 40, 1000])
+        for r in radii:
+            for phi in phis:
+                z = r * complex(math.cos(phi), math.sin(phi))
+                for count in counts:
+                    if kind == "linear":
+                        ladder = np.sqrt(np.arange(1, count, dtype=float))
+                        yield ladder, z, count
+                    else:
+                        # q**n overflows in the q = 1e150 ladder
+                        with np.errstate(over="ignore"):
+                            ladder = state_ladder(spec, count - 1)
+                        yield ladder, raw_eigenvalue(spec, z), count
+
+
+def test_amplitude_accumulate_matches_the_loop():
+    from ghastates.states import _amplitudes
+
+    def run(build):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                out = build().tobytes()
+            except DegenerateSpectrumError:
+                out = DegenerateSpectrumError
+        return out, [(w.category, str(w.message)) for w in seen]
+
+    def unguarded(ladder, z, count):
+        f = np.empty(2 * count - 1, dtype=complex)
+        f[0], f[1::2] = 1.0, z
+        with np.errstate(all="ignore"):
+            f[2::2] = 1.0 / ladder[:count - 1]
+            return np.multiply.accumulate(f)[::2]
+
+    cases = guarded = 0
+    for ladder, z, count in _amplitude_cases():
+        want = run(lambda: _loop_amplitudes(ladder, z, count))
+        assert run(lambda: _amplitudes(ladder, z, count)) == want, (
+            ladder[:3], z, count)
+        cases += 1
+        # where the bare accumulate differs (signed zeros, NaN bits), only
+        # the loop path gives the bytes above
+        guarded += unguarded(ladder, z, count).tobytes() != want[0]
+    # 13 systems at 7 radii and 7 phases; Morse has one count, the others 3
+    assert cases == 7 * 7 * (1 + 12 * 3)
+    assert guarded > 0
