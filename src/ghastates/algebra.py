@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -39,6 +39,68 @@ from .spectrum import (
 _SELF_CHECK_TOL = 1e-12
 
 
+class Band:
+    """A square matrix stored as its diagonals: ``diags[k]`` holds M[r, r + k]
+    at index r (numpy's offset k = column - row), zero where r + k leaves the
+    matrix.  Sums, products and scalar multiples of the tridiagonal
+    generators stay bands, so an identity on them costs O(dim)."""
+
+    __slots__ = ("dim", "diags")
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, dim: int, diags: dict[int, np.ndarray]):
+        self.dim, self.diags = dim, diags
+
+    @classmethod
+    def of(cls, dim: int, diags: dict) -> Band:
+        """Band from ``np.diagonal``-style values, dim - |k| at offset k; a
+        scalar fills its whole diagonal."""
+        return cls(dim, {k: np.concatenate((np.zeros(max(-k, 0)),
+                                            np.full(dim - abs(k), v),
+                                            np.zeros(max(k, 0))))
+                         for k, v in diags.items()})
+
+    def __matmul__(self, other: Band) -> Band:
+        d, out = self.dim, {}
+        for a, x in self.diags.items():
+            lo, hi = max(-a, 0), d - max(a, 0)
+            for b, y in other.diags.items():
+                if abs(a + b) < d:  # row r: M[r, r+a] N[r+a, r+a+b]
+                    t = np.zeros(d, np.result_type(x, y))
+                    np.multiply(x[lo:hi], y[lo + a:hi + a], out=t[lo:hi])
+                    out[a + b] = out[a + b] + t if a + b in out else t
+        return Band(d, out)
+
+    def _merge(self, other: Band, op) -> Band:
+        out = dict(self.diags)
+        for k, v in other.diags.items():
+            out[k] = op(out.get(k, 0.0), v)
+        return Band(self.dim, out)
+
+    __add__ = partialmethod(_merge, op=np.add)
+    __sub__ = partialmethod(_merge, op=np.subtract)
+
+    def __rmul__(self, scalar: complex) -> Band:
+        return Band(self.dim, {k: scalar * v for k, v in self.diags.items()})
+
+    def absmax(self, lo: int = 0, hi: int | None = None) -> float:
+        """Largest |entry| in columns lo .. hi - 1; 0 when there is none."""
+        hi = self.dim if hi is None else hi
+        parts = [v[max(lo - k, 0):max(hi - k, 0)] for k, v in self.diags.items()]
+        return float(np.abs(np.concatenate([np.zeros(0), *parts]))
+                     .max(initial=0.0))
+
+    def dense(self) -> np.ndarray:
+        """The read-only dim x dim matrix."""
+        d = self.dim
+        M = np.zeros((d, d), np.result_type(0.0, *self.diags.values()))
+        for k, v in self.diags.items():
+            np.fill_diagonal(M[max(-k, 0):, max(k, 0):],
+                             v[max(-k, 0):d - max(k, 0)])
+        M.flags.writeable = False
+        return M
+
+
 @dataclass(frozen=True)
 class AlgebraRep:
     """All generators at one truncation dimension, stored as bands.
@@ -47,10 +109,11 @@ class AlgebraRep:
     ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho,
     kept apart so that the oracle can check each sub-band against the
     conjugate of its super-band before it sums the super-band alone.
-    The dense ``J0, A, A_dag, N_op, D, D_dag, xi, rho`` are built on first
-    access and cached.  Every array is read-only, so a representation is
+    The ``bands`` of every generator, and their dense renderings ``J0, A,
+    A_dag, N_op, D, D_dag, xi, rho``, are built on first access and cached.
+    The fields and the dense views are read-only, so a representation is
     safe to share between threads: a racing first access builds identical
-    read-only arrays.
+    objects.
     """
 
     system: str
@@ -62,25 +125,20 @@ class AlgebraRep:
     hbar: float = 1.0
 
     dim = property(lambda s: len(s.eps))
-    J0 = cached_property(lambda s: _dense(s.dim, (0, s.eps)))
-    A_dag = cached_property(lambda s: _dense(s.dim, (-1, s.ladder)))
-    A = cached_property(lambda s: s.A_dag.T)
-    N_op = cached_property(
-        lambda s: _dense(s.dim, (0, np.arange(s.dim, dtype=float))))
-    D_dag = cached_property(
-        lambda s: _dense(s.dim, (-1, np.sqrt(np.arange(1.0, s.dim)))))
-    D = cached_property(lambda s: s.D_dag.T)
-    xi = cached_property(lambda s: _dense(s.dim, *zip((1, -1), s.xi_bands)))
-    rho = cached_property(lambda s: _dense(s.dim, *zip((1, -1), s.rho_bands)))
 
+    @cached_property
+    def bands(self) -> dict[str, Band]:
+        d, root = self.dim, np.sqrt(np.arange(1.0, self.dim))
+        return {name: Band.of(d, diags) for name, diags in (
+            ("J0", {0: self.eps}), ("N_op", {0: np.arange(d, dtype=float)}),
+            ("A", {1: self.ladder}), ("A_dag", {-1: self.ladder}),
+            ("D", {1: root}), ("D_dag", {-1: root}),
+            ("xi", dict(zip((1, -1), self.xi_bands))),
+            ("rho", dict(zip((1, -1), self.rho_bands))))}
 
-def _dense(dim: int, *bands: tuple[int, np.ndarray]) -> np.ndarray:
-    """Read-only dim x dim matrix holding each (offset, values) band."""
-    M = np.zeros((dim, dim), dtype=bands[0][1].dtype)
-    for k, values in bands:
-        np.fill_diagonal(M[max(-k, 0):, max(k, 0):], values)
-    M.flags.writeable = False
-    return M
+    J0, N_op, A, A_dag, D, D_dag, xi, rho = (
+        cached_property(lambda s, name=name: s.bands[name].dense())
+        for name in ("J0", "N_op", "A", "A_dag", "D", "D_dag", "xi", "rho"))
 
 
 def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
@@ -142,27 +200,28 @@ def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def _f_diag(rep: AlgebraRep, spec: SpectrumModel) -> np.ndarray:
+def _f_diag(rep: AlgebraRep, spec: SpectrumModel) -> Band:
     """f applied entrywise to the J0 diagonal, including the finite-ladder wrap."""
     if spec.system == "custom" and rep.dim > spec.max_level:
         raise DimensionMismatchError(
             "identity checks on a tabulated spectrum need the image of every "
             f"represented level; rebuild with dim <= {spec.max_level}")
     if spec.system == "morse":  # the wrap f(eps_nmax) = eps_0
-        return np.diag(np.roll(levels(spec, rep.dim), -1))
-    return np.diag(levels(spec, rep.dim + 1)[1:])
+        return Band.of(rep.dim, {0: np.roll(levels(spec, rep.dim), -1)})
+    return Band.of(rep.dim, {0: levels(spec, rep.dim + 1)[1:]})
 
 
 def casimir(rep: AlgebraRep, spec: SpectrumModel) -> np.ndarray:
     """Gamma = A A_dag - f(J0); commutes with all generators on the interior."""
-    return rep.A @ rep.A_dag - _f_diag(rep, spec)
+    return (rep.bands["A"] @ rep.bands["A_dag"] - _f_diag(rep, spec)).dense()
 
 
 def j0_from_ladder(rep: AlgebraRep, spec: SpectrumModel) -> np.ndarray:
     """Reconstruct J0 as A_dag A - p^2 on the finite Morse ladder."""
     if spec.system != "morse":
         raise WrongSystemError("J0 = A_dag A - p^2 holds only for the Morse ladder")
-    return rep.A_dag @ rep.A - spec.p ** 2 * np.eye(rep.dim)
+    return (rep.bands["A_dag"] @ rep.bands["A"]
+            - Band.of(rep.dim, {0: spec.p ** 2})).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +262,6 @@ class VerifyReport:
                 f"{'pass' if c.passed else 'fail'}" for c in self.checks]
 
 
-def _residual(R: np.ndarray, scale: float,
-              boundary_cols: int = 1) -> tuple[float, float]:
-    R = np.abs(R)
-    split = R.shape[1] - boundary_cols
-    interior = float(R[:, :split].max()) if split > 0 else 0.0
-    boundary = float(R[:, split:].max())
-    return interior / scale, boundary / scale
-
-
-def _scale_of(*mats: np.ndarray) -> float:
-    return 1.0 + max(float(np.abs(m).max()) for m in mats)
-
-
 def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
                    tol: float = 1e-12) -> VerifyReport:
     """Check every algebraic identity numerically and report residuals.
@@ -225,87 +271,73 @@ def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
     scales.  Interior residuals exclude the last basis column, where the
     truncation defect of the canonical pair lives; that defect is reported
     in the boundary column.  Failures are report content, never exceptions.
+    Every product is a band product, so the checks cost O(dim).
     """
     require_positive(tol=tol)
-    d = rep.dim
-    eye = np.eye(d)
-    fJ0 = _f_diag(rep, spec)
+    d, b = rep.dim, rep.bands
+    J0, A, A_dag = b["J0"], b["A"], b["A_dag"]
+    eye, fJ0 = Band.of(d, {0: 1.0}), _f_diag(rep, spec)
     checks: list[IdentityCheck] = []
 
-    def add(name: str, R: np.ndarray, scale: float,
-            boundary_cols: int = 1) -> None:
-        interior, boundary = _residual(np.asarray(R, dtype=complex), scale,
-                                       boundary_cols)
-        checks.append(IdentityCheck(name, interior, boundary, interior <= tol))
+    def add(name: str, R: Band, *products: Band, cols: int = 1) -> None:
+        scale = 1.0 + max(m.absmax() for m in products)
+        interior = R.absmax(0, d - cols) / scale
+        checks.append(IdentityCheck(name, interior, R.absmax(d - cols) / scale,
+                                    interior <= tol))
 
-    up = rep.J0 @ rep.A_dag
-    add("raising_weight", up - rep.A_dag @ fJ0, _scale_of(up))
-    down = rep.A @ rep.J0
-    add("lowering_weight", down - fJ0 @ rep.A, _scale_of(down))
-    ladder_comm = commutator(rep.A, rep.A_dag)
-    add("ladder_commutator", ladder_comm - (fJ0 - rep.J0),
-        _scale_of(rep.A @ rep.A_dag, fJ0))
-    add("number_lowering", commutator(rep.N_op, rep.D) + rep.D,
-        _scale_of(rep.N_op @ rep.D))
-    add("number_raising", commutator(rep.N_op, rep.D_dag) - rep.D_dag,
-        _scale_of(rep.N_op @ rep.D_dag))
-    add("canonical_pair", commutator(rep.D, rep.D_dag) - eye,
-        _scale_of(rep.D @ rep.D_dag))
-    add("position_momentum",
-        commutator(rep.xi, rep.rho) - 1j * rep.hbar * eye,
-        _scale_of(rep.xi @ rep.rho))
+    up, down, A_A_dag, A_dag_A = J0 @ A_dag, A @ J0, A @ A_dag, A_dag @ A
+    ladder = A_A_dag - A_dag_A
+    add("raising_weight", up - A_dag @ fJ0, up)
+    add("lowering_weight", down - fJ0 @ A, down)
+    add("ladder_commutator", ladder - (fJ0 - J0), A_A_dag, fJ0)
+    for name, X, Y, rhs in (
+            ("number_lowering", b["N_op"], b["D"], -1.0 * b["D"]),
+            ("number_raising", b["N_op"], b["D_dag"], b["D_dag"]),
+            ("canonical_pair", b["D"], b["D_dag"], eye),
+            ("position_momentum", b["xi"], b["rho"],
+             Band.of(d, {0: 1j * rep.hbar}))):
+        XY = X @ Y
+        add(name, XY - Y @ X - rhs, XY)
 
     # the Casimir's own truncation defect (its last diagonal entry) reaches
     # one column further through the ladder operators, so its commutators
     # carry a two-column boundary; only the wrapped finite ladder is exempt,
     # where the Casimir is exactly constant
-    gamma = casimir(rep, spec)
-    gcols = 1 if spec.system == "morse" else 2
-    gscale = _scale_of(gamma @ rep.A_dag, gamma @ rep.J0)
-    add("casimir_number", commutator(gamma, rep.J0), gscale, gcols)
-    add("casimir_lowering", commutator(gamma, rep.A), gscale, gcols)
-    add("casimir_raising", commutator(gamma, rep.A_dag), gscale, gcols)
+    gamma = A_A_dag - fJ0
+    scaled_by = gamma @ A_dag, gamma @ J0
+    for name, X in (("number", J0), ("lowering", A), ("raising", A_dag)):
+        add(f"casimir_{name}", gamma @ X - X @ gamma, *scaled_by,
+            cols=1 if spec.system == "morse" else 2)
 
+    # closed forms of [J0, A_dag], [J0, A] and [A, A_dag] on two spectra
+    forms = ()
     if spec.system == "square_well":
-        rb = math.sqrt(spec.b)
-        sqrtH = np.diag(np.sqrt(rep.eps))
-        add("well_raising",
-            commutator(rep.J0, rep.A_dag)
-            - (2.0 * rb * rep.A_dag @ sqrtH + spec.b * rep.A_dag),
-            _scale_of(rep.J0 @ rep.A_dag))
-        add("well_lowering",
-            commutator(rep.J0, rep.A)
-            + (2.0 * rb * sqrtH @ rep.A + spec.b * rep.A),
-            _scale_of(rep.J0 @ rep.A))
-        # the diagonal form of the ladder commutator for this well
-        add("well_ladder",
-            ladder_comm - (2.0 * rb * sqrtH + spec.b * eye),
-            _scale_of(rep.A @ rep.A_dag))
+        rb, sqrtH = math.sqrt(spec.b), Band.of(d, {0: np.sqrt(rep.eps)})
+        prefix, forms = "well", (
+            (2.0 * rb * A_dag) @ sqrtH + spec.b * A_dag,
+            -1.0 * ((2.0 * rb * sqrtH) @ A + spec.b * A),
+            2.0 * rb * sqrtH + Band.of(d, {0: spec.b}))
+    elif spec.system == "morse":
+        root = Band.of(d, {0: np.sqrt(-rep.eps)})
+        prefix, forms = "bound", ((2.0 * A_dag) @ root - A_dag,
+                                  (-2.0 * root) @ A + A, 2.0 * root - eye)
+    if forms:
+        J0_A = J0 @ A
+        add(f"{prefix}_raising", up - A_dag @ J0 - forms[0], up)
+        add(f"{prefix}_lowering", J0_A - down - forms[1], J0_A)
+        add(f"{prefix}_ladder", ladder - forms[2], A_A_dag)
 
     if spec.system == "morse":
-        root = np.diag(np.sqrt(-rep.eps))
-        add("bound_raising",
-            commutator(rep.J0, rep.A_dag)
-            - (2.0 * rep.A_dag @ root - rep.A_dag),
-            _scale_of(rep.J0 @ rep.A_dag))
-        add("bound_lowering",
-            commutator(rep.J0, rep.A) - (-2.0 * root @ rep.A + rep.A),
-            _scale_of(rep.J0 @ rep.A))
-        add("bound_ladder", ladder_comm - (2.0 * root - eye),
-            _scale_of(rep.A @ rep.A_dag))
-        add("hamiltonian_from_ladder", j0_from_ladder(rep, spec) - rep.J0,
-            _scale_of(rep.A_dag @ rep.A, rep.J0))
-
-        s = nilpotency_index(spec)
-        top_power = np.linalg.matrix_power(rep.A_dag, s)
-        below = np.linalg.matrix_power(rep.A_dag, s - 1)
-        # structural: the s-th power must vanish identically, the (s-1)-th not
-        checks.append(IdentityCheck("nilpotent_power",
-                                    float(np.abs(top_power).max()), 0.0,
-                                    not np.any(top_power)))
-        checks.append(IdentityCheck("nilpotent_sharp",
-                                    float(np.abs(below).max()), 0.0,
-                                    bool(np.any(below))))
+        add("hamiltonian_from_ladder",
+            A_dag_A - Band.of(d, {0: spec.p ** 2}) - J0, A_dag_A, J0)
+        # structural: the s-th power must vanish identically, the (s-1)-th
+        # not; each power is one band, s below the diagonal
+        below = A_dag
+        for _ in range(nilpotency_index(spec) - 2):
+            below = below @ A_dag
+        top, below = (below @ A_dag).absmax(), below.absmax()
+        checks += [IdentityCheck("nilpotent_power", top, 0.0, top == 0.0),
+                   IdentityCheck("nilpotent_sharp", below, 0.0, below != 0.0)]
 
     return VerifyReport(system=spec.system, dim=d, tol=tol,
                         checks=tuple(checks),

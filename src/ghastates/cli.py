@@ -9,6 +9,7 @@ defaults; relative output paths resolve against $GHASTATES_OUTDIR when set.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -130,34 +131,40 @@ def _merged(ctx: click.Context, config: str | None) -> dict:
     return values
 
 
-def _spectrum_options(fn):
-    for dec in reversed([
-        click.option("--system", type=str, default=None,
-                     help="System tag: harmonic, q-deformed, square-well, "
-                          "type1, type2, hydrogen, morse."),
-        click.option("--b", type=float, default=1.0, show_default=True,
-                     help="Dimensionless energy constant of the b-scaled systems."),
-        click.option("--q", type=float, default=None,
-                     help="Deformation parameter of the q-deformed ladder."),
-        click.option("--p", type=float, default=None,
-                     help="Morse well parameter p."),
-        click.option("--beta", type=float, default=None,
-                     help="Morse inverse width in 1/m."),
-        click.option("--v0", type=float, default=None,
-                     help="Morse well depth in eV."),
-        click.option("--mr", type=float, default=None,
-                     help="Reduced mass in kg."),
-        click.option("--override-nmax", type=int, default=None,
-                     help="Pin the number of Morse levels to n_max + 1."),
-        click.option("--override-nu", type=float, default=None,
-                     help="Use this nu instead of the physical-constant value."),
-        click.option("--override-p", type=float, default=None,
-                     help="Use this p instead of the physical-constant value."),
-        click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="key=value config file."),
-    ]):
-        fn = dec(fn)
-    return fn
+def _options(*decorators):
+    """Apply click options in this order, the order --help lists them."""
+    return lambda fn: functools.reduce(lambda f, d: d(f), decorators[::-1], fn)
+
+
+# the options that define a Morse ladder; morse-info takes these alone
+_MORSE_OPTIONS = (
+    click.option("--p", type=float, default=None,
+                 help="Morse well parameter p."),
+    click.option("--beta", type=float, default=None,
+                 help="Morse inverse width in 1/m."),
+    click.option("--v0", type=float, default=None,
+                 help="Morse well depth in eV."),
+    click.option("--mr", type=float, default=None,
+                 help="Reduced mass in kg."),
+    click.option("--override-nmax", type=int, default=None,
+                 help="Pin the number of Morse levels to n_max + 1."),
+    click.option("--override-nu", type=float, default=None,
+                 help="Use this nu instead of the physical-constant value."),
+    click.option("--override-p", type=float, default=None,
+                 help="Use this p instead of the physical-constant value."),
+)
+_spectrum_options = _options(
+    click.option("--system", type=str, default=None,
+                 help="System tag: harmonic, q-deformed, square-well, "
+                      "type1, type2, hydrogen, morse."),
+    click.option("--b", type=float, default=1.0, show_default=True,
+                 help="Dimensionless energy constant of the b-scaled systems."),
+    click.option("--q", type=float, default=None,
+                 help="Deformation parameter of the q-deformed ladder."),
+    *_MORSE_OPTIONS,
+    click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="key=value config file."),
+)
 
 
 @click.group()
@@ -294,13 +301,7 @@ def figure_cmd(figure_id, out_dir, t_end, points, force) -> None:
 
 
 @main.command(name="morse-info")
-@click.option("--p", type=float, default=None, help="Morse parameter p.")
-@click.option("--beta", type=float, default=None, help="Inverse width in 1/m.")
-@click.option("--v0", type=float, default=None, help="Well depth in eV.")
-@click.option("--mr", type=float, default=None, help="Reduced mass in kg.")
-@click.option("--override-nmax", type=int, default=None)
-@click.option("--override-nu", type=float, default=None)
-@click.option("--override-p", type=float, default=None)
+@_options(*_MORSE_OPTIONS)
 @click.pass_context
 def morse_info(ctx, **kwargs) -> None:
     """Report nu, p, the level table, and the time scale of a Morse well."""

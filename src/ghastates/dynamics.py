@@ -53,7 +53,8 @@ from .errors import (
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
-from .states import _TAIL, FockState, gha_coherent_state, linear_coherent_state
+from .states import (_RADIUS_WARNED, _TAIL, FockState, gha_coherent_state,
+                     linear_coherent_state)
 
 _VAR_TOL = 1e-12
 _IMAG_TOL = 1e-12
@@ -300,8 +301,13 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         routes.append(_oracle_bands(
             state, _rep_for(spec, state, L_scale, hbar)))
     if path in ("series", "both"):
-        routes.append(_series_bands(moment_series(spec, kind, r, tail=tail),
-                                    phi, L_scale, hbar))
+        # under "both" the state has given any near-radius warning
+        warned = _RADIUS_WARNED.set(state is not None)
+        try:
+            series = moment_series(spec, kind, r, tail=tail)
+        finally:
+            _RADIUS_WARNED.reset(warned)
+        routes.append(_series_bands(series, phi, L_scale, hbar))
     (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
     var_xi = _clamp_var_array(mxi2, mxi, "xi")
     var_rho = _clamp_var_array(mrho2, mrho, "rho")

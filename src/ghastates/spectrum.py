@@ -53,20 +53,6 @@ class SpectrumModel:
     index_offset: int = 0
     omega: float | None = None
 
-    @property
-    def params(self) -> dict:
-        """The defining parameters, for display and serialization."""
-        out: dict = {}
-        if self.system in ("square_well", "type1", "type2", "hydrogen"):
-            out["b"] = self.b
-        elif self.system == "q_deformed":
-            out["q"] = self.q
-        elif self.system == "morse":
-            out["p"] = self.p
-        elif self.system == "custom":
-            out["levels"] = len(self.energies or ())
-        return out
-
 
 @dataclass(frozen=True)
 class MorsePhysicalParams:

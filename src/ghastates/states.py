@@ -15,6 +15,7 @@ below belong to exactly these weighted amplitudes.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,10 +125,15 @@ def _check_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
+# set while a trace builds the second route of an input it has warned about
+_RADIUS_WARNED = contextvars.ContextVar("radius_warned", default=False)
+
+
 def _warn_near_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
     """Warn ``ConditioningWarning`` within 1% of the gha radius, from the
     state and the series builders alike, at the line that called them."""
-    if kind == "gha" and r >= 0.99 * convergence_radius(spec):
+    if (kind == "gha" and not _RADIUS_WARNED.get()
+            and r >= 0.99 * convergence_radius(spec)):
         warnings.warn(
             f"|z| = {r:.6g} is within 1% of the convergence radius; the "
             "normalization is nearly singular and precision degrades",

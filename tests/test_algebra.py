@@ -163,3 +163,131 @@ def test_reconstruction_check_rejects_perturbed_ladder(monkeypatch):
                         lambda spec, count: true_ladder(spec, count) * 1.001)
     with pytest.raises(ShapeMismatchError, match="ladder reconstruction"):
         g.build_rep(g.type1(), 12)
+
+
+def test_band_arithmetic_matches_dense():
+    rng = np.random.default_rng(5)
+    Band = g.algebra.Band
+    for dim in (1, 2, 3, 4, 7):
+        def draw(offsets, imag):
+            return Band.of(dim, {
+                k: rng.standard_normal(dim - abs(k))
+                + imag * rng.standard_normal(dim - abs(k))
+                for k in offsets if abs(k) < dim})
+
+        X, Y = draw((-1, 0, 2), 0.0), draw((1, -1, -2), 1j)
+        MX, MY = X.dense(), Y.dense()
+        assert not MX.flags.writeable
+        for got, want in ((X + Y, MX + MY), (X - Y, MX - MY),
+                          (Y - X, MY - MX), (2.5 * X, 2.5 * MX),
+                          (1j * Y, 1j * MY)):
+            assert np.array_equal(got.dense(), want)
+        for P, Q in ((X, Y), (Y, X), (X, X), (Y, Y)):
+            np.testing.assert_allclose((P @ Q).dense(), P.dense() @ Q.dense(),
+                                       rtol=1e-15, atol=1e-15)
+        for M, band in ((MX, X), (MY, Y)):
+            for lo, hi in ((0, dim), (0, dim - 1), (dim - 2, dim), (1, 2)):
+                lo = max(lo, 0)
+                want = np.abs(M[:, lo:hi]).max(initial=0.0)
+                assert band.absmax(lo, hi) == want, (dim, lo, hi)
+
+
+def _dense_rows(rep, spec, tol=1e-12):
+    """Every verify row recomputed with dense products of the public views:
+    (name, interior, boundary, passed)."""
+    d = rep.dim
+    eye = np.eye(d)
+    if spec.system == "morse":  # the wrap f(eps_nmax) = eps_0
+        fJ0 = np.diag(np.roll(g.levels(spec, d), -1))
+    else:
+        fJ0 = np.diag(g.levels(spec, d + 1)[1:])
+    rows = []
+
+    def scale(*mats):
+        return 1.0 + max(float(np.abs(m).max()) for m in mats)
+
+    def add(name, R, s, cols=1):
+        R = np.abs(np.asarray(R, dtype=complex))
+        interior = float(R[:, :d - cols].max()) / s if d > cols else 0.0
+        rows.append((name, interior, float(R[:, d - cols:].max()) / s,
+                     interior <= tol))
+
+    C = g.commutator
+    J0, A, A_dag = rep.J0, rep.A, rep.A_dag
+    add("raising_weight", J0 @ A_dag - A_dag @ fJ0, scale(J0 @ A_dag))
+    add("lowering_weight", A @ J0 - fJ0 @ A, scale(A @ J0))
+    ladder = C(A, A_dag)
+    add("ladder_commutator", ladder - (fJ0 - J0), scale(A @ A_dag, fJ0))
+    add("number_lowering", C(rep.N_op, rep.D) + rep.D, scale(rep.N_op @ rep.D))
+    add("number_raising", C(rep.N_op, rep.D_dag) - rep.D_dag,
+        scale(rep.N_op @ rep.D_dag))
+    add("canonical_pair", C(rep.D, rep.D_dag) - eye, scale(rep.D @ rep.D_dag))
+    add("position_momentum", C(rep.xi, rep.rho) - 1j * rep.hbar * eye,
+        scale(rep.xi @ rep.rho))
+    gamma = g.casimir(rep, spec)
+    cols = 1 if spec.system == "morse" else 2
+    gs = scale(gamma @ A_dag, gamma @ J0)
+    for name, X in (("number", J0), ("lowering", A), ("raising", A_dag)):
+        add(f"casimir_{name}", C(gamma, X), gs, cols)
+    if spec.system == "square_well":
+        rb, sqrtH = math.sqrt(spec.b), np.diag(np.sqrt(rep.eps))
+        add("well_raising",
+            C(J0, A_dag) - (2.0 * rb * A_dag @ sqrtH + spec.b * A_dag),
+            scale(J0 @ A_dag))
+        add("well_lowering", C(J0, A) + (2.0 * rb * sqrtH @ A + spec.b * A),
+            scale(J0 @ A))
+        add("well_ladder", ladder - (2.0 * rb * sqrtH + spec.b * eye),
+            scale(A @ A_dag))
+    if spec.system == "morse":
+        root = np.diag(np.sqrt(-rep.eps))
+        add("bound_raising", C(J0, A_dag) - (2.0 * A_dag @ root - A_dag),
+            scale(J0 @ A_dag))
+        add("bound_lowering", C(J0, A) - (-2.0 * root @ A + A), scale(J0 @ A))
+        add("bound_ladder", ladder - (2.0 * root - eye), scale(A @ A_dag))
+        add("hamiltonian_from_ladder", g.j0_from_ladder(rep, spec) - J0,
+            scale(A_dag @ A, J0))
+        s = g.nilpotency_index(spec)
+        top = np.linalg.matrix_power(A_dag, s)
+        below = np.linalg.matrix_power(A_dag, s - 1)
+        rows.append(("nilpotent_power", float(np.abs(top).max()), 0.0,
+                     not np.any(top)))
+        rows.append(("nilpotent_sharp", float(np.abs(below).max()), 0.0,
+                     bool(np.any(below))))
+    return rows
+
+
+_BAND_DIMS = (2, 3, 4, 5, 6, 7, 9, 16, 30, 37, 64, 100, 151, 200)
+_TABLE = g.from_table(g.levels(g.type1(0.7), 201))
+
+
+@pytest.mark.parametrize("spec", [
+    *(g.make_spectrum(s, q=0.5) for s in g.CATALOG if s != "morse"),
+    g.square_well(2.5), g.q_deformed(1.5), _TABLE,
+    *(g.morse(p) for p in (7.59, 3.2, 2.5, 10.3, 1.5)),
+], ids=lambda s: s.system)
+def test_band_residuals_match_dense(spec):
+    # verify_algebra's band arithmetic against dense products of the public
+    # views: every residual within one epsilon (relative above 1), and the
+    # same pass/fail on every row
+    eps = np.finfo(float).eps
+    dims = [spec.max_level + 1] if spec.system == "morse" else _BAND_DIMS
+    for dim in dims:
+        rep = g.build_rep(spec, dim, L_scale=1.3, hbar=0.8)
+        report = g.verify_algebra(rep, spec, 1e-12)
+        rows = _dense_rows(rep, spec)
+        assert [c.name for c in report.checks] == [r[0] for r in rows]
+        for c, (name, interior, boundary, passed) in zip(report.checks, rows):
+            for got, want in ((c.interior, interior), (c.boundary, boundary)):
+                assert abs(got - want) <= eps * max(1.0, abs(want)), (dim, name)
+            assert c.passed == passed, (dim, name)
+
+
+def test_verify_renders_no_dense_matrix(monkeypatch):
+    # every identity is checked on the bands, at any size a trace uses
+    def refuse(self):
+        raise AssertionError("verify_algebra rendered a dense matrix")
+
+    monkeypatch.setattr(g.algebra.Band, "dense", refuse)
+    spec = g.type1()
+    report = g.verify_algebra(g.build_rep(spec, 2000), spec, 1e-12)
+    assert report.passed, report.to_text()

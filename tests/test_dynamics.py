@@ -596,7 +596,7 @@ def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
     def refuse(*args):
         raise AssertionError("trace built a dense matrix")
 
-    monkeypatch.setattr(g.algebra, "_dense", refuse)
+    monkeypatch.setattr(g.algebra.Band, "dense", refuse)
     paths = ["oracle"]
     if (spec.system, kind) in SUPPORTED:
         paths += ["series", "both"]

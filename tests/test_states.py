@@ -216,6 +216,19 @@ def test_both_routes_warn_near_the_radius():
         g.moment_series(spec, "linear", 0.992, tail=1e-6)
 
 
+
+def test_trace_warns_once_near_the_radius():
+    # path "both" builds a state and a series for one input, and says so once
+    for path in ("oracle", "series", "both"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            g.trace(g.type1(), "gha", 0.992, path=path, n_points=11,
+                    tail=1e-6)
+        assert [w.category for w in seen] == [ConditioningWarning], path
+    # and the series warns on its own again after a "both" trace
+    with pytest.warns(ConditioningWarning, match="within 1%"):
+        g.moment_series(g.type1(), "gha", 0.992, tail=1e-6)
+
 def test_tail_bound_errors():
     with pytest.raises(TailBoundError):
         g.gha_coherent_state(g.type1(), 0.5, dim=5)
