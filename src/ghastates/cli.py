@@ -85,22 +85,15 @@ def _guard(fn, *args, **kwargs):
         _fail(EXIT_IO, str(exc))
 
 
-def _resolve_out(path: str) -> Path:
+def _open_out(path: str | Path, force: bool) -> Path:
+    """The path to write, a relative one under $GHASTATES_OUTDIR when set;
+    exits unless its directory exists and ``force`` or no file is there."""
     p = Path(path)
     base = os.environ.get(OUTDIR_ENV)
     if base and not p.is_absolute():
         p = Path(base) / p
-    return p
-
-
-def _refuse_overwrite(p: Path, force: bool) -> None:
     if p.exists() and not force:
         _fail(EXIT_VALIDATION, f"{p} exists; pass --force to overwrite")
-
-
-def _open_out(path: str, force: bool):
-    p = _resolve_out(path)
-    _refuse_overwrite(p, force)
     if p.parent and not p.parent.exists():
         _fail(EXIT_IO, f"output directory {p.parent} does not exist")
     return p
@@ -279,22 +272,17 @@ def figure_cmd(figure_id, out_dir, t_end, points, force) -> None:
     system, kind, radii = FIGURES[fid]
     spec = make_spectrum(system, p=O2_P)  # only the Morse ladder reads p
 
-    base = _resolve_out(out_dir)
-    if not base.exists():
-        _fail(EXIT_IO, f"output directory {base} does not exist")
     written = []
     manifest = ["file,system,kind,r,phi,t_start,t_end,points,path"]
     for r in radii:
         name = f"fig{fid}_{system}_{kind}_r{r:g}.csv"
-        target = base / name
-        _refuse_overwrite(target, force)
+        target = _open_out(Path(out_dir) / name, force)
         tr = _guard(trace, spec, kind, r, 0.0, 0.0, t_end, points, "series")
         _guard(write_trace_csv, tr, target)
         written.append(str(target))
         manifest.append(f"{name},{system},{kind},{r:g},0,0,{t_end:g},"
                         f"{points},series")
-    mpath = base / f"fig{fid}_manifest.csv"
-    _refuse_overwrite(mpath, force)
+    mpath = _open_out(Path(out_dir) / f"fig{fid}_manifest.csv", force)
     _guard(_write_lines, manifest, mpath)
     for name in written + [str(mpath)]:
         click.echo(f"wrote {name}")

@@ -31,7 +31,6 @@ ladders), not in separate kernel calls.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,7 @@ from .errors import (
     require_finite,
     require_integer,
     require_positive,
+    warn_caller,
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
@@ -94,8 +94,8 @@ def _clamp_var_array(m2: np.ndarray, m: np.ndarray, label: str) -> np.ndarray:
         raise NegativeVarianceError(
             f"variance of {label} is {worst:.3e}, negative beyond tolerance")
     if np.any(v < 0.0):
-        warnings.warn(f"marginally negative {label} variances clamped to zero",
-                      ClampWarning, stacklevel=3)
+        warn_caller(f"marginally negative {label} variances clamped to zero",
+                    ClampWarning)
         np.maximum(v, 0.0, out=v)
     return v
 

@@ -3,6 +3,8 @@ checks every entry point shares."""
 
 import cmath
 import numbers
+import sys
+import warnings
 
 
 class GhaError(Exception):
@@ -74,6 +76,15 @@ class ConditioningWarning(UserWarning):
 
 class ClampWarning(UserWarning):
     """A marginally negative variance was clamped to zero."""
+
+
+def warn_caller(message: str, category: type[Warning]) -> None:
+    """Warn at the first frame outside this package, the caller's line; a
+    dataclass ``__init__`` counts as its module's."""
+    frame, level, inside = sys._getframe(1), 2, __package__ + "."
+    while frame and frame.f_globals.get("__name__", "").startswith(inside):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def require_finite(**values: complex) -> None:

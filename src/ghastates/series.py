@@ -55,11 +55,6 @@ class MomentSeries:
     diag: float
 
 
-def _gaps(spec: SpectrumModel, count: int, step: int) -> np.ndarray:
-    eps = levels(spec, count + step)
-    return eps[:-step] - eps[step:]
-
-
 # ---------------------------------------------------------------------------
 # the squared ladders and the one weight builder
 
@@ -142,10 +137,12 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
     _warn_near_radius(spec, r, kind)
 
     mean, cross, diag = _weights(spec, kind, r, tail)
+    # the gaps eps_k - eps_{k+1} and eps_k - eps_{k+2}, from one level read
+    eps = levels(spec, max(len(mean) + 1, len(cross) + 2))
     return MomentSeries(
         mean_w=np.asarray(mean, dtype=float),
-        mean_f=_gaps(spec, len(mean), 1),
+        mean_f=eps[:len(mean)] - eps[1:len(mean) + 1],
         cross_w=np.asarray(cross, dtype=float),
-        cross_f=_gaps(spec, len(cross), 2),
+        cross_f=eps[:len(cross)] - eps[2:len(cross) + 2],
         diag=float(diag),
     )

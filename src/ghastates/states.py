@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .errors import (
     WrongSystemError,
     require_finite,
     require_integer,
+    warn_caller,
 )
 from .spectrum import SpectrumModel, ladder_coefficients
 
@@ -134,10 +134,10 @@ def _warn_near_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
     state and the series builders alike, at the line that called them."""
     if (kind == "gha" and not _RADIUS_WARNED.get()
             and r >= 0.99 * convergence_radius(spec)):
-        warnings.warn(
+        warn_caller(
             f"|z| = {r:.6g} is within 1% of the convergence radius; the "
             "normalization is nearly singular and precision degrades",
-            ConditioningWarning, stacklevel=3)
+            ConditioningWarning)
 
 
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
@@ -217,18 +217,23 @@ def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
     return [row[:end] for row, end in zip(terms, ends)]
 
 
-def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
+def _adaptive_count(spec: SpectrumModel, z: complex,
+                    tail: float) -> tuple[int, np.ndarray]:
     """Smallest length whose analytic tail mass stays below ``tail``, from
-    the ratios |a_{k+1}|^2/|a_k|^2 = r^2/N_k^2."""
+    the ratios |a_{k+1}|^2/|a_k|^2 = r^2/N_k^2, and the ladder N_0, N_1, ...
+    its last chunk read: at least length - 1 long, or empty at r = 0."""
     r2 = abs(z) ** 2
+    read = np.empty(0)
     if r2 == 0.0:
-        return 2
+        return 2, read
 
     def ratio(k: np.ndarray) -> np.ndarray:
+        nonlocal read
         # the chunk reads a steep q > 1 ladder past the stop, where q**n
         # may overflow
         with np.errstate(over="ignore"):
-            step = state_ladder(spec, int(k[-1]) + 1)[k[0]:]
+            read = state_ladder(spec, int(k[-1]) + 1)
+            step = read[k[0]:]
             zero = np.flatnonzero(step == 0.0)
             if zero.size:  # stop short of N_k = 0, and raise on reaching it
                 if zero[0] == 0:
@@ -239,7 +244,7 @@ def _adaptive_count(spec: SpectrumModel, z: complex, tail: float) -> int:
             return r2 / (step * step)[None]
 
     [terms] = _grow([1.0], ratio, tail)
-    return max(len(terms), 2)
+    return max(len(terms), 2), read
 
 
 def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
@@ -296,11 +301,13 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
             raise DegenerateSpectrumError("the ladder has no room for a "
                                           "coherent state below its top level")
         a = np.zeros(full, dtype=complex)
-        a[:support] = _amplitudes(state_ladder(spec, max(support - 1, 0)),
-                                  zr, support)
+        a[:support] = _amplitudes(state_ladder(spec, support - 1), zr, support)
     else:
-        dim = _fit_dim(_adaptive_count(spec, zr, tail), dim, z, tail)
-        a = _amplitudes(state_ladder(spec, dim - 1), zr, dim)
+        needed, ladder = _adaptive_count(spec, zr, tail)
+        dim = _fit_dim(needed, dim, z, tail)
+        if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
+            ladder = state_ladder(spec, dim - 1)
+        a = _amplitudes(ladder, zr, dim)
 
     return FockState(_normalized(a, z), spec.index_offset, spec.system,
                      kind="gha")
@@ -371,17 +378,13 @@ def _hydrogen_norm(x: float) -> float:
         den = 2.0 * x * (1.0 - 2.0 * x + 3.0 * x * x) \
             + 2.0 * (1.0 - x) ** 3 * math.log1p(-x)
         return math.sqrt(x * x * (1.0 - x) ** 3 / den)
-    s = 1.0 + (7.0 / 3.0) * x
-    term = x * x
-    k = 4
-    while True:
-        contrib = 12.0 * term / (k * (k - 1) * (k - 2) * (k - 3))
-        s += contrib
-        if contrib < 1e-18 * s:
-            break
-        term *= x
-        k += 1
-    return math.sqrt((1.0 - x) ** 3 / s)
+    # terms and sums in sequence, to the first term below 1e-18 of its sum:
+    # for x <= 0.1 each is at most a tenth of the last, from 0.005 at most
+    k = np.arange(4.0, 21.0)
+    terms = 12.0 * np.multiply.accumulate(np.append(x * x, np.full(16, x))) \
+        / (k * (k - 1) * (k - 2) * (k - 3))
+    s = np.add.accumulate(np.append(1.0 + (7.0 / 3.0) * x, terms))[1:]
+    return math.sqrt((1.0 - x) ** 3 / s[np.argmax(terms < 1e-18 * s)])
 
 
 def eigenstate_residual(spec: SpectrumModel, state: FockState,

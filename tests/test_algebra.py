@@ -147,6 +147,8 @@ def test_dimension_rules():
         g.build_rep(g.morse(7.59), 9)
     with pytest.raises(DimensionMismatchError):
         g.build_rep(g.morse(7.59), 7)
+    with pytest.raises(DimensionMismatchError, match="supports dim <= 3"):
+        g.build_rep(g.from_table([0.0, 1.0, 3.0]), 4)
 
 
 def test_scaled_canonical_commutator():

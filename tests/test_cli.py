@@ -315,3 +315,78 @@ def test_zero_b_exits_validation(runner, tmp_path):
     assert res.exit_code == 1, res.output
     assert "b must be positive" in res.output
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_every_output_file_takes_one_path(runner, tmp_path):
+    # figure sends each CSV and its manifest through the same check as
+    # trace --out and verify --out: a missing directory exits 3 first
+    from ghastates import cli
+    assert not hasattr(cli, "_refuse_overwrite")
+    missing = tmp_path / "nope"
+    for args in (["figure", "1", "--out-dir", str(missing)],
+                 ["trace", "--system", "type1", "--r", "0.1", "--points", "5",
+                  "--out", str(missing / "t.csv")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert f"output directory {missing} does not exist" in res.output
+    assert not missing.exists()
+    # an existing manifest is refused like any other file
+    (tmp_path / "fig2_manifest.csv").write_text("sentinel")
+    res = runner.invoke(main, ["figure", "2", "--out-dir", str(tmp_path),
+                               "--points", "11"])
+    assert res.exit_code == 1
+    assert "fig2_manifest.csv exists; pass --force" in res.output
+    assert (tmp_path / "fig2_manifest.csv").read_text() == "sentinel"
+    # a file in place of the directory fails on writing, an I/O error
+    res = runner.invoke(main, ["figure", "2", "--out-dir",
+                               str(tmp_path / "fig2_manifest.csv"),
+                               "--points", "11"])
+    assert res.exit_code == 3, res.output
+
+
+def test_figure_id_that_is_not_a_number(runner, tmp_path):
+    res = runner.invoke(main, ["figure", "abc", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "unknown figure id 'abc'; choose 1..7 or 'o2'" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_exit_codes_of_its_own_checks(runner, tmp_path):
+    out = tmp_path / "t.csv"
+    res = runner.invoke(main, ["trace", "--system", "type1", "--out",
+                               str(out)])
+    assert res.exit_code == 1
+    assert "--r is required (flag or config)" in res.output
+    # the file is written before the route tolerance is checked
+    res = runner.invoke(main, ["trace", "--system", "type1", "--r", "0.9",
+                               "--points", "101", "--path", "both",
+                               "--tol", "1e-300", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "exceeds tol = 1e-300" in res.output
+    assert out.exists()
+
+
+def test_config_values_are_converted_like_flags(runner, tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    out.write_text("sentinel")
+    cfg.write_text("system = type1\nr = 0.1\npoints = abc\n")
+    res = runner.invoke(main, ["trace", "--config", str(cfg), "--out",
+                               str(out)])
+    assert res.exit_code == 1
+    assert "config key 'points'" in res.output
+    # a flag set in the file: force lets the run overwrite its output
+    cfg.write_text("system = type1\nr = 0.1\npoints = 5\nforce = true\n")
+    res = runner.invoke(main, ["trace", "--config", str(cfg), "--out",
+                               str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 6
+
+
+def test_module_runs_as_a_script():
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-m", "ghastates.cli", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ghastates, version ")

@@ -31,6 +31,7 @@ from ghastates.errors import (
     NegativeVarianceError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
+    UncertaintyFloorError,
     WrongSystemError,
 )
 from ghastates.series import SUPPORTED, moment_series
@@ -193,6 +194,30 @@ def test_trace_validation():
         g.trace(g.morse(7.59), "linear", 0.1)
     with pytest.raises(WrongSystemError):
         g.trace(g.square_well(), "gha", 0.1, path="series")
+    with pytest.raises(WrongSystemError, match="unknown state kind 'bogus'"):
+        g.trace(spec, "bogus", 0.1)
+
+
+def test_trace_raises_below_the_floor(monkeypatch):
+    # no catalog input dips below hbar/2; a floor moved above every value
+    # stands in for one
+    from ghastates import dynamics
+    monkeypatch.setattr(dynamics, "_FLOOR_TOL", -1.0)
+    with pytest.raises(UncertaintyFloorError,
+                       match=r"dipped to 0\.5\d*, below hbar/2"):
+        g.trace(g.type1(), "gha", 0.1, n_points=5)
+
+
+def test_oracle_expectation_checks():
+    rep = g.build_rep(g.harmonic(), 3)
+    with pytest.raises(InvalidParameterError, match="exceeds representation"):
+        g.expectations_oracle(g.basis_state(4), rep)
+    # a generator whose sub-band is not the conjugate of its super-band
+    skew = g.AlgebraRep("harmonic", np.zeros(2), np.ones(1),
+                        (np.ones(1), 1j * np.ones(1)), (np.ones(1), np.ones(1)))
+    state = g.FockState(np.full(2, math.sqrt(0.5)), 0, "harmonic")
+    with pytest.raises(ImaginaryResidualError, match="imaginary part"):
+        g.expectations_oracle(state, skew)
 
 
 def test_square_well_oracle_trace_available():
@@ -418,6 +443,9 @@ def test_refined_extremum_quadratic():
     assert v_star == pytest.approx(3.0, abs=1e-12)
     t_star, v_star = refined_extremum(t, -v, "min")
     assert v_star == pytest.approx(-3.0, abs=1e-12)
+    # a top whose second difference rounds to zero stays on the grid
+    assert refined_extremum(t[:3], np.array([np.nextafter(1.0, 0.0), 1.0,
+                                             1.0])) == (t[1], 1.0)
 
 
 def test_peak_deviation_on_flat_trace():

@@ -274,3 +274,43 @@ def test_morse_rejects_bad_n_max_and_omega():
         with pytest.raises(InvalidParameterError):
             g.morse(7.59, **kwargs)
     assert g.morse(7.59, n_max=3.0, omega=2.5).max_level == 3
+
+
+def test_constructor_and_map_raises():
+    from ghastates.errors import WrongSystemError
+    from ghastates.spectrum import SpectrumModel
+    cases = [
+        (lambda: g.q_deformed(0.0), InvalidParameterError, "q must be > 0"),
+        (lambda: g.from_table([1.0]), InvalidParameterError,
+         "at least two levels"),
+        (lambda: g.make_spectrum("q-deformed"), InvalidParameterError,
+         "requires the parameter q"),
+        (lambda: g.make_spectrum("morse"), InvalidParameterError,
+         "requires the parameter p"),
+        (lambda: g.morse_from_physical(g.MorsePhysicalParams(
+            beta=1e12, V0=1e-21, m_r=1e-27)), InvalidParameterError,
+         "too shallow"),
+        (lambda: g.levels(SpectrumModel("bogus"), 2), WrongSystemError,
+         "unknown system tag 'bogus'"),
+        (lambda: g.characteristic_fn(SpectrumModel("bogus"), 0.0),
+         WrongSystemError, "unknown system tag 'bogus'"),
+        (lambda: g.characteristic_fn(g.type2(), -1.0), DomainError,
+         "needs x >= 0"),
+        (lambda: g.characteristic_fn(g.type2(), 4.0), DomainError,
+         "pole at x = 4b"),
+        (lambda: g.characteristic_fn(g.from_table([0.0, 1.0, 3.0]), 0.5),
+         DomainError, "not a tabulated level"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()
+
+
+def test_config_morse_constants_with_overrides():
+    consts = "system = morse\nbeta = 2.78e10\nv0 = 5.211\nmr = 1.33e-26\n"
+    phys = g.MorsePhysicalParams(beta=2.78e10, V0=5.211 * g.EV, m_r=1.33e-26)
+    spec = g.spectrum_from_config(consts + "override_p = 7.59\n")
+    # p is overridden and the time scale, from beta and mr alone, is kept
+    assert (spec.p, spec.max_level, spec.omega) == (7.59, 7, phys.omega)
+    with pytest.raises(InvalidParameterError, match=r"\(missing: mr\)"):
+        g.spectrum_from_config("system = morse\nbeta = 2.78e10\nv0 = 5.211\n")

@@ -229,6 +229,44 @@ def test_trace_warns_once_near_the_radius():
     with pytest.warns(ConditioningWarning, match="within 1%"):
         g.moment_series(g.type1(), "gha", 0.992, tail=1e-6)
 
+def test_warnings_name_the_callers_line():
+    # every near-radius and clamp warning points at the line that called
+    # the library, however deep inside the package it was raised
+    from ghastates.dynamics import ExpectationSet, expectations_series
+    spec = g.type1()
+    calls = [
+        lambda: g.trace(spec, "gha", 0.992, path="oracle", n_points=11,
+                        tail=1e-6),
+        lambda: g.trace(spec, "gha", 0.992, path="series", n_points=11,
+                        tail=1e-6),
+        lambda: g.trace(spec, "gha", 0.992, path="both", n_points=11,
+                        tail=1e-6),
+        lambda: expectations_series(spec, "gha", 0.992, 0.0, 1.0, tail=1e-6),
+        lambda: g.klauder_continuity_check(spec, 0.99, 0.5),
+        lambda: ExpectationSet(0.0, 0.0, -1e-14, 1.0),
+        lambda: g.gha_coherent_state(spec, 0.992, tail=1e-6),
+        lambda: g.moment_series(spec, "gha", 0.992, tail=1e-6),
+    ]
+    for i, call in enumerate(calls):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        assert seen and all(w.filename == __file__ for w in seen), (
+            i, [(w.filename, w.lineno) for w in seen])
+
+
+def test_near_radius_traces_from_two_lines_both_warn():
+    # the default filter shows a warning once per location, so two calls
+    # reported at one library line would show only the first
+    spec = g.type1()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        g.trace(spec, "gha", 0.992, n_points=11, tail=1e-6)
+        g.trace(spec, "gha", 0.992, n_points=11, tail=1e-6)
+    assert [w.category for w in seen] == [ConditioningWarning] * 2
+    assert seen[0].lineno != seen[1].lineno
+
+
 def test_tail_bound_errors():
     with pytest.raises(TailBoundError):
         g.gha_coherent_state(g.type1(), 0.5, dim=5)
@@ -599,7 +637,7 @@ def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
     spec = g.harmonic()
     with pytest.raises(DegenerateSpectrumError, match="N_40"):
         states._adaptive_count(spec, 6.0, 1e-14)  # needs about 70 levels
-    assert states._adaptive_count(spec, 0.5, 1e-14) == len(
+    assert states._adaptive_count(spec, 0.5, 1e-14)[0] == len(
         _loop_state(spec, "gha", 0.5, 1e-14)[0])
 
 
@@ -638,6 +676,63 @@ def test_first_chunk_serves_the_benchmark_radii(system, kind, r, reads,
             g.linear_coherent_state(r)
         g.moment_series(spec, kind, r)
     assert passes == [(reads, n) for n in lengths]
+
+
+def test_state_reads_its_ladder_once_per_chunk():
+    # the tail pass hands the ladder it read to the amplitudes; only an
+    # explicit dim past that read, or r = 0, where no pass runs, reads again
+    import ghastates.states as states
+    read, calls = states.state_ladder, []
+
+    def counted(spec, count):
+        calls.append(count)
+        return read(spec, count)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        patch.setattr(states, "state_ladder", counted)
+        for r, dim, reads in ((0.9, None, [512]), (0.99, None, [512, 2000]),
+                              (0.9, 300, [512]), (0.9, 600, [512, 599]),
+                              (0.0, None, [1])):
+            calls.clear()
+            g.gha_coherent_state(g.type1(), r, dim)
+            assert calls == reads, (r, dim)
+
+
+def test_moment_series_reads_its_levels_once():
+    import ghastates.series as series
+    read, calls = series.levels, []
+
+    def counted(spec, count):
+        calls.append(count)
+        return read(spec, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "levels", counted)
+        for spec, kind, r in ((g.type1(), "gha", 0.9), (g.morse(7.59), "gha",
+                                                        0.1),
+                              (g.harmonic(), "linear", 3.0),
+                              (g.type2(), "gha", 0.0)):
+            calls.clear()
+            ms = g.moment_series(spec, kind, r)
+            assert calls == [max(len(ms.mean_w) + 1, len(ms.cross_w) + 2)]
+    assert not hasattr(series, "_gaps")
+
+
+def test_edge_raises_of_the_state_builders():
+    # r < 0 reaches the series' own radius check, and a Morse well below
+    # p = 1 has one level, so no room for a state below its top
+    with pytest.raises(RadiusOfConvergenceError, match="r must be >= 0"):
+        g.moment_series(g.type1(), "gha", -0.1)
+    with pytest.raises(DegenerateSpectrumError, match="no room"):
+        g.gha_coherent_state(g.morse(0.5), 0.1)
+    # states of different lengths are compared at the longer one, which
+    # rebuilds whichever came out shorter
+    for z, z_prime in ((0.3, 0.9), (0.9, 0.3)):
+        long = g.gha_coherent_state(g.type1(), 0.9)
+        short = g.gha_coherent_state(g.type1(), 0.3, long.dim)
+        assert g.klauder_continuity_check(g.type1(), z, z_prime) == float(
+            np.linalg.norm(short.coeffs - long.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -719,3 +814,27 @@ def test_amplitude_accumulate_matches_the_loop():
     # 13 systems at 7 radii and 7 phases; Morse has one count, the others 3
     assert cases == 7 * 7 * (1 + 12 * 3)
     assert guarded > 0
+
+
+def _loop_hydrogen_norm(x):
+    """The small-x branch of ``states._hydrogen_norm`` as the loop it was,
+    frozen as the reference."""
+    s = 1.0 + (7.0 / 3.0) * x
+    term = x * x
+    k = 4
+    while True:
+        contrib = 12.0 * term / (k * (k - 1) * (k - 2) * (k - 3))
+        s += contrib
+        if contrib < 1e-18 * s:
+            break
+        term *= x
+        k += 1
+    return math.sqrt((1.0 - x) ** 3 / s)
+
+
+def test_hydrogen_norm_accumulate_matches_the_loop():
+    from ghastates.states import _hydrogen_norm
+    xs = np.linspace(0.0, 0.1, 20001)[1:].tolist() + [
+        5e-324, 1e-300, 1e-160, 1e-9, float(np.nextafter(0.1, 0.0))]
+    for x in xs:
+        assert _hydrogen_norm(x).hex() == _loop_hydrogen_norm(x).hex(), x
