@@ -272,20 +272,19 @@ def figure_cmd(figure_id, out_dir, t_end, points, force) -> None:
     system, kind, radii = FIGURES[fid]
     spec = make_spectrum(system, p=O2_P)  # only the Morse ladder reads p
 
-    written = []
+    # check every target before the first write: a refused bundle writes none
+    names = [f"fig{fid}_{system}_{kind}_r{r:g}.csv" for r in radii]
+    targets = [_open_out(Path(out_dir) / name, force)
+               for name in names + [f"fig{fid}_manifest.csv"]]
     manifest = ["file,system,kind,r,phi,t_start,t_end,points,path"]
-    for r in radii:
-        name = f"fig{fid}_{system}_{kind}_r{r:g}.csv"
-        target = _open_out(Path(out_dir) / name, force)
+    for r, name, target in zip(radii, names, targets):
         tr = _guard(trace, spec, kind, r, 0.0, 0.0, t_end, points, "series")
         _guard(write_trace_csv, tr, target)
-        written.append(str(target))
         manifest.append(f"{name},{system},{kind},{r:g},0,0,{t_end:g},"
                         f"{points},series")
-    mpath = _open_out(Path(out_dir) / f"fig{fid}_manifest.csv", force)
-    _guard(_write_lines, manifest, mpath)
-    for name in written + [str(mpath)]:
-        click.echo(f"wrote {name}")
+    _guard(_write_lines, manifest, targets[-1])
+    for target in targets:
+        click.echo(f"wrote {target}")
 
 
 @main.command(name="morse-info")

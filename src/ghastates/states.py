@@ -1,9 +1,9 @@
 """Coherent-state construction in the truncated Fock basis.
 
-Two families are built here.  The nonlinear family consists of eigenstates
-of the system's lowering operator A, with amplitudes z^n / (N_0 N_1...N_{n-1});
-the linear family consists of eigenstates of the canonical lowering operator
-D, with the usual exponential-weight amplitudes.  For the bounded ladders
+One builder makes every state, an eigenstate of a lowering operator with
+amplitudes z^n / (N_0 N_1...N_{n-1}).  A nonlinear (gha) state reads its
+system's ladder; a linear state is the gha state of the harmonic ladder
+N_n = sqrt(n + 1), whatever spectrum then evolves it.  For the bounded ladders
 (type1, type2, hydrogen) the label z is already the rescaled r e^{i phi}
 with r in [0, 1); the raw eigenvalue differs by sqrt(b).
 
@@ -36,7 +36,7 @@ from .errors import (
     require_integer,
     warn_caller,
 )
-from .spectrum import SpectrumModel, ladder_coefficients
+from .spectrum import SpectrumModel, harmonic, ladder_coefficients
 
 _TAIL = 1e-14
 _CAP = 2000  # most levels of a state, or terms of a series
@@ -154,13 +154,15 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     if np.isfinite(a).all() and ((z.imag == 0.0 and z.real > 0.0)
                                  or (a[1:].real.all() and a[1:].imag.all())):
         return a
-    for k in range(1, count):
-        step = ladder[k - 1]
-        if step == 0.0:
-            raise DegenerateSpectrumError(
-                f"ladder coefficient N_{k - 1} vanishes; the coherent-state "
-                "series is not defined for this spectrum")
-        a[k] = a[k - 1] * z / step
+    # past r = 40 the terms overflow here, and _normalized raises on them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, count):
+            step = ladder[k - 1]
+            if step == 0.0:
+                raise DegenerateSpectrumError(
+                    f"ladder coefficient N_{k - 1} vanishes; the coherent-"
+                    "state series is not defined for this spectrum")
+            a[k] = a[k - 1] * z / step
     return a
 
 
@@ -259,7 +261,8 @@ def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
 
 def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
     # |a|^2 overflows from r = 26.64 on for the exponential weights
-    norm = np.linalg.norm(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a)
     if not math.isfinite(norm):
         raise NonFiniteResultError(
             f"coherent-state norm is {norm} at r = {abs(z):.6g}: the "
@@ -270,17 +273,9 @@ def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # constructors
 
-def gha_coherent_state(spec: SpectrumModel, z: complex,
-                       dim: int | None = None, *,
-                       tail: float = _TAIL) -> FockState:
-    """Eigenstate of the system's lowering operator, as a Fock vector.
-
-    On finite ladders the series stops one slot below the top level and the
-    returned vector carries an explicit zero there, so it composes directly
-    with the full (n_max + 1)-dimensional representation.  For infinite
-    ladders ``dim`` defaults to the smallest truncation whose analytic tail
-    mass is below ``tail``; an explicit smaller ``dim`` is an error.
-    """
+def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
+                  tail: float) -> np.ndarray:
+    """Both constructors' body: the normalized eigenstate coefficients."""
     z = complex(z)
     require_finite(z=z)
     _check_tail(tail)
@@ -308,28 +303,33 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
         if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
             ladder = state_ladder(spec, dim - 1)
         a = _amplitudes(ladder, zr, dim)
+    return _normalized(a, z)
 
-    return FockState(_normalized(a, z), spec.index_offset, spec.system,
-                     kind="gha")
+
+def gha_coherent_state(spec: SpectrumModel, z: complex,
+                       dim: int | None = None, *,
+                       tail: float = _TAIL) -> FockState:
+    """Eigenstate of the system's lowering operator, as a Fock vector.
+
+    On finite ladders the series stops one slot below the top level and the
+    returned vector carries an explicit zero there, so it composes directly
+    with the full (n_max + 1)-dimensional representation.  For infinite
+    ladders ``dim`` defaults to the smallest truncation whose analytic tail
+    mass is below ``tail``; an explicit smaller ``dim`` is an error.
+    """
+    return FockState(_coefficients(spec, z, dim, tail), spec.index_offset,
+                     spec.system, kind="gha")
+
+
+_HARMONIC = harmonic()  # every linear state's ladder, N_n = sqrt(n + 1)
 
 
 def linear_coherent_state(z: complex, dim: int | None = None,
                           index_offset: int = 0, *,
                           tail: float = _TAIL) -> FockState:
-    """Exponential-weight coherent state; independent of any spectrum."""
-    z = complex(z)
-    require_finite(z=z)
-    _check_tail(tail)
-    if dim is not None:
-        require_integer(dim=dim)
-    r2 = abs(z) ** 2
-    [terms] = _grow([1.0], lambda k: r2 / (k[None] + 1), tail)
-    needed = max(len(terms), 2)
-    dim = _fit_dim(needed, dim, z, tail)
-    ladder = np.sqrt(np.arange(1, dim, dtype=float))
-    a = _amplitudes(ladder, z, dim)
-    return FockState(_normalized(a, z), index_offset, "linear",
-                     kind="linear")
+    """Exponential-weight coherent state: the harmonic ladder's gha state."""
+    return FockState(_coefficients(_HARMONIC, z, dim, tail), index_offset,
+                     "linear", kind="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +401,11 @@ def eigenstate_residual(spec: SpectrumModel, state: FockState,
     c = state.coeffs
     d = state.dim
     if state.kind == "linear":
-        ladder = np.sqrt(np.arange(1, d, dtype=float))
-        zv = complex(z)
-    else:
-        count = min(d - 1, spec.max_level) if spec.max_level is not None else d - 1
-        ladder = np.zeros(d - 1)
-        ladder[:count] = state_ladder(spec, count)
-        zv = raw_eigenvalue(spec, z)
+        spec = _HARMONIC
+    count = min(d - 1, spec.max_level) if spec.max_level is not None else d - 1
+    ladder = np.zeros(d - 1)
+    ladder[:count] = state_ladder(spec, count)
+    zv = raw_eigenvalue(spec, z)
     lowered = np.zeros(d, dtype=complex)
     lowered[:-1] = ladder * c[1:]
     return float(np.linalg.norm(lowered - zv * c))

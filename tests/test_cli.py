@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -121,10 +120,9 @@ def test_trace_validation_errors(runner, tmp_path):
 
 def test_trace_non_finite_result_exits_numerical(runner, tmp_path):
     # the linear-state amplitudes overflow at r = 40
-    with np.errstate(all="ignore"):
-        res = runner.invoke(main, ["trace", "--system", "harmonic", "--kind",
-                                   "linear", "--r", "40", "--path", "both",
-                                   "--out", str(tmp_path / "x.csv")])
+    res = runner.invoke(main, ["trace", "--system", "harmonic", "--kind",
+                               "linear", "--r", "40", "--path", "both",
+                               "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2, res.output
     assert not (tmp_path / "x.csv").exists()
 
@@ -337,6 +335,8 @@ def test_every_output_file_takes_one_path(runner, tmp_path):
     assert res.exit_code == 1
     assert "fig2_manifest.csv exists; pass --force" in res.output
     assert (tmp_path / "fig2_manifest.csv").read_text() == "sentinel"
+    # and, refused, the bundle writes none of its CSVs
+    assert [p.name for p in tmp_path.iterdir()] == ["fig2_manifest.csv"]
     # a file in place of the directory fails on writing, an I/O error
     res = runner.invoke(main, ["figure", "2", "--out-dir",
                                str(tmp_path / "fig2_manifest.csv"),

@@ -768,7 +768,7 @@ def test_tail_checked_at_r_zero():
 
 def test_trace_overflow_raises_non_finite():
     # z^n / sqrt(n!) overflows in the state amplitudes at r = 40
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError):
+    with pytest.raises(NonFiniteResultError):
         g.trace(g.harmonic(), "linear", 40.0, path="both")
 
 

@@ -101,10 +101,27 @@ def test_morse_amplitudes_brute_force():
 
 
 def test_harmonic_gha_equals_linear():
-    z = 0.5 * np.exp(0.3j)
-    a = g.gha_coherent_state(g.harmonic(), z)
-    b = g.linear_coherent_state(z, dim=a.dim)
-    assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
+    # a linear state is the gha state of the harmonic ladder: the same dim
+    # and coefficient bytes, or the same error class
+    def build(make):
+        try:
+            st = make()
+        except GhaError as exc:
+            return type(exc)
+        return st.dim, st.coeffs.tobytes()
+
+    radii = np.random.default_rng(7).uniform(0.0, 27.0, 24).tolist()
+    for r in radii + [0.0, 1e-300, 0.5, 45.0]:
+        for phi in (0.0, 0.3, math.pi / 2, math.pi):
+            z = r * complex(math.cos(phi), math.sin(phi))
+            for dim in (None, 2, 900):
+                for tail in (0.0, 1e-14, 0.5):
+                    lin = build(lambda: g.linear_coherent_state(
+                        z, dim, 1, tail=tail))
+                    assert lin == build(lambda: g.gha_coherent_state(
+                        g.harmonic(), z, dim, tail=tail)), (r, phi, dim, tail)
+    st = g.linear_coherent_state(0.5, None, 1)
+    assert (st.index_offset, st.spectrum_id, st.kind) == (1, "linear", "linear")
 
 
 def test_linear_zero_label_is_ground():
@@ -397,13 +414,16 @@ def test_tail_counts_pinned():
 
 
 def test_large_r_states_raise_non_finite():
-    # |a|^2 overflows from r = 26.64 on, and the amplitudes at r = 40
-    for r in (30.0, 40.0):
-        with np.errstate(all="ignore"):
+    # |a|^2 overflows from r = 26.64 on, and the amplitudes at r = 40; the
+    # typed error comes with no numpy RuntimeWarning ahead of it
+    for r in (27.0, 30.0, 40.0):
+        with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
+            g.linear_coherent_state(r)
+        with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
+            g.gha_coherent_state(g.harmonic(), r)
+        for path in ("oracle", "both"):
             with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
-                g.linear_coherent_state(r)
-            with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
-                g.gha_coherent_state(g.harmonic(), r)
+                g.trace(g.harmonic(), "linear", r, 0.0, 0.0, 1.0, 3, path)
 
 
 def test_fock_state_rejects_nan():
@@ -447,11 +467,11 @@ def _loop_grow(first, ratio, k0, tail):
 
 
 def _loop_state(spec, kind, r, tail):
-    """The state's tail loops, run by the frozen loop with scalar ratios."""
+    """The state's tail loops, run by the frozen loop with scalar ratios; a
+    linear state's are those of the harmonic ladder."""
     from ghastates.states import raw_eigenvalue, state_ladder
     if kind == "linear":
-        r2 = abs(complex(r)) ** 2
-        return [_loop_grow(1.0, lambda k: r2 / (k + 1), 0, tail)]
+        spec = g.harmonic()
     r2 = abs(raw_eigenvalue(spec, complex(r))) ** 2
     if spec.max_level is not None or r2 == 0.0:
         return []
