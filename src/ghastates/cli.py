@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -75,14 +76,18 @@ def _fail(code: int, message: str):
 
 
 def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except _NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
-    except (GhaError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda m, *_: click.echo(f"warning: {m}",
+                                                        err=True)
+        try:
+            return fn(*args, **kwargs)
+        except _NUMERICAL_ERRORS as exc:
+            _fail(EXIT_NUMERICAL, str(exc))
+        except (GhaError, ValueError) as exc:
+            _fail(EXIT_VALIDATION, str(exc))
+        except OSError as exc:
+            _fail(EXIT_IO, str(exc))
 
 
 def _open_out(path: str | Path, force: bool) -> Path:

@@ -50,8 +50,8 @@ def load_key_values(path: str | os.PathLike) -> dict[str, str]:
 
 
 def spectrum_from_config(source) -> SpectrumModel:
-    """Build a spectrum from a config path, text, or parsed mapping (where
-    a None value counts as unset).
+    """Build a spectrum from a config path, text (a string with ``=`` that
+    names no file), or parsed mapping (where a None value counts as unset).
 
     A Morse well takes ``override_p``, else ``override_nu``, else ``p``,
     else the constants ``beta``, ``v0`` (eV) and ``mr``, which alone set
@@ -59,7 +59,8 @@ def spectrum_from_config(source) -> SpectrumModel:
     """
     if isinstance(source, dict):
         raw = source
-    elif isinstance(source, str) and "=" in source:
+    elif (isinstance(source, str) and "=" in source
+          and not os.path.isfile(source)):
         raw = parse_key_values(source)
     else:
         raw = load_key_values(source)

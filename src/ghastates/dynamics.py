@@ -45,7 +45,6 @@ from .errors import (
     NegativeVarianceError,
     NonFiniteResultError,
     UncertaintyFloorError,
-    WrongSystemError,
     require_finite,
     require_integer,
     require_positive,
@@ -53,7 +52,8 @@ from .errors import (
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
-from .states import (_RADIUS_WARNED, _TAIL, FockState, gha_coherent_state,
+from .states import (_RADIUS_JUDGED, _TAIL, FockState, _ladder_of,
+                     _warn_near_radius, gha_coherent_state,
                      linear_coherent_state)
 
 _VAR_TOL = 1e-12
@@ -173,15 +173,11 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
 def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
                        dim: int | None = None, tail: float = _TAIL) -> FockState:
     """Build the (system, kind) state at label z = r exp(i phi)."""
+    _ladder_of(spec, kind)
     z = r * complex(math.cos(phi), math.sin(phi))
-    if kind == "gha":
-        return gha_coherent_state(spec, z, dim, tail=tail)
     if kind == "linear":
-        if spec.system == "morse":
-            raise WrongSystemError(
-                "the finite Morse ladder admits no linear coherent state")
         return linear_coherent_state(z, dim, spec.index_offset, tail=tail)
-    raise WrongSystemError(f"unknown state kind {kind!r}")
+    return gha_coherent_state(spec, z, dim, tail=tail)
 
 
 def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
@@ -293,21 +289,21 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         raise InvalidParameterError(
             "dim truncates the oracle route's state; path 'series' builds none")
 
+    # one near-radius verdict on r, whatever the path; the builders keep quiet
+    _warn_near_radius(_ladder_of(spec, kind), r)
     times = np.linspace(t_start, t_end, n_points)
-    routes = []
-    state = None
-    if path in ("oracle", "both"):
-        state = coherent_state_for(spec, kind, r, phi, dim, tail)
-        routes.append(_oracle_bands(
-            state, _rep_for(spec, state, L_scale, hbar)))
-    if path in ("series", "both"):
-        # under "both" the state has given any near-radius warning
-        warned = _RADIUS_WARNED.set(state is not None)
-        try:
-            series = moment_series(spec, kind, r, tail=tail)
-        finally:
-            _RADIUS_WARNED.reset(warned)
-        routes.append(_series_bands(series, phi, L_scale, hbar))
+    routes, state = [], None
+    judged = _RADIUS_JUDGED.set(True)
+    try:
+        if path in ("oracle", "both"):
+            state = coherent_state_for(spec, kind, r, phi, dim, tail)
+            routes.append(_oracle_bands(
+                state, _rep_for(spec, state, L_scale, hbar)))
+        if path in ("series", "both"):
+            routes.append(_series_bands(
+                moment_series(spec, kind, r, tail=tail), phi, L_scale, hbar))
+    finally:
+        _RADIUS_JUDGED.reset(judged)
     (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
     var_xi = _clamp_var_array(mxi2, mxi, "xi")
     var_rho = _clamp_var_array(mrho2, mrho, "rho")
@@ -318,8 +314,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         raise UncertaintyFloorError(
             f"uncertainty dipped to {values.min():.12g}, below hbar/2")
 
-    alt = None
-    disc = None
+    alt = disc = None
     if path == "both":
         [(sxi, srho, sxi2, srho2)] = series_m
         alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import (_TAIL, _check_radius, _check_tail, _grow,
+from .states import (_TAIL, _check_radius, _check_tail, _grow, _ladder_of,
                      _warn_near_radius, closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
@@ -72,31 +72,24 @@ _SQUARED_LADDERS = {
 }
 
 
-def _squared_ladder(spec: SpectrumModel, kind: str,
-                    k: np.ndarray) -> np.ndarray:
-    """L_k on an index array k; every linear state has the harmonic
-    L_k = k + 1."""
-    table = _SQUARED_LADDERS["harmonic" if kind == "linear" else spec.system]
-    return table(spec, k)
-
-
-def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
-    """The mean terms w_k, cross terms v_k and the sum S, as three rows of
-    term ratios of the squared ladders, cut in one pass; the exponential
-    weights keep the exact S = r^2 and leave the diag row empty."""
+def _weights(ladder: SpectrumModel, r: float, tail: float):
+    """The mean terms w_k, cross terms v_k and the sum S on ``ladder``, as
+    three rows of term ratios of its squared ladder, cut in one pass; the
+    harmonic ladder's exponential weights keep S = r^2 and no diag row."""
     x = r * r
+    table = _SQUARED_LADDERS[ladder.system]
 
-    # each ratio divides x by a square root whose radicand is (k+1)^2 for
-    # every linear state, so their terms round as x / (k+1) does; the diag
+    # each ratio divides x by a square root whose radicand is (k+1)^2 on
+    # the harmonic ladder, so its terms round as x / (k+1) does; the diag
     # terms N^2 (k+1) a_{k+1}^2 sum to S
     def ratio(k: np.ndarray) -> np.ndarray:
-        L = _squared_ladder(spec, kind, np.arange(k[0], k[-1] + 3))
+        L = table(ladder, np.arange(k[0], k[-1] + 3))
         Lk, Lk1, Lk2 = L[:-2], L[1:-1], L[2:]
         return np.array((x / np.sqrt((k + 1) * Lk * Lk1 / (k + 2)),
                          x / np.sqrt((k + 1) * Lk * Lk2 / (k + 3)),
                          x / ((k + 1) * Lk1 / (k + 2))))
 
-    exponential = kind == "linear" or spec.system == "harmonic"
+    exponential = ladder.system == "harmonic"
     if exponential:
         n2 = math.exp(-x)
         if n2 < sys.float_info.min:
@@ -104,10 +97,10 @@ def _weights(spec: SpectrumModel, kind: str, r: float, tail: float):
             raise NonFiniteResultError(
                 f"linear-state normalization exp(-r^2) underflows at r = {r:.6g}")
     else:
-        n2 = closed_form_normalization(spec, r) ** 2
-    if spec.system == "morse":
+        n2 = closed_form_normalization(ladder, r) ** 2
+    if ladder.system == "morse":
         tail = 0.0  # stop at the first zero ratio: the top level
-    L0, L1 = _squared_ladder(spec, kind, np.arange(2)).tolist()
+    L0, L1 = table(ladder, np.arange(2)).tolist()
     mean, cross, diag = _grow(
         [n2 * r / math.sqrt(L0), n2 * x * math.sqrt(2.0 / (L0 * L1)),
          0.0 if exponential else n2 * x / L0], ratio, tail)
@@ -121,22 +114,21 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
                   tail: float = _TAIL) -> MomentSeries:
     """Closed-form series for one (system, kind, r); label phase enters later.
 
-    Raises ``WrongSystemError`` for combinations without a closed form
-    (the matrix path covers those), and checks the r-domain of the bounded
-    ladders; within 1% of the radius it warns as the state does.
+    Weights read the ladder ``kind`` picks, frequencies the levels of
+    ``spec``.  Raises ``WrongSystemError`` for pairs without a closed form
+    (the matrix path covers those); checks and warns on r as the state does.
     """
     require_finite(r=r)
     _check_tail(tail)
-    if kind not in ("gha", "linear"):
-        raise WrongSystemError(f"unknown state kind {kind!r}")
+    ladder = _ladder_of(spec, kind)
     if (spec.system, kind) not in SUPPORTED:
         raise WrongSystemError(
             f"no closed-form moment series for ({spec.system}, {kind}); "
             "use the matrix path")
-    _check_radius(spec, r, kind)
-    _warn_near_radius(spec, r, kind)
+    _check_radius(ladder, r)
+    _warn_near_radius(ladder, r)
 
-    mean, cross, diag = _weights(spec, kind, r, tail)
+    mean, cross, diag = _weights(ladder, r, tail)
     # the gaps eps_k - eps_{k+1} and eps_k - eps_{k+2}, from one level read
     eps = levels(spec, max(len(mean) + 1, len(cross) + 2))
     return MomentSeries(

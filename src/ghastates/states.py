@@ -115,29 +115,40 @@ def convergence_radius(spec: SpectrumModel) -> float:
     return math.inf
 
 
-def _check_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
-    """Raise ``RadiusOfConvergenceError`` unless 0 <= r < radius; only the
-    nonlinear (gha) states have a finite radius, linear ones have none."""
+def _check_radius(spec: SpectrumModel, r: float) -> None:
+    """Raise ``RadiusOfConvergenceError`` unless 0 <= r < radius."""
     if r < 0:
         raise RadiusOfConvergenceError("r must be >= 0")
-    radius = convergence_radius(spec) if kind == "gha" else math.inf
+    radius = convergence_radius(spec)
     if r >= radius:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
-# set while a trace builds the second route of an input it has warned about
-_RADIUS_WARNED = contextvars.ContextVar("radius_warned", default=False)
+# set while a trace runs the routes of a label it has judged itself
+_RADIUS_JUDGED = contextvars.ContextVar("radius_judged", default=False)
 
 
-def _warn_near_radius(spec: SpectrumModel, r: float, kind: str = "gha") -> None:
-    """Warn ``ConditioningWarning`` within 1% of the gha radius, from the
-    state and the series builders alike, at the line that called them."""
-    if (kind == "gha" and not _RADIUS_WARNED.get()
-            and r >= 0.99 * convergence_radius(spec)):
+def _warn_near_radius(spec: SpectrumModel, r: float) -> None:
+    """Warn at the caller's line when 0.99 radius <= r < radius."""
+    radius = convergence_radius(spec)
+    if not _RADIUS_JUDGED.get() and 0.99 * radius <= r < radius:
         warn_caller(
             f"|z| = {r:.6g} is within 1% of the convergence radius; the "
             "normalization is nearly singular and precision degrades",
             ConditioningWarning)
+
+
+_HARMONIC = harmonic()  # every linear state's ladder, N_n = sqrt(n + 1)
+
+
+def _ladder_of(spec: SpectrumModel, kind: str) -> SpectrumModel:
+    """The spectrum whose ladder a state of ``kind`` on ``spec`` reads."""
+    if kind not in ("gha", "linear"):
+        raise WrongSystemError(f"unknown state kind {kind!r}")
+    if kind == "linear" and spec.system == "morse":
+        raise WrongSystemError(
+            "the finite Morse ladder admits no linear coherent state")
+    return spec if kind == "gha" else _HARMONIC
 
 
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
@@ -321,9 +332,6 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
                      spec.system, kind="gha")
 
 
-_HARMONIC = harmonic()  # every linear state's ladder, N_n = sqrt(n + 1)
-
-
 def linear_coherent_state(z: complex, dim: int | None = None,
                           index_offset: int = 0, *,
                           tail: float = _TAIL) -> FockState:
@@ -400,8 +408,7 @@ def eigenstate_residual(spec: SpectrumModel, state: FockState,
     require_finite(z=z)
     c = state.coeffs
     d = state.dim
-    if state.kind == "linear":
-        spec = _HARMONIC
+    spec = _HARMONIC if state.kind == "linear" else spec
     count = min(d - 1, spec.max_level) if spec.max_level is not None else d - 1
     ladder = np.zeros(d - 1)
     ladder[:count] = state_ladder(spec, count)

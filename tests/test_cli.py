@@ -127,6 +127,26 @@ def test_trace_non_finite_result_exits_numerical(runner, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_trace_prints_library_warnings_before_errors(runner, tmp_path):
+    # a near-radius warning is a stderr line of its own, not a Python
+    # warning naming some line of click's
+    args = ["trace", "--system", "type1", "--points", "11", "--out"]
+    res = runner.invoke(main, args + [str(tmp_path / "a.csv"),
+                                      "--r", "0.9901"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [
+        "warning: |z| = 0.9901 is within 1% of the convergence radius; the "
+        "normalization is nearly singular and precision degrades"]
+    # past the level cap the warning still comes first, then the error
+    res = runner.invoke(main, args + [str(tmp_path / "b.csv"),
+                                      "--r", "0.99999"])
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("warning: |z| = 0.99999 is within 1%")
+    assert lines[1].startswith("error: tail bound")
+
+
 def test_trace_morse_physical_reports_omega(runner, tmp_path):
     out = tmp_path / "m.csv"
     res = runner.invoke(main, ["trace", "--system", "morse",

@@ -337,14 +337,15 @@ def test_moment_series_unsupported():
 def test_squared_ladder_table_matches_the_algebra():
     # the series table is written independently of spectrum.py; a typo in
     # it would otherwise only show as a route discrepancy
-    from ghastates.series import _squared_ladder
+    from ghastates.series import _SQUARED_LADDERS
     from ghastates.states import state_ladder
     for system, kind in SUPPORTED:
         for b in ((1.0, 3.7) if system in ("type1", "type2", "hydrogen")
                   else (1.0,)):
             spec = g.morse(7.59) if system == "morse" else g.make_spectrum(
                 system, b=b)
-            L = _squared_ladder(spec, kind, np.arange(2003))
+            table = "harmonic" if kind == "linear" else system
+            L = _SQUARED_LADDERS[table](spec, np.arange(2003))
             if kind == "linear":
                 assert np.array_equal(L, np.arange(1, len(L) + 1))
                 continue
@@ -780,6 +781,43 @@ def test_series_underflow_raises_non_finite():
             g.trace(g.harmonic(), "linear", r, path="series")
     tr = g.trace(g.harmonic(), "linear", 26.5, path="series", n_points=11)
     assert np.abs(tr.values - 0.5).max() < 1e-9
+
+
+@pytest.mark.parametrize("system", sorted({s for s, k in SUPPORTED
+                                           if k == "linear"}))
+def test_linear_series_is_the_harmonic_gha_series(system):
+    # a linear state's weights are those of the harmonic ladder's gha state;
+    # only the frequencies come from the spectrum that evolves it
+    spec = g.make_spectrum(system)
+    for r in (0.0, 1e-8, 0.3, 0.99, 3.0, 12.0, 26.0):
+        lin = moment_series(spec, "linear", r)
+        gha = moment_series(g.harmonic(), "gha", r)
+        for name in ("mean_w", "cross_w"):
+            assert getattr(lin, name).tobytes() == \
+                getattr(gha, name).tobytes(), (r, name)
+        assert lin.diag == gha.diag, r
+        eps = g.levels(spec, max(len(gha.mean_w) + 1, len(gha.cross_w) + 2))
+        mean_gaps, cross_gaps = eps[:-1] - eps[1:], eps[:-2] - eps[2:]
+        assert np.array_equal(lin.mean_f, mean_gaps[:len(lin.mean_w)])
+        assert np.array_equal(lin.cross_f, cross_gaps[:len(lin.cross_w)])
+
+
+def test_kind_picks_the_ladder_and_the_label():
+    # the harmonic spectrum carries both kinds; the label follows the kind
+    from ghastates.states import _HARMONIC
+    for kind in ("gha", "linear"):
+        st = coherent_state_for(_HARMONIC, kind, 0.5, 0.3)
+        assert (st.kind, st.spectrum_id) == (
+            kind, "harmonic" if kind == "gha" else "linear")
+    # one message for a linear state on Morse, on every route
+    msg = "^the finite Morse ladder admits no linear coherent state$"
+    with pytest.raises(WrongSystemError, match=msg):
+        moment_series(g.morse(7.59), "linear", 0.2)
+    for path in ("oracle", "series", "both"):
+        with pytest.raises(WrongSystemError, match=msg):
+            g.trace(g.morse(7.59), "linear", 0.2, path=path, n_points=11)
+        with pytest.raises(WrongSystemError, match="unknown state kind"):
+            g.trace(g.type1(), "squeezed", 0.2, path=path, n_points=11)
 
 
 @pytest.mark.parametrize("spec", [g.type1(), g.type1(4.0), g.type2(),

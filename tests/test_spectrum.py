@@ -195,6 +195,15 @@ def test_spectrum_from_config_text():
     assert g.energy(spec, 2) == 0.9
 
 
+def test_spectrum_from_config_reads_a_path_holding_equals(tmp_path):
+    # a string naming an existing file is a path, whatever it contains
+    path = tmp_path / "run=1" / "a.cfg"
+    path.parent.mkdir()
+    path.write_text("system = type2\nb = 3\n", encoding="utf-8")
+    spec = g.spectrum_from_config(str(path))
+    assert (spec.system, spec.b) == ("type2", 3.0)
+
+
 def test_spectrum_from_config_file(tmp_path):
     path = tmp_path / "spec.cfg"
     path.write_text("system = morse\nbeta = 2.78e10\nv0_ev = 5.211\n"

@@ -246,6 +246,24 @@ def test_trace_warns_once_near_the_radius():
     with pytest.warns(ConditioningWarning, match="within 1%"):
         g.moment_series(g.type1(), "gha", 0.992, tail=1e-6)
 
+
+def test_trace_judges_the_label_r_on_every_path():
+    # |r e^{i phi}| rounds to 0.9899999999999999 here, just below the band
+    # that r = 0.99 lies in; a trace judges r once, whatever its path
+    phi = 0.012566370614359173
+    assert abs(0.99 * complex(math.cos(phi), math.sin(phi))) < 0.99
+    for path in ("oracle", "series", "both"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            g.trace(g.type1(), "gha", 0.99, phi, path=path, n_points=11)
+        assert [w.category for w in seen] == [ConditioningWarning], path
+    # a trace that fails inside its routes leaves the builders warning
+    with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
+        g.trace(g.type1(), "gha", 0.995, path="series", n_points=11)
+    with pytest.warns(ConditioningWarning, match="within 1%"):
+        g.gha_coherent_state(g.type1(), 0.992, tail=1e-6)
+
+
 def test_warnings_name_the_callers_line():
     # every near-radius and clamp warning points at the line that called
     # the library, however deep inside the package it was raised
@@ -495,9 +513,10 @@ def _loop_state(spec, kind, r, tail):
 
 def _loop_series(spec, kind, r, tail):
     """The series' tail loops, run by the frozen loop with scalar ratios."""
-    from ghastates.series import _squared_ladder
+    from ghastates.series import _SQUARED_LADDERS
     x = r * r
-    L = _squared_ladder(spec, kind, np.arange(2003)).tolist()
+    table = "harmonic" if kind == "linear" else spec.system
+    L = _SQUARED_LADDERS[table](spec, np.arange(2003)).tolist()
     exponential = kind == "linear" or spec.system == "harmonic"
     n2 = (math.exp(-x) if exponential
           else g.closed_form_normalization(spec, r) ** 2)
