@@ -76,10 +76,9 @@ def _fail(code: int, message: str):
 
 
 def _guard(fn, *args, **kwargs):
+    # echo what the active filters let through; "-W error" still raises
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda m, *_: click.echo(f"warning: {m}",
-                                                        err=True)
+        warnings.showwarning = lambda m, *_: click.echo(f"warning: {m}", err=True)
         try:
             return fn(*args, **kwargs)
         except _NUMERICAL_ERRORS as exc:

@@ -52,8 +52,8 @@ from .errors import (
 )
 from .series import MomentSeries, moment_series
 from .spectrum import SpectrumModel, levels
-from .states import (_RADIUS_JUDGED, _TAIL, FockState, _ladder_of,
-                     _warn_near_radius, gha_coherent_state,
+from .states import (_RADIUS_JUDGED, _TAIL, FockState, _check_tail,
+                     _ladder_of, _warn_near_radius, gha_coherent_state,
                      linear_coherent_state)
 
 _VAR_TOL = 1e-12
@@ -288,11 +288,13 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     if path == "series" and dim is not None:
         raise InvalidParameterError(
             "dim truncates the oracle route's state; path 'series' builds none")
+    _check_tail(tail)
 
     # one near-radius verdict on r, whatever the path; the builders keep quiet
     _warn_near_radius(_ladder_of(spec, kind), r)
     times = np.linspace(t_start, t_end, n_points)
-    routes, state = [], None
+    routes = []
+    state = None
     judged = _RADIUS_JUDGED.set(True)
     try:
         if path in ("oracle", "both"):
@@ -314,7 +316,8 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         raise UncertaintyFloorError(
             f"uncertainty dipped to {values.min():.12g}, below hbar/2")
 
-    alt = disc = None
+    alt = None
+    disc = None
     if path == "both":
         [(sxi, srho, sxi2, srho2)] = series_m
         alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")

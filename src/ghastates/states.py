@@ -408,7 +408,8 @@ def eigenstate_residual(spec: SpectrumModel, state: FockState,
     require_finite(z=z)
     c = state.coeffs
     d = state.dim
-    spec = _HARMONIC if state.kind == "linear" else spec
+    if state.kind == "linear":
+        spec = _HARMONIC
     count = min(d - 1, spec.max_level) if spec.max_level is not None else d - 1
     ladder = np.zeros(d - 1)
     ladder[:count] = state_ladder(spec, count)

@@ -1,11 +1,12 @@
 import os
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
 from ghastates import spectrum_from_config
 from ghastates.cli import main
-from ghastates.errors import InvalidParameterError
+from ghastates.errors import ConditioningWarning, InvalidParameterError
 
 
 @pytest.fixture()
@@ -127,9 +128,10 @@ def test_trace_non_finite_result_exits_numerical(runner, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("default::ghastates.errors.ConditioningWarning")
 def test_trace_prints_library_warnings_before_errors(runner, tmp_path):
-    # a near-radius warning is a stderr line of its own, not a Python
-    # warning naming some line of click's
+    # a near-radius warning the filters let through is a stderr line of its
+    # own, not a Python warning naming some line of click's
     args = ["trace", "--system", "type1", "--points", "11", "--out"]
     res = runner.invoke(main, args + [str(tmp_path / "a.csv"),
                                       "--r", "0.9901"])
@@ -145,6 +147,12 @@ def test_trace_prints_library_warnings_before_errors(runner, tmp_path):
     assert len(lines) == 2, lines
     assert lines[0].startswith("warning: |z| = 0.99999 is within 1%")
     assert lines[1].startswith("error: tail bound")
+    # a filter that turns the warning into an error, as -W error does, holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        res = runner.invoke(main, args + [str(tmp_path / "c.csv"),
+                                          "--r", "0.9901"])
+    assert isinstance(res.exception, ConditioningWarning), res.output
 
 
 def test_trace_morse_physical_reports_omega(runner, tmp_path):

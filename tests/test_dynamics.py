@@ -182,6 +182,9 @@ def test_trace_floor_and_meta():
     assert tr.meta["path"] == "oracle"
 
 
+_MORSE_LINEAR = "^the finite Morse ladder admits no linear coherent state$"
+
+
 def test_trace_validation():
     spec = g.type1()
     with pytest.raises(InvalidParameterError):
@@ -191,11 +194,16 @@ def test_trace_validation():
     with pytest.raises(InvalidParameterError):
         g.trace(spec, "gha", 0.1, path="magic")
     with pytest.raises(WrongSystemError):
-        g.trace(g.morse(7.59), "linear", 0.1)
-    with pytest.raises(WrongSystemError):
         g.trace(g.square_well(), "gha", 0.1, path="series")
-    with pytest.raises(WrongSystemError, match="unknown state kind 'bogus'"):
-        g.trace(spec, "bogus", 0.1)
+    # one message per bad label on every route; a bad tail comes first
+    for path in ("oracle", "series", "both"):
+        with pytest.raises(WrongSystemError, match=_MORSE_LINEAR):
+            g.trace(g.morse(7.59), "linear", 0.1, path=path, n_points=11)
+        with pytest.raises(WrongSystemError,
+                           match="unknown state kind 'bogus'"):
+            g.trace(spec, "bogus", 0.1, path=path, n_points=11)
+        with pytest.raises(InvalidParameterError, match="tail must lie"):
+            g.trace(spec, "bogus", 0.1, path=path, tail=5.0)
 
 
 def test_trace_raises_below_the_floor(monkeypatch):
@@ -328,7 +336,7 @@ def test_figure_files_match_per_value_format(figure_id, tmp_path,
 def test_moment_series_unsupported():
     with pytest.raises(WrongSystemError):
         moment_series(g.q_deformed(0.5), "gha", 0.3)
-    with pytest.raises(WrongSystemError):
+    with pytest.raises(WrongSystemError, match=_MORSE_LINEAR):
         moment_series(g.morse(7.59), "linear", 0.3)
     with pytest.raises(WrongSystemError):
         moment_series(g.type1(), "squeezed", 0.3)
@@ -802,22 +810,14 @@ def test_linear_series_is_the_harmonic_gha_series(system):
         assert np.array_equal(lin.cross_f, cross_gaps[:len(lin.cross_w)])
 
 
-def test_kind_picks_the_ladder_and_the_label():
-    # the harmonic spectrum carries both kinds; the label follows the kind
+def test_kind_picks_the_label_on_the_harmonic_ladder():
+    # the harmonic ladder's own object carries both kinds; the label
+    # follows the kind, not the spectrum
     from ghastates.states import _HARMONIC
     for kind in ("gha", "linear"):
         st = coherent_state_for(_HARMONIC, kind, 0.5, 0.3)
         assert (st.kind, st.spectrum_id) == (
             kind, "harmonic" if kind == "gha" else "linear")
-    # one message for a linear state on Morse, on every route
-    msg = "^the finite Morse ladder admits no linear coherent state$"
-    with pytest.raises(WrongSystemError, match=msg):
-        moment_series(g.morse(7.59), "linear", 0.2)
-    for path in ("oracle", "series", "both"):
-        with pytest.raises(WrongSystemError, match=msg):
-            g.trace(g.morse(7.59), "linear", 0.2, path=path, n_points=11)
-        with pytest.raises(WrongSystemError, match="unknown state kind"):
-            g.trace(g.type1(), "squeezed", 0.2, path=path, n_points=11)
 
 
 @pytest.mark.parametrize("spec", [g.type1(), g.type1(4.0), g.type2(),

@@ -15,6 +15,7 @@ from ghastates.errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     GhaError,
+    InvalidParameterError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
@@ -257,6 +258,11 @@ def test_trace_judges_the_label_r_on_every_path():
             warnings.simplefilter("always")
             g.trace(g.type1(), "gha", 0.99, phi, path=path, n_points=11)
         assert [w.category for w in seen] == [ConditioningWarning], path
+    # a bad tail raises before the verdict, so without a warning (the
+    # suite turns one into an error)
+    for path in ("oracle", "series", "both"):
+        with pytest.raises(InvalidParameterError, match="tail must lie"):
+            g.trace(g.type1(), "gha", 0.995, path=path, tail=5.0)
     # a trace that fails inside its routes leaves the builders warning
     with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
         g.trace(g.type1(), "gha", 0.995, path="series", n_points=11)
