@@ -37,14 +37,16 @@ import numpy as np
 
 from ._kernels_py import weighted_trig_sums
 from .algebra import AlgebraRep, build_rep
-from .config import _write_lines
+from .config import _csv_body, _write_lines
 from .errors import (
     ClampWarning,
     ImaginaryResidualError,
     InvalidParameterError,
     NegativeVarianceError,
     NonFiniteResultError,
+    RadiusOfConvergenceError,
     UncertaintyFloorError,
+    WrongSystemError,
     require_finite,
     require_integer,
     require_positive,
@@ -175,9 +177,15 @@ def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
     """Build the (system, kind) state at label z = r exp(i phi)."""
     _ladder_of(spec, kind)
     z = r * complex(math.cos(phi), math.sin(phi))
-    if kind == "linear":
-        return linear_coherent_state(z, dim, spec.index_offset, tail=tail)
-    return gha_coherent_state(spec, z, dim, tail=tail)
+    if kind == "gha":
+        return gha_coherent_state(spec, z, dim, tail=tail)
+    state = linear_coherent_state(z, dim, spec.index_offset, tail=tail)
+    if spec.max_level is not None and state.dim > spec.max_level + 1:
+        raise WrongSystemError(
+            f"the finite {spec.system} ladder holds {spec.max_level + 1} "
+            f"levels; the linear coherent state at |z| = {abs(z):.6g} needs "
+            f"{state.dim}")
+    return state
 
 
 def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
@@ -290,8 +298,11 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
             "dim truncates the oracle route's state; path 'series' builds none")
     _check_tail(tail)
 
+    ladder = _ladder_of(spec, kind)
+    if r < 0:  # the oracle alone would build the state at |z| = -r
+        raise RadiusOfConvergenceError("r must be >= 0")
     # one near-radius verdict on r, whatever the path; the builders keep quiet
-    _warn_near_radius(_ladder_of(spec, kind), r)
+    _warn_near_radius(ladder, r)
     times = np.linspace(t_start, t_end, n_points)
     routes = []
     state = None
@@ -349,18 +360,15 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
 
 
 def write_trace_csv(tr: UncertaintyTrace, path) -> None:
-    """Deterministic CSV with LF newlines: one ``%.12g`` template per row,
-    the same 12 significant digits as formatting each value on its own.
-    """
+    """Deterministic CSV with LF newlines, each value printed as by
+    ``"%.12g" % value``."""
     cols = ["t", "mean_xi", "mean_rho", "var_xi", "var_rho", "uncertainty"]
     arrays = [tr.t_grid, tr.mean_xi, tr.mean_rho, tr.var_xi, tr.var_rho,
               tr.values]
     if tr.alt_values is not None:
         cols.append("discrepancy")
         arrays.append(np.abs(tr.values - tr.alt_values))
-    template = ",".join(["%.12g"] * len(arrays))
-    rows = zip(*(a.tolist() for a in arrays))
-    _write_lines([",".join(cols)] + [template % row for row in rows], path)
+    _write_lines([",".join(cols), _csv_body(arrays)], path)
 
 
 # ---------------------------------------------------------------------------

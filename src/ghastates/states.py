@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _write_lines
+from .config import _csv_body, _write_lines
 from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
@@ -433,8 +433,11 @@ def klauder_continuity_check(spec: SpectrumModel, z: complex,
 
 
 def state_to_csv(state: FockState, path) -> None:
-    """Write (index, re, im) rows; indices carry the presentation offset."""
+    """Write (index, re, im) rows; indices carry the presentation offset.
+
+    The index goes through the float printer too: ``%.12g`` of an integer
+    below 1e12 is its ``%d``.
+    """
     c = state.coeffs
-    rows = zip(range(state.index_offset, state.index_offset + len(c)),
-               c.real.tolist(), c.imag.tolist())
-    _write_lines(["index,re,im"] + ["%d,%.12g,%.12g" % r for r in rows], path)
+    index = np.arange(len(c)) + float(state.index_offset)
+    _write_lines(["index,re,im", _csv_body([index, c.real, c.imag])], path)

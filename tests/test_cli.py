@@ -414,7 +414,9 @@ def test_module_runs_as_a_script():
     import subprocess
     import sys
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    res = subprocess.run([sys.executable, "-m", "ghastates.cli", "--version"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("ghastates, version ")
+    for module in ("ghastates", "ghastates.cli"):
+        res = subprocess.run([sys.executable, "-m", module, "--version"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("ghastates, version ")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ghastates as g
 from ghastates import cli
 from ghastates._kernels_py import weighted_trig_sums
-from ghastates.config import _write_lines
+from ghastates.config import _csv_body, _g12_cells, _write_lines
 from ghastates.dynamics import (
     _clamp_var_array,
     _moments,
@@ -204,6 +204,18 @@ def test_trace_validation():
             g.trace(spec, "bogus", 0.1, path=path, n_points=11)
         with pytest.raises(InvalidParameterError, match="tail must lie"):
             g.trace(spec, "bogus", 0.1, path=path, tail=5.0)
+        # a table too short for the linear state: the matrix path names
+        # the ladder, the series path has no closed form to offer
+        short = (r"^the finite custom ladder holds 4 levels; the linear "
+                 r"coherent state at \|z\| = 0.1 needs 6$")
+        with pytest.raises(WrongSystemError, match=short if path != "series"
+                           else "no closed-form moment series"):
+            g.trace(g.from_table([0, 0.5, 0.6667, 0.75]), "linear", 0.1,
+                    path=path, n_points=11)
+        # the oracle alone would build a state at |z| = 0.1
+        with pytest.raises(RadiusOfConvergenceError,
+                           match=r"^r must be >= 0$"):
+            g.trace(spec, "gha", -0.1, 0.7, path=path, n_points=11)
 
 
 def test_trace_raises_below_the_floor(monkeypatch):
@@ -331,6 +343,72 @@ def test_figure_files_match_per_value_format(figure_id, tmp_path,
         outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert len(outputs[0]) > 1
     assert outputs[0] == outputs[1]
+
+
+def _moved(x: float, ulps: int) -> float:
+    # x stepped ``ulps`` units in the last place, away from zero if positive
+    return float((np.array([x]).view(np.int64) + ulps).view(float)[0])
+
+
+_ULPS = st.integers(-3, 3)
+# inputs where a bulk %.12g goes wrong first: raw bit patterns (every
+# range), a 13th digit of 5 give or take a few ulps (the rounding ties),
+# powers of ten (where floor(log10) and the scaling power are decided),
+# the values that round across the notation switches at 1e-4/1e-5 and
+# 1e12, three-digit exponents, subnormals, signed zeros and non-finites
+_G12_INPUTS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.array([b], np.uint64).view(float)[0])),
+    st.builds(lambda m, j, k: _moved(float(f"{m}5e{j}"), k),
+              st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-330, 295),
+              _ULPS),
+    st.builds(lambda j, k: _moved(float(f"1e{j}"), k),
+              st.integers(-300, 300), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda d, j, k: _moved(float(f"9.99999999999{d}e{j}"), k),
+              st.integers(0, 9), st.sampled_from([-6, -5, 11, 12]), _ULPS),
+    st.builds(lambda f, j: float(f"{f!r}e{j}"), st.floats(1.0, 9.999),
+              st.integers(100, 300).flatmap(
+                  lambda j: st.sampled_from([j, -j]))),
+    st.integers(1, 2 ** 52 - 1).map(
+        lambda b: float(np.array([b], np.uint64).view(float)[0])),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(values=st.lists(st.tuples(_G12_INPUTS, st.booleans()).map(
+    lambda v: -v[0] if v[1] else v[0]), min_size=2, max_size=40))
+def test_bulk_g12_matches_python(values):
+    x = np.array(values)
+    got = _csv_body([x, x[::-1]])
+    assert got == "\n".join("%.12g,%.12g" % row
+                            for row in zip(values, values[::-1]))
+
+
+def test_bulk_g12_matches_python_near_every_tie():
+    # 13-digit decimals ending in 5, and their neighbours one ulp away, at
+    # every scale: a bulk path that trusted its scaled value this close to
+    # a half would print about one in 200 of them wrong
+    rng = np.random.default_rng(0)
+    ties = np.array([float(f"{m}5e{j}") for m, j in zip(
+        rng.integers(10 ** 11, 10 ** 12, 20000).tolist(),
+        rng.integers(-330, 296, 20000).tolist())])
+    x = np.concatenate([ties, np.nextafter(ties, 0),
+                        np.nextafter(ties, np.inf)])
+    assert _csv_body([x]) == "\n".join("%.12g" % v for v in x.tolist())
+
+
+def test_bulk_g12_proves_nearly_every_trace_cell():
+    # the exact printer takes only the cells the bulk path cannot prove,
+    # so the tests above exercise the bulk path on real traces
+    tr = g.trace(g.type1(), "gha", 0.6, 0.4, t_end=1000.0, n_points=20001,
+                 path="both")
+    table = np.column_stack([tr.t_grid, tr.mean_xi, tr.mean_rho, tr.var_xi,
+                             tr.var_rho, tr.values,
+                             np.abs(tr.values - tr.alt_values)])
+    _, exact = _g12_cells(table)
+    assert exact.size == 7 * 20001
+    assert (~exact).mean() < 0.01
 
 
 def test_moment_series_unsupported():
