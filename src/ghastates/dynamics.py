@@ -26,6 +26,14 @@ two on every path; under "both" each call carries the rows of both routes,
 the shorter frequency list being a prefix of the longer.  The routes'
 independence lies in their weights (matrix elements against closed-form
 ladders), not in separate kernel calls.
+
+Both entry points start from one plan, ``_plan``.  It checks the label's
+inputs, judges r against the convergence radius once (warning once near
+it), checks that a linear state fits a finite ladder, and builds the bands
+of each route the path names, oracle first, as ``_moments`` sums them.
+``trace`` evaluates the plan on its grid, then clamps, checks the floor
+and finiteness and fills ``meta``; ``expectations_series`` evaluates a
+series plan at one time.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from .errors import (
     InvalidParameterError,
     NegativeVarianceError,
     NonFiniteResultError,
-    RadiusOfConvergenceError,
     UncertaintyFloorError,
     WrongSystemError,
     require_finite,
@@ -52,10 +59,11 @@ from .errors import (
     require_positive,
     warn_caller,
 )
-from .series import MomentSeries, moment_series
+from .series import moment_series
 from .spectrum import SpectrumModel, levels
-from .states import (_RADIUS_JUDGED, _TAIL, FockState, _check_tail,
-                     _ladder_of, _warn_near_radius, gha_coherent_state,
+from .states import (_RADIUS_JUDGED, _TAIL, FockState, _adaptive_count,
+                     _check_radius, _check_tail, _ladder_of,
+                     _warn_near_radius, gha_coherent_state,
                      linear_coherent_state)
 
 _VAR_TOL = 1e-12
@@ -164,10 +172,9 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
         # loop X[n, n+1] X[n+1, n] sits on the diagonal at n and at n+1
         squares.append(cc[:-2] * up[:-1] * up[1:] * c[2:])
         consts.append(np.sum(loop_weights * up * down).real)
-    eps = rep.eps
-    return [(firsts, eps[:-1] - eps[1:],
+    return [(firsts, rep.eps[:-1] - rep.eps[1:],
              lambda re, im: [2.0 * re[0], 2.0 * re[1]]),
-            (squares, eps[:-2] - eps[2:],
+            (squares, rep.eps[:-2] - rep.eps[2:],
              lambda re, im: [2.0 * re[0] + consts[0],
                              2.0 * re[1] + consts[1]])]
 
@@ -179,43 +186,19 @@ def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
     z = r * complex(math.cos(phi), math.sin(phi))
     if kind == "gha":
         return gha_coherent_state(spec, z, dim, tail=tail)
-    state = linear_coherent_state(z, dim, spec.index_offset, tail=tail)
-    if spec.max_level is not None and state.dim > spec.max_level + 1:
-        raise WrongSystemError(
-            f"the finite {spec.system} ladder holds {spec.max_level + 1} "
-            f"levels; the linear coherent state at |z| = {abs(z):.6g} needs "
-            f"{state.dim}")
-    return state
+    return linear_coherent_state(z, dim, spec.index_offset, tail=tail)
 
 
 def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
              hbar: float) -> AlgebraRep:
     # two rows above the state's support keep every two-step cross term of
     # the truncated state inside the matrices; finite ladders are whole
-    if spec.max_level is not None:
-        dim = spec.max_level + 1
-    else:
-        dim = state.dim + 2
+    dim = state.dim + 2 if spec.max_level is None else spec.max_level + 1
     return build_rep(spec, dim, L_scale=L_scale, hbar=hbar)
 
 
 # ---------------------------------------------------------------------------
-# the series route
-
-def _series_bands(ms: MomentSeries, phi: float, L_scale: float,
-                  hbar: float):
-    # the label phase rides on the weights, w_k exp(i phi) and
-    # v_k exp(2 i phi); at phi = 0 they are (w_k, +0), and every product in
-    # the kernel rounds as with the real weights alone
-    s2, diag = math.sqrt(2.0), ms.diag
-    return [([ms.mean_w * complex(math.cos(phi), math.sin(phi))], ms.mean_f,
-             lambda re, im: [s2 * L_scale * re[0],
-                             s2 * hbar / L_scale * im[0]]),
-            ([ms.cross_w * complex(math.cos(2.0 * phi), math.sin(2.0 * phi))],
-             ms.cross_f,
-             lambda re, im: [L_scale ** 2 * (re[0] + diag + 0.5),
-                             (hbar / L_scale) ** 2 * (-re[0] + diag + 0.5)])]
-
+# the plan of a label's routes, and their sums
 
 def _moments(routes, times: np.ndarray):
     """The four moments of each route on ``times``, from one kernel call per
@@ -241,15 +224,73 @@ def _moments(routes, times: np.ndarray):
     return out
 
 
+def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
+          dim: int | None, L_scale: float, hbar: float, tail: float):
+    """Check a label's inputs, judge r once, build each route's bands (oracle
+    first, as ``_moments`` takes them); return them with the oracle's state."""
+    require_finite(r=r, phi=phi)
+    require_positive(L_scale=L_scale, hbar=hbar)
+    if path not in ("oracle", "series", "both"):
+        raise InvalidParameterError(f"unknown path {path!r}")
+    if dim is not None:
+        require_integer(dim=dim)
+        if path == "series":
+            raise InvalidParameterError("dim truncates the oracle route's "
+                                        "state; path 'series' builds none")
+    _check_tail(tail)
+    ladder = _ladder_of(spec, kind)
+    # one verdict on r, whatever the path; the builders judge |r e^{i phi}|
+    _check_radius(ladder, r)
+    _warn_near_radius(ladder, r)
+    if kind == "linear" and spec.max_level is not None:
+        # the harmonic ladder's state must fit the table that evolves it,
+        # also where no route builds that state
+        z = r * complex(math.cos(phi), math.sin(phi))
+        needs = _adaptive_count(ladder, z, tail)[0] if dim is None else dim
+        if needs > spec.max_level + 1:
+            raise WrongSystemError(
+                f"the finite {spec.system} ladder holds {spec.max_level + 1} "
+                f"levels; the linear coherent state at |z| = {abs(z):.6g} "
+                f"needs {needs}")
+    routes = []
+    state = None
+    # the builders keep quiet while this is set.  The plan calls them by the
+    # public names perfbench/tracer.py wraps for its states.build and
+    # series.weights spans and counters; states._coefficients would skip both
+    judged = _RADIUS_JUDGED.set(True)
+    try:
+        if path != "series":
+            state = coherent_state_for(spec, kind, r, phi, dim, tail)
+            routes.append(_oracle_bands(
+                state, _rep_for(spec, state, L_scale, hbar)))
+        if path != "oracle":
+            ms = moment_series(spec, kind, r, tail=tail)
+            # the label phase rides on the weights, w_k exp(i phi) and
+            # v_k exp(2 i phi); at phi = 0 they are (w_k, +0), and every
+            # product in the kernel rounds as with the real weights alone
+            s2 = math.sqrt(2.0)
+            routes.append([
+                ([ms.mean_w * complex(math.cos(phi), math.sin(phi))],
+                 ms.mean_f, lambda re, im: [s2 * L_scale * re[0],
+                                            s2 * hbar / L_scale * im[0]]),
+                ([ms.cross_w * complex(math.cos(2.0 * phi),
+                                       math.sin(2.0 * phi))], ms.cross_f,
+                 lambda re, im: [L_scale ** 2 * (re[0] + ms.diag + 0.5),
+                                 (hbar / L_scale) ** 2
+                                 * (-re[0] + ms.diag + 0.5)])])
+    finally:
+        _RADIUS_JUDGED.reset(judged)
+    return routes, state
+
+
 def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
                         t: float, L_scale: float = 1.0, hbar: float = 1.0,
                         tail: float = _TAIL) -> ExpectationSet:
-    """Moments from the closed-form series at a single time point."""
-    require_finite(phi=phi, t=t)
-    require_positive(L_scale=L_scale, hbar=hbar)
-    bands = _series_bands(moment_series(spec, kind, r, tail=tail), phi,
-                          L_scale, hbar)
-    [arrays] = _moments([bands], np.array([float(t)]))
+    """Moments from the closed-form series at a single time point, behind
+    the checks ``trace`` makes."""
+    require_finite(t=t)
+    routes, _ = _plan(spec, kind, r, phi, "series", None, L_scale, hbar, tail)
+    [arrays] = _moments(routes, np.array([float(t)]))
     return ExpectationSet(*(float(a[0]) for a in arrays))
 
 
@@ -283,47 +324,19 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     with their largest pointwise difference in ``max_discrepancy``.
     """
     require_integer(n_points=n_points)
-    if dim is not None:
-        require_integer(dim=dim)
     if n_points < 2:
         raise InvalidParameterError("n_points must be >= 2")
-    require_finite(r=r, phi=phi, t_start=t_start, t_end=t_end)
-    require_positive(L_scale=L_scale, hbar=hbar)
+    require_finite(t_start=t_start, t_end=t_end)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
-    if path not in ("oracle", "series", "both"):
-        raise InvalidParameterError(f"unknown path {path!r}")
-    if path == "series" and dim is not None:
-        raise InvalidParameterError(
-            "dim truncates the oracle route's state; path 'series' builds none")
-    _check_tail(tail)
-
-    ladder = _ladder_of(spec, kind)
-    if r < 0:  # the oracle alone would build the state at |z| = -r
-        raise RadiusOfConvergenceError("r must be >= 0")
-    # one near-radius verdict on r, whatever the path; the builders keep quiet
-    _warn_near_radius(ladder, r)
+    routes, state = _plan(spec, kind, r, phi, path, dim, L_scale, hbar, tail)
     times = np.linspace(t_start, t_end, n_points)
-    routes = []
-    state = None
-    judged = _RADIUS_JUDGED.set(True)
-    try:
-        if path in ("oracle", "both"):
-            state = coherent_state_for(spec, kind, r, phi, dim, tail)
-            routes.append(_oracle_bands(
-                state, _rep_for(spec, state, L_scale, hbar)))
-        if path in ("series", "both"):
-            routes.append(_series_bands(
-                moment_series(spec, kind, r, tail=tail), phi, L_scale, hbar))
-    finally:
-        _RADIUS_JUDGED.reset(judged)
     (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
     var_xi = _clamp_var_array(mxi2, mxi, "xi")
     var_rho = _clamp_var_array(mrho2, mrho, "rho")
     values = np.sqrt(var_xi * var_rho) / hbar
 
-    floor = 0.5 - _FLOOR_TOL
-    if float(values.min()) < floor:
+    if float(values.min()) < 0.5 - _FLOOR_TOL:
         raise UncertaintyFloorError(
             f"uncertainty dipped to {values.min():.12g}, below hbar/2")
 
@@ -351,6 +364,8 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         "dim": state.dim if state is not None else None,
         "path": path,
         "points": n_points,
+        "terms": None if path == "oracle"
+        else tuple(len(f) for _, f, _ in routes[-1]),
     }
     for arr in (times, values, mxi, mrho, var_xi, var_rho):
         arr.flags.writeable = False

@@ -124,7 +124,7 @@ def _check_radius(spec: SpectrumModel, r: float) -> None:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
-# set while a trace runs the routes of a label it has judged itself
+# set while dynamics._plan builds the routes of a label it has judged
 _RADIUS_JUDGED = contextvars.ContextVar("radius_judged", default=False)
 
 

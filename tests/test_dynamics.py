@@ -17,14 +17,15 @@ from ghastates.dynamics import (
     _clamp_var_array,
     _moments,
     _oracle_bands,
+    _plan,
     _rep_for,
-    _series_bands,
     coherent_state_for,
     peak_deviation,
     refined_extremum,
 )
 from ghastates.errors import (
     ClampWarning,
+    ConditioningWarning,
     GhaError,
     ImaginaryResidualError,
     InvalidParameterError,
@@ -36,6 +37,7 @@ from ghastates.errors import (
 )
 from ghastates.series import SUPPORTED, moment_series
 from ghastates.spectrum import ladder_coefficients
+from ghastates.states import _TAIL
 
 
 def test_evolve_identity_at_t0():
@@ -183,6 +185,8 @@ def test_trace_floor_and_meta():
 
 
 _MORSE_LINEAR = "^the finite Morse ladder admits no linear coherent state$"
+_SHORT_TABLE = (r"^the finite custom ladder holds 4 levels; the linear "
+                r"coherent state at \|z\| = 0.1 needs 6$")
 
 
 def test_trace_validation():
@@ -204,12 +208,9 @@ def test_trace_validation():
             g.trace(spec, "bogus", 0.1, path=path, n_points=11)
         with pytest.raises(InvalidParameterError, match="tail must lie"):
             g.trace(spec, "bogus", 0.1, path=path, tail=5.0)
-        # a table too short for the linear state: the matrix path names
-        # the ladder, the series path has no closed form to offer
-        short = (r"^the finite custom ladder holds 4 levels; the linear "
-                 r"coherent state at \|z\| = 0.1 needs 6$")
-        with pytest.raises(WrongSystemError, match=short if path != "series"
-                           else "no closed-form moment series"):
+        # a table too short for the linear state: the plan's fit check
+        # names the ladder before either route, the series one included
+        with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
             g.trace(g.from_table([0, 0.5, 0.6667, 0.75]), "linear", 0.1,
                     path=path, n_points=11)
         # the oracle alone would build a state at |z| = 0.1
@@ -542,12 +543,9 @@ def test_peak_deviation_on_flat_trace():
 
 
 def test_grid_helpers_shapes():
-    spec = g.hydrogen()
-    st = coherent_state_for(spec, "gha", 0.3, 0.2)
-    rep = _rep_for(spec, st, 1.0, 1.0)
-    ts = np.linspace(0, 5, 7)
-    mo, ms = _moments([_oracle_bands(st, rep), _series_bands(
-        moment_series(spec, "gha", 0.3), 0.2, 1.0, 1.0)], ts)
+    routes, _ = _plan(g.hydrogen(), "gha", 0.3, 0.2, "both", None, 1.0, 1.0,
+                      _TAIL)
+    mo, ms = _moments(routes, np.linspace(0, 5, 7))
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
 
@@ -568,11 +566,11 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_banded_oracle_matches_dense(spec, kind, r):
-    st = coherent_state_for(spec, kind, r, 0.7)
+    routes, st = _plan(spec, kind, r, 0.7, "oracle", None, 1.3, 0.8, _TAIL)
     rep = _rep_for(spec, st, 1.3, 0.8)
     # the second grid starts below zero and its last tile is ragged
     for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
-        [grid] = _moments([_oracle_bands(st, rep)], times)
+        [grid] = _moments(routes, times)
         for j, t in enumerate(times):
             es = g.expectations_oracle(g.evolve(st, spec, t), rep)
             ref = [es.mean_xi, es.mean_rho, es.mean_xi2, es.mean_rho2]
@@ -641,9 +639,8 @@ def _merged_cases():
                          ids=[f"{s.system}-{k}-{r}" for s, k, r in
                               _merged_cases()])
 def test_both_routes_share_one_call_per_band(spec, kind, r, monkeypatch):
-    st = coherent_state_for(spec, kind, r, 0.3)
-    oracle = _oracle_bands(st, _rep_for(spec, st, 1.0, 1.0))
-    series = _series_bands(moment_series(spec, kind, r), 0.3, 1.0, 1.0)
+    (oracle, series), _ = _plan(spec, kind, r, 0.3, "both", None, 1.0, 1.0,
+                                _TAIL)
     for (_, fo, _), (_, fs, _) in zip(oracle, series):
         n = min(len(fo), len(fs))
         assert fo[:n].tobytes() == fs[:n].tobytes()
@@ -670,6 +667,74 @@ def test_both_raises_the_states_error_before_the_series(monkeypatch):
     with pytest.raises(NonFiniteResultError, match="series"):
         g.trace(g.morse(7.59), "gha", 0.3, path="both")
     assert rows == []
+
+
+def _count_builds(monkeypatch):
+    calls = []
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+        return counted
+
+    for name in ("gha_coherent_state", "linear_coherent_state",
+                 "moment_series"):
+        monkeypatch.setattr(g.dynamics, name,
+                            counting(name, getattr(g.dynamics, name)))
+    return calls
+
+
+def test_each_route_is_built_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    g.trace(g.type1(), "gha", 0.5, path="both", n_points=11)
+    assert calls == ["gha_coherent_state", "moment_series"]
+    calls.clear()
+    g.trace(g.harmonic(), "linear", 3.0, path="both", n_points=11)
+    assert calls == ["linear_coherent_state", "moment_series"]
+    calls.clear()
+    g.expectations_series(g.type1(), "gha", 0.5, 0.3, 1.0)
+    assert calls == ["moment_series"]  # and no state
+    # near the radius the plan warns once, and the series keeps quiet
+    calls.clear()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        g.expectations_series(g.type1(), "gha", 0.992, 0.0, 1.0, tail=1e-6)
+    assert [w.category for w in seen] == [ConditioningWarning]
+    assert calls == ["moment_series"]
+
+
+def test_trace_meta_holds_the_series_term_counts():
+    spec = g.hydrogen()
+    ms = moment_series(spec, "gha", 0.6)
+    counts = (len(ms.mean_w), len(ms.cross_w))  # (39, 40)
+    for path, terms in (("oracle", None), ("series", counts),
+                        ("both", counts)):
+        meta = g.trace(spec, "gha", 0.6, 0.3, path=path, n_points=11).meta
+        assert meta["terms"] == terms, path
+        assert list(meta) == ["system", "kind", "r", "phi", "energy_scale",
+                              "dim", "path", "points", "terms"]
+
+
+# labels no series route takes, with the class both series entries raise:
+# each runs the plan's checks, so neither reaches a route first
+@pytest.mark.parametrize("spec,kind,r,error", [
+    (g.q_deformed(0.5), "gha", -0.1, RadiusOfConvergenceError),
+    (g.q_deformed(0.5), "gha", 3.0, RadiusOfConvergenceError),
+    (g.q_deformed(0.5), "gha", 0.5, WrongSystemError),
+    (g.type1(), "gha", 1.0, RadiusOfConvergenceError),
+    (g.type1(), "linear", -0.1, RadiusOfConvergenceError),
+    (g.morse(7.59), "linear", 0.1, WrongSystemError),
+    (g.from_table([0, 0.5, 0.6667, 0.75]), "linear", 0.1, WrongSystemError),
+], ids=["q_deformed--0.1", "q_deformed-3", "q_deformed-0.5", "type1-1",
+        "type1-linear--0.1", "morse-linear", "short-table-linear"])
+def test_series_entries_raise_one_class(spec, kind, r, error):
+    with pytest.raises(error) as by_trace:
+        g.trace(spec, kind, r, path="series", n_points=11)
+    with pytest.raises(error) as by_point:
+        g.expectations_series(spec, kind, r, 0.0, 1.0)
+    assert type(by_point.value) is type(by_trace.value) is error
+    assert str(by_point.value) == str(by_trace.value)
 
 
 def _eager_dense(spec, dim, L_scale, hbar):
