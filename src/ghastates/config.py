@@ -228,10 +228,10 @@ def _g12_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells.view(np.uint8).reshape(len(x), 32), exact
 
 
-def _csv_body(columns) -> str:
-    """The rows of the float ``columns`` as lines (no final newline) of
-    comma-joined values, each byte for byte ``"%.12g" % value``."""
-    parts = []
+def _csv_blocks(columns):
+    """The rows of the float ``columns`` as comma-joined, newline-ended
+    lines, each value byte for byte ``"%.12g" % value``: one uint8 array
+    per block of 1024 rows."""
     # 1024 rows at a time, stacked block by block: stacking the whole table
     # first, or 2048-row blocks, raised cli-bundle's peak RSS by 0.4-1.1 MB
     for i in range(0, len(columns[0]), 1024):
@@ -244,5 +244,19 @@ def _csv_body(columns) -> str:
                 for v in block.ravel()[slow].tolist()),
                 np.uint8).reshape(-1, 31)
         flat = cells.ravel()
-        parts.append(flat[flat != 0])
-    return np.concatenate(parts).tobytes()[:-1].decode("ascii")
+        yield flat[flat != 0]
+
+
+def _write_csv(header: str, columns, path) -> None:
+    """Write ``header`` and the rows of ``_csv_blocks(columns)`` to a path
+    (ASCII with LF endings) or an open text file, block by block: no
+    string of the whole file is ever built."""
+    if hasattr(path, "write"):
+        path.write(header + "\n")
+        for block in _csv_blocks(columns):
+            path.write(block.tobytes().decode("ascii"))
+        return
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for block in _csv_blocks(columns):
+            fh.write(block)

@@ -29,8 +29,10 @@ ladders), not in separate kernel calls.
 
 Both entry points start from one plan, ``_plan``.  It checks the label's
 inputs, judges r against the convergence radius once (warning once near
-it), checks that a linear state fits a finite ladder, and builds the bands
-of each route the path names, oracle first, as ``_moments`` sums them.
+it; the builders take that verdict), checks that a linear state fits a
+finite ladder (the oracle's state checks its own fit), and builds the
+bands of each route the path names, oracle first, as ``_moments`` sums
+them.
 ``trace`` evaluates the plan on its grid, then clamps, checks the floor
 and finiteness and fills ``meta``; ``expectations_series`` evaluates a
 series plan at one time.
@@ -45,7 +47,7 @@ import numpy as np
 
 from ._kernels_py import weighted_trig_sums
 from .algebra import AlgebraRep, build_rep
-from .config import _csv_body, _write_lines
+from .config import _write_csv
 from .errors import (
     ClampWarning,
     ImaginaryResidualError,
@@ -53,7 +55,6 @@ from .errors import (
     NegativeVarianceError,
     NonFiniteResultError,
     UncertaintyFloorError,
-    WrongSystemError,
     require_finite,
     require_integer,
     require_positive,
@@ -62,9 +63,8 @@ from .errors import (
 from .series import moment_series
 from .spectrum import SpectrumModel, levels
 from .states import (_RADIUS_JUDGED, _TAIL, FockState, _adaptive_count,
-                     _check_radius, _check_tail, _ladder_of,
-                     _warn_near_radius, gha_coherent_state,
-                     linear_coherent_state)
+                     _check_fit, _check_tail, _judge_radius, _ladder_of,
+                     gha_coherent_state, linear_coherent_state)
 
 _VAR_TOL = 1e-12
 _IMAG_TOL = 1e-12
@@ -181,12 +181,14 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
 
 def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
                        dim: int | None = None, tail: float = _TAIL) -> FockState:
-    """Build the (system, kind) state at label z = r exp(i phi)."""
+    """Build the (system, kind) state at label z = r exp(i phi); a linear
+    state must fit a finite ``spec``, which evolves it."""
     _ladder_of(spec, kind)
     z = r * complex(math.cos(phi), math.sin(phi))
     if kind == "gha":
         return gha_coherent_state(spec, z, dim, tail=tail)
-    return linear_coherent_state(z, dim, spec.index_offset, tail=tail)
+    return linear_coherent_state(z, dim, spec.index_offset, tail=tail,
+                                 within=spec)
 
 
 def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
@@ -239,24 +241,21 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
                                         "state; path 'series' builds none")
     _check_tail(tail)
     ladder = _ladder_of(spec, kind)
-    # one verdict on r, whatever the path; the builders judge |r e^{i phi}|
-    _check_radius(ladder, r)
-    _warn_near_radius(ladder, r)
-    if kind == "linear" and spec.max_level is not None:
+    # one verdict on r, whatever the path: the builders below take it
+    # rather than judge |r e^{i phi}|, which may round up to the radius
+    _judge_radius(ladder, r)
+    if kind == "linear" and spec.max_level is not None and path == "series":
         # the harmonic ladder's state must fit the table that evolves it,
-        # also where no route builds that state
+        # also where no route builds that state; the oracle's state checks
+        # its own fit from its own tail pass
         z = r * complex(math.cos(phi), math.sin(phi))
-        needs = _adaptive_count(ladder, z, tail)[0] if dim is None else dim
-        if needs > spec.max_level + 1:
-            raise WrongSystemError(
-                f"the finite {spec.system} ladder holds {spec.max_level + 1} "
-                f"levels; the linear coherent state at |z| = {abs(z):.6g} "
-                f"needs {needs}")
+        _check_fit(spec, z, _adaptive_count(ladder, z, tail)[0])
     routes = []
     state = None
-    # the builders keep quiet while this is set.  The plan calls them by the
-    # public names perfbench/tracer.py wraps for its states.build and
-    # series.weights spans and counters; states._coefficients would skip both
+    # the builders take the verdict above while this is set.  The plan calls
+    # them by the public names perfbench/tracer.py wraps for its states.build
+    # and series.weights spans and counters; states._coefficients would skip
+    # both
     judged = _RADIUS_JUDGED.set(True)
     try:
         if path != "series":
@@ -383,7 +382,7 @@ def write_trace_csv(tr: UncertaintyTrace, path) -> None:
     if tr.alt_values is not None:
         cols.append("discrepancy")
         arrays.append(np.abs(tr.values - tr.alt_values))
-    _write_lines([",".join(cols), _csv_body(arrays)], path)
+    _write_csv(",".join(cols), arrays, path)
 
 
 # ---------------------------------------------------------------------------

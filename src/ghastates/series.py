@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import (_TAIL, _check_radius, _check_tail, _grow, _ladder_of,
-                     _warn_near_radius, closed_form_normalization)
+from .states import (_TAIL, _check_tail, _grow, _judge_radius, _ladder_of,
+                     closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
 SUPPORTED = (
@@ -125,8 +125,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
         raise WrongSystemError(
             f"no closed-form moment series for ({spec.system}, {kind}); "
             "use the matrix path")
-    _check_radius(ladder, r)
-    _warn_near_radius(ladder, r)
+    _judge_radius(ladder, r)
 
     mean, cross, diag = _weights(ladder, r, tail)
     # the gaps eps_k - eps_{k+1} and eps_k - eps_{k+2}, from one level read

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _csv_body, _write_lines
+from .config import _write_csv
 from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
@@ -124,14 +124,19 @@ def _check_radius(spec: SpectrumModel, r: float) -> None:
         raise RadiusOfConvergenceError(f"r = {r} is outside [0, {radius:g})")
 
 
-# set while dynamics._plan builds the routes of a label it has judged
+# set while dynamics._plan builds the routes of a label it has judged: the
+# builders take its verdict on r rather than judge |r e^{i phi}| again,
+# which may round up to the radius
 _RADIUS_JUDGED = contextvars.ContextVar("radius_judged", default=False)
 
 
-def _warn_near_radius(spec: SpectrumModel, r: float) -> None:
-    """Warn at the caller's line when 0.99 radius <= r < radius."""
-    radius = convergence_radius(spec)
-    if not _RADIUS_JUDGED.get() and 0.99 * radius <= r < radius:
+def _judge_radius(spec: SpectrumModel, r: float) -> None:
+    """``_check_radius``, then warn at the caller's line when r is within
+    1% of the radius; neither while ``_RADIUS_JUDGED`` is set."""
+    if _RADIUS_JUDGED.get():
+        return
+    _check_radius(spec, r)
+    if r >= 0.99 * convergence_radius(spec):
         warn_caller(
             f"|z| = {r:.6g} is within 1% of the convergence radius; the "
             "normalization is nearly singular and precision degrades",
@@ -260,6 +265,16 @@ def _adaptive_count(spec: SpectrumModel, z: complex,
     return max(len(terms), 2), read
 
 
+def _check_fit(within: SpectrumModel, z: complex, needs: int) -> None:
+    """Raise ``WrongSystemError`` if a linear state of ``needs`` levels
+    outgrows the finite ladder ``within`` that evolves it."""
+    if needs > within.max_level + 1:
+        raise WrongSystemError(
+            f"the finite {within.system} ladder holds {within.max_level + 1} "
+            f"levels; the linear coherent state at |z| = {abs(z):.6g} "
+            f"needs {needs}")
+
+
 def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
     if dim is None:
         return needed
@@ -285,16 +300,18 @@ def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
 # constructors
 
 def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
-                  tail: float) -> np.ndarray:
-    """Both constructors' body: the normalized eigenstate coefficients."""
+                  tail: float, within: SpectrumModel | None = None
+                  ) -> np.ndarray:
+    """Both constructors' body: the normalized eigenstate coefficients.  A
+    state of an infinite ladder must fit a finite ``within``, checked
+    before its amplitudes are formed."""
     z = complex(z)
     require_finite(z=z)
     _check_tail(tail)
     if dim is not None:
         require_integer(dim=dim)
     r = abs(z)
-    _check_radius(spec, r)
-    _warn_near_radius(spec, r)
+    _judge_radius(spec, r)
     zr = raw_eigenvalue(spec, z)
 
     if spec.max_level is not None:
@@ -310,6 +327,8 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
         a[:support] = _amplitudes(state_ladder(spec, support - 1), zr, support)
     else:
         needed, ladder = _adaptive_count(spec, zr, tail)
+        if within is not None and within.max_level is not None:
+            _check_fit(within, z, needed if dim is None else dim)
         dim = _fit_dim(needed, dim, z, tail)
         if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
             ladder = state_ladder(spec, dim - 1)
@@ -333,11 +352,15 @@ def gha_coherent_state(spec: SpectrumModel, z: complex,
 
 
 def linear_coherent_state(z: complex, dim: int | None = None,
-                          index_offset: int = 0, *,
-                          tail: float = _TAIL) -> FockState:
-    """Exponential-weight coherent state: the harmonic ladder's gha state."""
-    return FockState(_coefficients(_HARMONIC, z, dim, tail), index_offset,
-                     "linear", kind="linear")
+                          index_offset: int = 0, *, tail: float = _TAIL,
+                          within: SpectrumModel | None = None) -> FockState:
+    """Exponential-weight coherent state: the harmonic ladder's gha state.
+
+    ``within`` names the spectrum that will evolve the state; a finite one
+    refuses a state longer than its ladder with ``WrongSystemError``.
+    """
+    return FockState(_coefficients(_HARMONIC, z, dim, tail, within),
+                     index_offset, "linear", kind="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -440,4 +463,4 @@ def state_to_csv(state: FockState, path) -> None:
     """
     c = state.coeffs
     index = np.arange(len(c)) + float(state.index_offset)
-    _write_lines(["index,re,im", _csv_body([index, c.real, c.imag])], path)
+    _write_csv("index,re,im", [index, c.real, c.imag], path)

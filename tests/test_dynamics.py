@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import ghastates as g
 from ghastates import cli
 from ghastates._kernels_py import weighted_trig_sums
-from ghastates.config import _csv_body, _g12_cells, _write_lines
+from ghastates.config import _csv_blocks, _g12_cells, _write_csv, _write_lines
 from ghastates.dynamics import (
     _clamp_var_array,
     _moments,
@@ -32,6 +33,7 @@ from ghastates.errors import (
     NegativeVarianceError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
+    TailBoundError,
     UncertaintyFloorError,
     WrongSystemError,
 )
@@ -208,8 +210,8 @@ def test_trace_validation():
             g.trace(spec, "bogus", 0.1, path=path, n_points=11)
         with pytest.raises(InvalidParameterError, match="tail must lie"):
             g.trace(spec, "bogus", 0.1, path=path, tail=5.0)
-        # a table too short for the linear state: the plan's fit check
-        # names the ladder before either route, the series one included
+        # a table too short for the linear state: the fit check names the
+        # ladder before either route sums anything, the series one included
         with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
             g.trace(g.from_table([0, 0.5, 0.6667, 0.75]), "linear", 0.1,
                     path=path, n_points=11)
@@ -217,6 +219,59 @@ def test_trace_validation():
         with pytest.raises(RadiusOfConvergenceError,
                            match=r"^r must be >= 0$"):
             g.trace(spec, "gha", -0.1, 0.7, path=path, n_points=11)
+
+
+def test_linear_state_must_fit_its_table():
+    table = g.from_table([0, 0.5, 0.6667, 0.75])
+    # the builder checks the fit as trace does
+    with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
+        coherent_state_for(table, "linear", 0.1, 0.0)
+    # before the amplitudes overflow (from r = 26.64 on), on every route
+    for path in ("oracle", "series", "both"):
+        with pytest.raises(WrongSystemError, match=r"\| = 30 needs 901$"):
+            g.trace(table, "linear", 30.0, path=path, n_points=11)
+    # an explicit dim is the length checked
+    with pytest.raises(WrongSystemError, match=r"\| = 0.1 needs 5$"):
+        g.trace(table, "linear", 0.1, dim=5, n_points=11)
+
+
+def test_linear_state_on_a_table_runs_one_tail_pass(monkeypatch):
+    from ghastates import dynamics, states
+    real, calls = states._adaptive_count, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "_adaptive_count", counted)
+    monkeypatch.setattr(dynamics, "_adaptive_count", counted)
+    table = g.from_table([0.5 * n + 0.01 * n * n for n in range(40)])
+    assert g.trace(table, "linear", 0.5, n_points=11).meta["dim"] == 11
+    assert len(calls) == 1
+    # the series route checks the fit from its own pass, then has no
+    # closed form for a table
+    for path in ("series", "both"):
+        calls.clear()
+        with pytest.raises(WrongSystemError, match="no closed-form"):
+            g.trace(table, "linear", 0.5, path=path, n_points=11)
+        assert len(calls) == 1, path
+
+
+def test_builders_take_the_plans_verdict_on_r():
+    # |r e^{i phi}| rounds up to the radius here; judged on r, the label is
+    # inside it, and every route runs out of terms alike
+    r, phi = math.nextafter(1.0, 0.0), 0.12007167122020188
+    assert abs(r * complex(math.cos(phi), math.sin(phi))) == 1.0
+    for path in ("oracle", "series", "both"):
+        with pytest.warns(ConditioningWarning), \
+                pytest.raises(TailBoundError, match="not reached"):
+            g.trace(g.type2(), "gha", r, phi, path=path, n_points=11)
+    with pytest.warns(ConditioningWarning), \
+            pytest.raises(TailBoundError, match="not reached"):
+        g.expectations_series(g.type2(), "gha", r, phi, 0.0)
+    # a builder called alone judges |z|
+    with pytest.raises(RadiusOfConvergenceError, match="outside"):
+        coherent_state_for(g.type2(), "gha", r, phi)
 
 
 def test_trace_raises_below_the_floor(monkeypatch):
@@ -381,9 +436,9 @@ _G12_INPUTS = st.one_of(
     lambda v: -v[0] if v[1] else v[0]), min_size=2, max_size=40))
 def test_bulk_g12_matches_python(values):
     x = np.array(values)
-    got = _csv_body([x, x[::-1]])
-    assert got == "\n".join("%.12g,%.12g" % row
-                            for row in zip(values, values[::-1]))
+    got = b"".join(_csv_blocks([x, x[::-1]])).decode("ascii")
+    assert got == "".join("%.12g,%.12g\n" % row
+                          for row in zip(values, values[::-1]))
 
 
 def test_bulk_g12_matches_python_near_every_tie():
@@ -396,7 +451,8 @@ def test_bulk_g12_matches_python_near_every_tie():
         rng.integers(-330, 296, 20000).tolist())])
     x = np.concatenate([ties, np.nextafter(ties, 0),
                         np.nextafter(ties, np.inf)])
-    assert _csv_body([x]) == "\n".join("%.12g" % v for v in x.tolist())
+    assert b"".join(_csv_blocks([x])).decode("ascii") == "".join(
+        "%.12g\n" % v for v in x.tolist())
 
 
 def test_bulk_g12_proves_nearly_every_trace_cell():
@@ -410,6 +466,55 @@ def test_bulk_g12_proves_nearly_every_trace_cell():
     _, exact = _g12_cells(table)
     assert exact.size == 7 * 20001
     assert (~exact).mean() < 0.01
+
+
+def _reference_csv(header, columns):
+    return header + "\n" + "".join(
+        ",".join("%.12g" % v for v in row) + "\n"
+        for row in zip(*(c.tolist() for c in columns)))
+
+
+def _writer_columns(rows):
+    # the spot values, then values over many scales, in seven columns
+    rng = np.random.default_rng(rows)
+    x = np.concatenate([_SPOT_VALUES, rng.standard_normal(rows)
+                        * 10.0 ** rng.integers(-8, 9, rows)])[:rows]
+    return [np.roll(x, k) for k in range(7)]
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 2049, 20001])
+def test_streamed_csv_matches_per_value_format(rows, tmp_path):
+    # the block edges (1024 rows) and a long file, on a path and on a text
+    # stream
+    header = "a,b,c,d,e,f,g"
+    columns = _writer_columns(rows)
+    want = _reference_csv(header, columns)
+    path = tmp_path / "out.csv"
+    _write_csv(header, columns, path)
+    assert path.read_bytes() == want.encode("ascii")
+    buf = io.StringIO()
+    _write_csv(header, columns, buf)
+    assert buf.getvalue() == want
+
+
+def test_streamed_csv_memory_does_not_grow_with_rows(tmp_path):
+    # the writer holds one block at a time, so a file five times as long
+    # peaks within 10% of the shorter one
+    def peak(rows):
+        t = np.linspace(0.0, 1000.0, rows)
+        tr = g.UncertaintyTrace(t, *(np.sin(k * t) + 1.0 for k in range(5)),
+                                meta={})
+        path = tmp_path / f"{rows}.csv"
+        g.write_trace_csv(tr, path)  # fills the writer's caches
+        tracemalloc.start()
+        try:
+            g.write_trace_csv(tr, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4001), peak(20001)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_moment_series_unsupported():
