@@ -28,11 +28,11 @@ independence lies in their weights (matrix elements against closed-form
 ladders), not in separate kernel calls.
 
 Both entry points start from one plan, ``_plan``.  It checks the label's
-inputs, judges r against the convergence radius once (warning once near
-it; the builders take that verdict), checks that a linear state fits a
-finite ladder (the oracle's state checks its own fit), and builds the
-bands of each route the path names, oracle first, as ``_moments`` sums
-them.
+inputs and scales, judges r against the convergence radius once (warning
+once near it; the builders take that verdict), builds the label's state by
+its kind wherever the oracle needs it or a linear state must fit a finite
+ladder (the builder alone checks that fit), and builds the bands of each
+route the path names, oracle first, as ``_moments`` sums them.
 ``trace`` evaluates the plan on its grid, then clamps, checks the floor
 and finiteness and fills ``meta``; ``expectations_series`` evaluates a
 series plan at one time.
@@ -62,9 +62,9 @@ from .errors import (
 )
 from .series import moment_series
 from .spectrum import SpectrumModel, levels
-from .states import (_RADIUS_JUDGED, _TAIL, FockState, _adaptive_count,
-                     _check_fit, _check_tail, _judge_radius, _ladder_of,
-                     gha_coherent_state, linear_coherent_state)
+from .states import (_RADIUS_JUDGED, _TAIL, FockState, _check_tail,
+                     _judge_radius, _ladder_of, gha_coherent_state,
+                     linear_coherent_state)
 
 _VAR_TOL = 1e-12
 _IMAG_TOL = 1e-12
@@ -179,18 +179,6 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
                              2.0 * re[1] + consts[1]])]
 
 
-def coherent_state_for(spec: SpectrumModel, kind: str, r: float, phi: float,
-                       dim: int | None = None, tail: float = _TAIL) -> FockState:
-    """Build the (system, kind) state at label z = r exp(i phi); a linear
-    state must fit a finite ``spec``, which evolves it."""
-    _ladder_of(spec, kind)
-    z = r * complex(math.cos(phi), math.sin(phi))
-    if kind == "gha":
-        return gha_coherent_state(spec, z, dim, tail=tail)
-    return linear_coherent_state(z, dim, spec.index_offset, tail=tail,
-                                 within=spec)
-
-
 def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
              hbar: float) -> AlgebraRep:
     # two rows above the state's support keep every two-step cross term of
@@ -228,8 +216,10 @@ def _moments(routes, times: np.ndarray):
 
 def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
           dim: int | None, L_scale: float, hbar: float, tail: float):
-    """Check a label's inputs, judge r once, build each route's bands (oracle
-    first, as ``_moments`` takes them); return them with the oracle's state."""
+    """Check a label's inputs, judge r once, build its state where the oracle
+    needs it or a linear state must fit a finite ladder, and each route's
+    bands (oracle first, as ``_moments`` takes them); return the bands with
+    the state, or None where none was built."""
     require_finite(r=r, phi=phi)
     require_positive(L_scale=L_scale, hbar=hbar)
     if path not in ("oracle", "series", "both"):
@@ -244,12 +234,15 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
     # one verdict on r, whatever the path: the builders below take it
     # rather than judge |r e^{i phi}|, which may round up to the radius
     _judge_radius(ladder, r)
-    if kind == "linear" and spec.max_level is not None and path == "series":
-        # the harmonic ladder's state must fit the table that evolves it,
-        # also where no route builds that state; the oracle's state checks
-        # its own fit from its own tail pass
-        z = r * complex(math.cos(phi), math.sin(phi))
-        _check_fit(spec, z, _adaptive_count(ladder, z, tail)[0])
+    # <xi^2> and <rho^2> carry these factors on both routes
+    try:
+        xi2, rho2 = L_scale ** 2, (hbar / L_scale) ** 2
+    except OverflowError:
+        xi2 = rho2 = math.inf
+    if math.isinf(xi2) or math.isinf(rho2):
+        raise NonFiniteResultError(
+            f"L_scale = {L_scale!r} and hbar = {hbar!r} put L_scale^2 or "
+            "(hbar/L_scale)^2 beyond the float range")
     routes = []
     state = None
     # the builders take the verdict above while this is set.  The plan calls
@@ -258,8 +251,16 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
     # both
     judged = _RADIUS_JUDGED.set(True)
     try:
+        # a linear state must fit the finite ladder that evolves it, also on
+        # "series", where that state is built for its fit check alone
+        if path != "series" or (kind == "linear"
+                                and spec.max_level is not None):
+            z = r * complex(math.cos(phi), math.sin(phi))
+            state = (gha_coherent_state(spec, z, dim, tail=tail)
+                     if kind == "gha" else
+                     linear_coherent_state(z, dim, spec.index_offset,
+                                           tail=tail, within=spec))
         if path != "series":
-            state = coherent_state_for(spec, kind, r, phi, dim, tail)
             routes.append(_oracle_bands(
                 state, _rep_for(spec, state, L_scale, hbar)))
         if path != "oracle":
@@ -274,9 +275,8 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
                                             s2 * hbar / L_scale * im[0]]),
                 ([ms.cross_w * complex(math.cos(2.0 * phi),
                                        math.sin(2.0 * phi))], ms.cross_f,
-                 lambda re, im: [L_scale ** 2 * (re[0] + ms.diag + 0.5),
-                                 (hbar / L_scale) ** 2
-                                 * (-re[0] + ms.diag + 0.5)])])
+                 lambda re, im: [xi2 * (re[0] + ms.diag + 0.5),
+                                 rho2 * (-re[0] + ms.diag + 0.5)])])
     finally:
         _RADIUS_JUDGED.reset(judged)
     return routes, state

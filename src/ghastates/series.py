@@ -90,14 +90,13 @@ def _weights(ladder: SpectrumModel, r: float, tail: float):
                          x / ((k + 1) * Lk1 / (k + 2))))
 
     exponential = ladder.system == "harmonic"
-    if exponential:
-        n2 = math.exp(-x)
-        if n2 < sys.float_info.min:
-            # a subnormal or zero N^2 would silently drop or distort every term
-            raise NonFiniteResultError(
-                f"linear-state normalization exp(-r^2) underflows at r = {r:.6g}")
-    else:
-        n2 = closed_form_normalization(ladder, r) ** 2
+    n2 = math.exp(-x) if exponential else closed_form_normalization(
+        ladder, r) ** 2
+    if n2 < sys.float_info.min:
+        # a subnormal or zero N^2 would silently drop or distort every term
+        name = ("linear-state normalization exp(-r^2)" if exponential
+                else f"{ladder.system} normalization N^2")
+        raise NonFiniteResultError(f"{name} underflows at r = {r:.6g}")
     if ladder.system == "morse":
         tail = 0.0  # stop at the first zero ratio: the top level
     L0, L1 = table(ladder, np.arange(2)).tolist()

@@ -170,7 +170,8 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     if np.isfinite(a).all() and ((z.imag == 0.0 and z.real > 0.0)
                                  or (a[1:].real.all() and a[1:].imag.all())):
         return a
-    # past r = 40 the terms overflow here, and _normalized raises on them
+    # past r = 40 the terms overflow here, and _coefficients raises on
+    # their norm
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count):
             step = ladder[k - 1]
@@ -265,37 +266,6 @@ def _adaptive_count(spec: SpectrumModel, z: complex,
     return max(len(terms), 2), read
 
 
-def _check_fit(within: SpectrumModel, z: complex, needs: int) -> None:
-    """Raise ``WrongSystemError`` if a linear state of ``needs`` levels
-    outgrows the finite ladder ``within`` that evolves it."""
-    if needs > within.max_level + 1:
-        raise WrongSystemError(
-            f"the finite {within.system} ladder holds {within.max_level + 1} "
-            f"levels; the linear coherent state at |z| = {abs(z):.6g} "
-            f"needs {needs}")
-
-
-def _fit_dim(needed: int, dim: int | None, z: complex, tail: float) -> int:
-    if dim is None:
-        return needed
-    if dim < needed:
-        raise TailBoundError(
-            f"dim = {dim} leaves more than {tail:g} analytic tail mass "
-            f"at |z| = {abs(z):.6g}; need at least {needed}")
-    return dim
-
-
-def _normalized(a: np.ndarray, z: complex) -> np.ndarray:
-    # |a|^2 overflows from r = 26.64 on for the exponential weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a)
-    if not math.isfinite(norm):
-        raise NonFiniteResultError(
-            f"coherent-state norm is {norm} at r = {abs(z):.6g}: the "
-            "amplitudes overflow")
-    return a / norm
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -303,8 +273,8 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
                   tail: float, within: SpectrumModel | None = None
                   ) -> np.ndarray:
     """Both constructors' body: the normalized eigenstate coefficients.  A
-    state of an infinite ladder must fit a finite ``within``, checked
-    before its amplitudes are formed."""
+    state of an infinite ladder must fit a finite ``within``, checked here
+    alone, from the one tail pass and before the amplitudes are formed."""
     z = complex(z)
     require_finite(z=z)
     _check_tail(tail)
@@ -327,13 +297,28 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
         a[:support] = _amplitudes(state_ladder(spec, support - 1), zr, support)
     else:
         needed, ladder = _adaptive_count(spec, zr, tail)
-        if within is not None and within.max_level is not None:
-            _check_fit(within, z, needed if dim is None else dim)
-        dim = _fit_dim(needed, dim, z, tail)
+        dim = needed if dim is None else dim
+        if within is not None and within.max_level is not None \
+                and dim > within.max_level + 1:
+            raise WrongSystemError(
+                f"the finite {within.system} ladder holds "
+                f"{within.max_level + 1} levels; the linear coherent state at "
+                f"|z| = {r:.6g} needs {dim}")
+        if dim < needed:
+            raise TailBoundError(
+                f"dim = {dim} leaves more than {tail:g} analytic tail mass "
+                f"at |z| = {r:.6g}; need at least {needed}")
         if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
             ladder = state_ladder(spec, dim - 1)
         a = _amplitudes(ladder, zr, dim)
-    return _normalized(a, z)
+    # |a|^2 overflows from r = 26.64 on for the exponential weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a)
+    if not math.isfinite(norm):
+        raise NonFiniteResultError(
+            f"coherent-state norm is {norm} at r = {r:.6g}: the amplitudes "
+            "overflow")
+    return a / norm
 
 
 def gha_coherent_state(spec: SpectrumModel, z: complex,
@@ -371,7 +356,8 @@ def closed_form_normalization(spec: SpectrumModel, r: float) -> float:
 
     Defined as the factor multiplying the unnormalized series, i.e. the
     reciprocal of the series norm; the numerically normalized vector must
-    reproduce it to 1e-10 relative.
+    reproduce it to 1e-10 relative.  Where the Morse sum overflows, N^2
+    lies below the float range and ``NonFiniteResultError`` is raised.
     """
     require_finite(r=r)
     _check_radius(spec, r)
@@ -386,9 +372,14 @@ def closed_form_normalization(spec: SpectrumModel, r: float) -> float:
     if s == "morse":
         # the terms x^n / prod_{j<=n} j (2p - j) and their sum, in sequence
         n = np.arange(1, spec.max_level)
-        terms = np.multiply.accumulate(
-            np.concatenate(([1.0], x / (n * (2.0 * spec.p - n)))))
-        return 1.0 / math.sqrt(np.add.accumulate(terms)[-1])
+        with np.errstate(over="ignore"):
+            total = np.add.accumulate(np.multiply.accumulate(
+                np.concatenate(([1.0], x / (n * (2.0 * spec.p - n))))))[-1]
+        if math.isinf(total):
+            raise NonFiniteResultError(
+                f"the Morse normalization sum overflows at r = {r:.6g}: N^2 "
+                "is below the float range")
+        return 1.0 / math.sqrt(total)
     if s == "harmonic":
         return math.exp(-0.5 * x)
     raise WrongSystemError(

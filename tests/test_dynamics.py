@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from ghastates.dynamics import (
     _oracle_bands,
     _plan,
     _rep_for,
-    coherent_state_for,
     peak_deviation,
     refined_extremum,
 )
@@ -119,7 +119,7 @@ def test_series_matches_oracle_spot(sysname, kind):
     spec = g.make_spectrum(sysname)
     r, phi, t = 0.35, 1.1, 23.7
     es = g.expectations_series(spec, kind, r, phi, t)
-    st = coherent_state_for(spec, kind, r, phi)
+    st = _plan(spec, kind, r, phi, "oracle", None, 1.0, 1.0, _TAIL)[1]
     eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         a, b = getattr(es, name), getattr(eo, name)
@@ -130,7 +130,7 @@ def test_series_matches_oracle_nonunit_b():
     spec = g.type1(b=2.5)
     r, phi, t = 0.3, 0.4, 11.0
     es = g.expectations_series(spec, "gha", r, phi, t)
-    st = coherent_state_for(spec, "gha", r, phi)
+    st = _plan(spec, "gha", r, phi, "oracle", None, 1.0, 1.0, _TAIL)[1]
     eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         assert getattr(es, name) == pytest.approx(getattr(eo, name), abs=1e-10)
@@ -225,7 +225,7 @@ def test_linear_state_must_fit_its_table():
     table = g.from_table([0, 0.5, 0.6667, 0.75])
     # the builder checks the fit as trace does
     with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
-        coherent_state_for(table, "linear", 0.1, 0.0)
+        g.linear_coherent_state(0.1, within=table)
     # before the amplitudes overflow (from r = 26.64 on), on every route
     for path in ("oracle", "series", "both"):
         with pytest.raises(WrongSystemError, match=r"\| = 30 needs 901$"):
@@ -235,26 +235,44 @@ def test_linear_state_must_fit_its_table():
         g.trace(table, "linear", 0.1, dim=5, n_points=11)
 
 
-def test_linear_state_on_a_table_runs_one_tail_pass(monkeypatch):
-    from ghastates import dynamics, states
-    real, calls = states._adaptive_count, []
+def _count_calls(monkeypatch, module, name):
+    real, calls = getattr(module, name), []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(states, "_adaptive_count", counted)
-    monkeypatch.setattr(dynamics, "_adaptive_count", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_linear_state_on_a_table_runs_one_tail_pass(monkeypatch):
+    from ghastates import states
+    calls = _count_calls(monkeypatch, states, "_adaptive_count")
     table = g.from_table([0.5 * n + 0.01 * n * n for n in range(40)])
     assert g.trace(table, "linear", 0.5, n_points=11).meta["dim"] == 11
     assert len(calls) == 1
-    # the series route checks the fit from its own pass, then has no
+    # the series route builds the state for its fit check, then has no
     # closed form for a table
     for path in ("series", "both"):
         calls.clear()
         with pytest.raises(WrongSystemError, match="no closed-form"):
             g.trace(table, "linear", 0.5, path=path, n_points=11)
         assert len(calls) == 1, path
+
+
+def test_series_plan_builds_a_state_only_for_a_fit_check(monkeypatch):
+    from ghastates import states
+    builds = _count_calls(monkeypatch, states, "_coefficients")
+    table = g.from_table([0.5 * n + 0.01 * n * n for n in range(40)])
+    with pytest.raises(WrongSystemError, match="no closed-form"):
+        g.trace(table, "linear", 0.5, path="series", n_points=11)
+    assert len(builds) == 1
+    builds.clear()
+    for kind in ("gha", "linear"):
+        g.trace(g.type1(), kind, 0.5, path="series", n_points=11)
+        g.expectations_series(g.type1(), kind, 0.5, 0.3, 1.0)
+    assert builds == []
 
 
 def test_builders_take_the_plans_verdict_on_r():
@@ -271,7 +289,8 @@ def test_builders_take_the_plans_verdict_on_r():
         g.expectations_series(g.type2(), "gha", r, phi, 0.0)
     # a builder called alone judges |z|
     with pytest.raises(RadiusOfConvergenceError, match="outside"):
-        coherent_state_for(g.type2(), "gha", r, phi)
+        g.gha_coherent_state(g.type2(),
+                             r * complex(math.cos(phi), math.sin(phi)))
 
 
 def test_trace_raises_below_the_floor(monkeypatch):
@@ -686,7 +705,7 @@ def test_banded_oracle_matches_dense(spec, kind, r):
 
 def test_oracle_detects_non_hermitian_rho():
     spec = g.type1()
-    st = coherent_state_for(spec, "gha", 0.5, 0.3)
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0, _TAIL)[1]
     rep = _rep_for(spec, st, 1.0, 1.0)
     up, down = rep.rho_bands
     up = up.copy()
@@ -712,7 +731,7 @@ def _count_kernel_rows(monkeypatch):
 @pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1), ("rho", -1)])
 def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     spec = g.type1()
-    st = coherent_state_for(spec, "gha", 0.5, 0.3)
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0, _TAIL)[1]
     rep = _rep_for(spec, st, 1.0, 1.0)
     assert rep.dim == st.dim + 2
     up, down = getattr(rep, f"{name}_bands")
@@ -865,7 +884,7 @@ _VIEW_BANDS = {"J0": (0,), "N_op": (0,), "A": (1,), "D": (1,),
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
-    st = coherent_state_for(spec, kind, r, 0.7)
+    st = _plan(spec, kind, r, 0.7, "oracle", None, 1.0, 1.0, _TAIL)[1]
     rep = _rep_for(spec, st, 1.3, 0.8)
     idx = np.arange(rep.dim)
     offset = idx[None, :] - idx[:, None]
@@ -1039,6 +1058,38 @@ def test_series_underflow_raises_non_finite():
     assert np.abs(tr.values - 0.5).max() < 1e-9
 
 
+@pytest.mark.parametrize("r", [3e26, 1e30, 1e155])
+def test_morse_overflow_raises_non_finite_on_every_route(r):
+    # the normalization sum overflows from r = 2.9e26 on; the series route
+    # used to take N = 0 from it and return a flat 1/2, or run out of terms
+    spec = g.morse(7.59)
+    calls = [lambda: g.closed_form_normalization(spec, r),
+             lambda: g.expectations_series(spec, "gha", r, 0.0, 1.0)]
+    calls += [functools.partial(g.trace, spec, "gha", r, path=path, n_points=5)
+              for path in ("oracle", "series", "both")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(NonFiniteResultError):
+                call()
+
+
+@pytest.mark.parametrize("scale", [{"L_scale": 1e-160}, {"L_scale": 1e-200},
+                                   {"L_scale": 1e200}, {"hbar": 1e300}],
+                         ids=["L_scale=1e-160", "L_scale=1e-200",
+                              "L_scale=1e200", "hbar=1e300"])
+@pytest.mark.parametrize("call", [c for n, c in _SCALED_CALLS.items()
+                                  if n != "build_rep"],
+                         ids=[n for n in _SCALED_CALLS if n != "build_rep"])
+def test_overflowing_scales_raise_non_finite(call, scale):
+    # (hbar / L_scale)^2 or L_scale^2 past the float range: the series route
+    # raised a bare OverflowError, the oracle warned four times first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteResultError, match="float range"):
+            call(**scale)
+
+
 @pytest.mark.parametrize("system", sorted({s for s, k in SUPPORTED
                                            if k == "linear"}))
 def test_linear_series_is_the_harmonic_gha_series(system):
@@ -1063,7 +1114,8 @@ def test_kind_picks_the_label_on_the_harmonic_ladder():
     # follows the kind, not the spectrum
     from ghastates.states import _HARMONIC
     for kind in ("gha", "linear"):
-        st = coherent_state_for(_HARMONIC, kind, 0.5, 0.3)
+        st = _plan(_HARMONIC, kind, 0.5, 0.3, "oracle", None, 1.0, 1.0,
+                   _TAIL)[1]
         assert (st.kind, st.spectrum_id) == (
             kind, "harmonic" if kind == "gha" else "linear")
 
@@ -1131,7 +1183,8 @@ def test_trace_oracle_route_property(spec, frac, phi, t_end):
 
     def run():
         try:
-            state = coherent_state_for(spec, "gha", r, phi)
+            state = _plan(spec, "gha", r, phi, "oracle", None, 1.0, 1.0,
+                          _TAIL)[1]
             tr = g.trace(spec, "gha", r, phi, t_end=t_end, n_points=257)
         except GhaError as exc:
             return type(exc).__name__, str(exc)
