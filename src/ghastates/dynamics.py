@@ -41,6 +41,7 @@ series plan at one time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,8 @@ from .errors import (
 )
 from .series import moment_series
 from .spectrum import SpectrumModel, levels
-from .states import (_RADIUS_JUDGED, _TAIL, FockState, _check_tail,
-                     _judge_radius, _ladder_of, gha_coherent_state,
-                     linear_coherent_state)
+from .states import (_RADIUS_JUDGED, FockState, _judge_radius, _ladder_of,
+                     gha_coherent_state, linear_coherent_state)
 
 _VAR_TOL = 1e-12
 _IMAG_TOL = 1e-12
@@ -215,7 +215,7 @@ def _moments(routes, times: np.ndarray):
 
 
 def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
-          dim: int | None, L_scale: float, hbar: float, tail: float):
+          dim: int | None, L_scale: float, hbar: float):
     """Check a label's inputs, judge r once, build its state where the oracle
     needs it or a linear state must fit a finite ladder, and each route's
     bands (oracle first, as ``_moments`` takes them); return the bands with
@@ -229,20 +229,20 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
         if path == "series":
             raise InvalidParameterError("dim truncates the oracle route's "
                                         "state; path 'series' builds none")
-    _check_tail(tail)
     ladder = _ladder_of(spec, kind)
     # one verdict on r, whatever the path: the builders below take it
     # rather than judge |r e^{i phi}|, which may round up to the radius
     _judge_radius(ladder, r)
-    # <xi^2> and <rho^2> carry these factors on both routes
+    # <xi^2> and <rho^2> carry the first two factors on both routes, and
+    # var_xi var_rho the third; a subnormal one keeps too few digits
     try:
-        xi2, rho2 = L_scale ** 2, (hbar / L_scale) ** 2
+        xi2, rho2, hbar2 = L_scale ** 2, (hbar / L_scale) ** 2, hbar ** 2
     except OverflowError:
-        xi2 = rho2 = math.inf
-    if math.isinf(xi2) or math.isinf(rho2):
+        xi2 = rho2 = hbar2 = math.inf
+    if not all(sys.float_info.min <= v < math.inf for v in (xi2, rho2, hbar2)):
         raise NonFiniteResultError(
-            f"L_scale = {L_scale!r} and hbar = {hbar!r} put L_scale^2 or "
-            "(hbar/L_scale)^2 beyond the float range")
+            f"L_scale = {L_scale!r} and hbar = {hbar!r} put L_scale^2, "
+            "(hbar/L_scale)^2 or hbar^2 outside the normal float range")
     routes = []
     state = None
     # the builders take the verdict above while this is set.  The plan calls
@@ -256,15 +256,14 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
         if path != "series" or (kind == "linear"
                                 and spec.max_level is not None):
             z = r * complex(math.cos(phi), math.sin(phi))
-            state = (gha_coherent_state(spec, z, dim, tail=tail)
-                     if kind == "gha" else
+            state = (gha_coherent_state(spec, z, dim) if kind == "gha" else
                      linear_coherent_state(z, dim, spec.index_offset,
-                                           tail=tail, within=spec))
+                                           within=spec))
         if path != "series":
             routes.append(_oracle_bands(
                 state, _rep_for(spec, state, L_scale, hbar)))
         if path != "oracle":
-            ms = moment_series(spec, kind, r, tail=tail)
+            ms = moment_series(spec, kind, r)
             # the label phase rides on the weights, w_k exp(i phi) and
             # v_k exp(2 i phi); at phi = 0 they are (w_k, +0), and every
             # product in the kernel rounds as with the real weights alone
@@ -283,14 +282,20 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
 
 
 def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
-                        t: float, L_scale: float = 1.0, hbar: float = 1.0,
-                        tail: float = _TAIL) -> ExpectationSet:
+                        t: float, L_scale: float = 1.0,
+                        hbar: float = 1.0) -> ExpectationSet:
     """Moments from the closed-form series at a single time point, behind
     the checks ``trace`` makes."""
     require_finite(t=t)
-    routes, _ = _plan(spec, kind, r, phi, "series", None, L_scale, hbar, tail)
-    [arrays] = _moments(routes, np.array([float(t)]))
-    return ExpectationSet(*(float(a[0]) for a in arrays))
+    # as in ``trace``: an overflow comes out as NonFiniteResultError alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        routes, _ = _plan(spec, kind, r, phi, "series", None, L_scale, hbar)
+        [arrays] = _moments(routes, np.array([float(t)]))
+        es = ExpectationSet(*(float(a[0]) for a in arrays))
+    if not (math.isfinite(es.var_xi) and math.isfinite(es.var_rho)):
+        raise NonFiniteResultError(
+            f"series moments are not finite at r = {r!r}, t = {t!r}")
+    return es
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +319,7 @@ class UncertaintyTrace:
 def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
           t_start: float = 0.0, t_end: float = 100.0, n_points: int = 2001,
           path: str = "oracle", dim: int | None = None,
-          L_scale: float = 1.0, hbar: float = 1.0,
-          tail: float = _TAIL) -> UncertaintyTrace:
+          L_scale: float = 1.0, hbar: float = 1.0) -> UncertaintyTrace:
     """Uncertainty product Delta(xi) Delta(rho)/hbar on a uniform grid.
 
     ``path`` selects the evaluation route; with ``"both"`` the matrix route
@@ -328,26 +332,30 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     require_finite(t_start=t_start, t_end=t_end)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
-    routes, state = _plan(spec, kind, r, phi, path, dim, L_scale, hbar, tail)
-    times = np.linspace(t_start, t_end, n_points)
-    (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
-    var_xi = _clamp_var_array(mxi2, mxi, "xi")
-    var_rho = _clamp_var_array(mrho2, mrho, "rho")
-    values = np.sqrt(var_xi * var_rho) / hbar
+    # in-range scales times large moments may still overflow: NaN passes
+    # every comparison in this block, and the finiteness check after it
+    # raises, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        routes, state = _plan(spec, kind, r, phi, path, dim, L_scale, hbar)
+        times = np.linspace(t_start, t_end, n_points)
+        (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
+        var_xi = _clamp_var_array(mxi2, mxi, "xi")
+        var_rho = _clamp_var_array(mrho2, mrho, "rho")
+        values = np.sqrt(var_xi * var_rho) / hbar
 
-    if float(values.min()) < 0.5 - _FLOOR_TOL:
-        raise UncertaintyFloorError(
-            f"uncertainty dipped to {values.min():.12g}, below hbar/2")
+        if float(values.min()) < 0.5 - _FLOOR_TOL:
+            raise UncertaintyFloorError(
+                f"uncertainty dipped to {values.min():.12g}, below hbar/2")
 
-    alt = None
-    disc = None
-    if path == "both":
-        [(sxi, srho, sxi2, srho2)] = series_m
-        alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")
-                      * _clamp_var_array(srho2, srho, "rho")) / hbar
-        disc = float(np.abs(values - alt).max())
-    # NaN passes every comparison above, so overflow upstream (e.g. in the
-    # state amplitudes at large r) would otherwise be returned silently
+        alt = None
+        disc = None
+        if path == "both":
+            [(sxi, srho, sxi2, srho2)] = series_m
+            alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")
+                          * _clamp_var_array(srho2, srho, "rho")) / hbar
+            disc = float(np.abs(values - alt).max())
+    # overflow upstream (e.g. in the state amplitudes at large r) would
+    # otherwise be returned silently
     if not (np.isfinite(values).all()
             and (disc is None or math.isfinite(disc))):
         raise NonFiniteResultError(

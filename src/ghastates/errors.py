@@ -48,8 +48,8 @@ class RadiusOfConvergenceError(GhaError, ValueError):
 
 
 class TailBoundError(GhaError, RuntimeError):
-    """Series tail cannot be brought under the requested bound (dim too small
-    or the hard truncation cap was reached)."""
+    """Series tail cannot be brought under the 1e-14 bound (dim too small or
+    the hard truncation cap was reached)."""
 
 
 class NegativeVarianceError(GhaError, RuntimeError):

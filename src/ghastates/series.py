@@ -18,7 +18,8 @@ weights never read the spectrum's ladders or the matrix representation,
 which provides the independent cross-check.
 
 Infinite series are truncated adaptively once a geometric majorant bounds
-the remaining tail below the requested fraction of the accumulated sum.
+the remaining tail below 1e-14 of the accumulated sum, the bound of every
+state; the Morse series runs to its top level.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import (_TAIL, _check_tail, _grow, _judge_radius, _ladder_of,
+from .states import (_TAIL, _grow, _judge_radius, _ladder_of,
                      closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
@@ -72,7 +73,7 @@ _SQUARED_LADDERS = {
 }
 
 
-def _weights(ladder: SpectrumModel, r: float, tail: float):
+def _weights(ladder: SpectrumModel, r: float):
     """The mean terms w_k, cross terms v_k and the sum S on ``ladder``, as
     three rows of term ratios of its squared ladder, cut in one pass; the
     harmonic ladder's exponential weights keep S = r^2 and no diag row."""
@@ -97,20 +98,19 @@ def _weights(ladder: SpectrumModel, r: float, tail: float):
         name = ("linear-state normalization exp(-r^2)" if exponential
                 else f"{ladder.system} normalization N^2")
         raise NonFiniteResultError(f"{name} underflows at r = {r:.6g}")
-    if ladder.system == "morse":
-        tail = 0.0  # stop at the first zero ratio: the top level
     L0, L1 = table(ladder, np.arange(2)).tolist()
     mean, cross, diag = _grow(
         [n2 * r / math.sqrt(L0), n2 * x * math.sqrt(2.0 / (L0 * L1)),
-         0.0 if exponential else n2 * x / L0], ratio, tail)
+         0.0 if exponential else n2 * x / L0], ratio,
+        # the Morse rows stop at their first zero ratio: the top level
+        0.0 if ladder.system == "morse" else _TAIL)
     if exponential:
         return mean, cross, x
     # S summed in sequence from 0: np.sum's pairwise order rounds otherwise
     return mean, cross, np.add.accumulate(np.append(0.0, diag))[-1]
 
 
-def moment_series(spec: SpectrumModel, kind: str, r: float,
-                  tail: float = _TAIL) -> MomentSeries:
+def moment_series(spec: SpectrumModel, kind: str, r: float) -> MomentSeries:
     """Closed-form series for one (system, kind, r); label phase enters later.
 
     Weights read the ladder ``kind`` picks, frequencies the levels of
@@ -118,7 +118,6 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
     (the matrix path covers those); checks and warns on r as the state does.
     """
     require_finite(r=r)
-    _check_tail(tail)
     ladder = _ladder_of(spec, kind)
     if (spec.system, kind) not in SUPPORTED:
         raise WrongSystemError(
@@ -126,7 +125,7 @@ def moment_series(spec: SpectrumModel, kind: str, r: float,
             "use the matrix path")
     _judge_radius(ladder, r)
 
-    mean, cross, diag = _weights(ladder, r, tail)
+    mean, cross, diag = _weights(ladder, r)
     # the gaps eps_k - eps_{k+1} and eps_k - eps_{k+2}, from one level read
     eps = levels(spec, max(len(mean) + 1, len(cross) + 2))
     return MomentSeries(

@@ -27,7 +27,6 @@ from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
-    InvalidParameterError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
@@ -183,14 +182,6 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     return a
 
 
-def _check_tail(tail: float) -> None:
-    """Raise ``InvalidParameterError`` unless 0 <= tail < 1; every entry
-    checks it first, also where no tail loop runs."""
-    require_finite(tail=tail)
-    if not 0.0 <= tail < 1.0:
-        raise InvalidParameterError(f"tail must lie in [0, 1), got {tail!r}")
-
-
 def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
           tail: float) -> list[np.ndarray]:
     """Rows of terms first, first*rho(0), first*rho(0)*rho(1), ..., one per
@@ -236,9 +227,9 @@ def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
     return [row[:end] for row, end in zip(terms, ends)]
 
 
-def _adaptive_count(spec: SpectrumModel, z: complex,
-                    tail: float) -> tuple[int, np.ndarray]:
-    """Smallest length whose analytic tail mass stays below ``tail``, from
+def _adaptive_count(spec: SpectrumModel,
+                    z: complex) -> tuple[int, np.ndarray]:
+    """Smallest length whose analytic tail mass stays below ``_TAIL``, from
     the ratios |a_{k+1}|^2/|a_k|^2 = r^2/N_k^2, and the ladder N_0, N_1, ...
     its last chunk read: at least length - 1 long, or empty at r = 0."""
     r2 = abs(z) ** 2
@@ -262,7 +253,7 @@ def _adaptive_count(spec: SpectrumModel, z: complex,
                 step = step[:zero[0]]
             return r2 / (step * step)[None]
 
-    [terms] = _grow([1.0], ratio, tail)
+    [terms] = _grow([1.0], ratio, _TAIL)
     return max(len(terms), 2), read
 
 
@@ -270,14 +261,12 @@ def _adaptive_count(spec: SpectrumModel, z: complex,
 # constructors
 
 def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
-                  tail: float, within: SpectrumModel | None = None
-                  ) -> np.ndarray:
+                  within: SpectrumModel | None = None) -> np.ndarray:
     """Both constructors' body: the normalized eigenstate coefficients.  A
     state of an infinite ladder must fit a finite ``within``, checked here
     alone, from the one tail pass and before the amplitudes are formed."""
     z = complex(z)
     require_finite(z=z)
-    _check_tail(tail)
     if dim is not None:
         require_integer(dim=dim)
     r = abs(z)
@@ -296,7 +285,7 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
         a = np.zeros(full, dtype=complex)
         a[:support] = _amplitudes(state_ladder(spec, support - 1), zr, support)
     else:
-        needed, ladder = _adaptive_count(spec, zr, tail)
+        needed, ladder = _adaptive_count(spec, zr)
         dim = needed if dim is None else dim
         if within is not None and within.max_level is not None \
                 and dim > within.max_level + 1:
@@ -306,7 +295,7 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
                 f"|z| = {r:.6g} needs {dim}")
         if dim < needed:
             raise TailBoundError(
-                f"dim = {dim} leaves more than {tail:g} analytic tail mass "
+                f"dim = {dim} leaves more than {_TAIL:g} analytic tail mass "
                 f"at |z| = {r:.6g}; need at least {needed}")
         if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
             ladder = state_ladder(spec, dim - 1)
@@ -322,29 +311,28 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
 
 
 def gha_coherent_state(spec: SpectrumModel, z: complex,
-                       dim: int | None = None, *,
-                       tail: float = _TAIL) -> FockState:
+                       dim: int | None = None) -> FockState:
     """Eigenstate of the system's lowering operator, as a Fock vector.
 
     On finite ladders the series stops one slot below the top level and the
     returned vector carries an explicit zero there, so it composes directly
     with the full (n_max + 1)-dimensional representation.  For infinite
     ladders ``dim`` defaults to the smallest truncation whose analytic tail
-    mass is below ``tail``; an explicit smaller ``dim`` is an error.
+    mass is below 1e-14; an explicit smaller ``dim`` is an error.
     """
-    return FockState(_coefficients(spec, z, dim, tail), spec.index_offset,
+    return FockState(_coefficients(spec, z, dim), spec.index_offset,
                      spec.system, kind="gha")
 
 
 def linear_coherent_state(z: complex, dim: int | None = None,
-                          index_offset: int = 0, *, tail: float = _TAIL,
+                          index_offset: int = 0, *,
                           within: SpectrumModel | None = None) -> FockState:
     """Exponential-weight coherent state: the harmonic ladder's gha state.
 
     ``within`` names the spectrum that will evolve the state; a finite one
     refuses a state longer than its ladder with ``WrongSystemError``.
     """
-    return FockState(_coefficients(_HARMONIC, z, dim, tail, within),
+    return FockState(_coefficients(_HARMONIC, z, dim, within),
                      index_offset, "linear", kind="linear")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import io
 import math
 import tracemalloc
@@ -39,7 +40,6 @@ from ghastates.errors import (
 )
 from ghastates.series import SUPPORTED, moment_series
 from ghastates.spectrum import ladder_coefficients
-from ghastates.states import _TAIL
 
 
 def test_evolve_identity_at_t0():
@@ -87,7 +87,7 @@ def test_vacuum_saturates_floor():
 
 def test_harmonic_linear_cs_constant_half():
     spec = g.harmonic()
-    st = g.linear_coherent_state(0.8, tail=1e-16)
+    st = g.linear_coherent_state(0.8)
     rep = _rep_for(spec, st, 1.0, 1.0)
     for t in (0.0, 1.7, 42.0):
         es = g.expectations_oracle(g.evolve(st, spec, t), rep)
@@ -99,7 +99,7 @@ def test_harmonic_textbook_mean_position():
     # anchors the sign and phase conventions of both implementations
     spec = g.harmonic()
     r, phi = 0.8, 0.6
-    st = g.linear_coherent_state(r * np.exp(1j * phi), tail=1e-16)
+    st = g.linear_coherent_state(r * np.exp(1j * phi))
     rep = _rep_for(spec, st, 1.0, 1.0)
     for t in (0.0, 0.9, 2.4, 7.7):
         expected_xi = math.sqrt(2.0) * r * math.cos(t - phi)
@@ -119,7 +119,7 @@ def test_series_matches_oracle_spot(sysname, kind):
     spec = g.make_spectrum(sysname)
     r, phi, t = 0.35, 1.1, 23.7
     es = g.expectations_series(spec, kind, r, phi, t)
-    st = _plan(spec, kind, r, phi, "oracle", None, 1.0, 1.0, _TAIL)[1]
+    st = _plan(spec, kind, r, phi, "oracle", None, 1.0, 1.0)[1]
     eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         a, b = getattr(es, name), getattr(eo, name)
@@ -130,7 +130,7 @@ def test_series_matches_oracle_nonunit_b():
     spec = g.type1(b=2.5)
     r, phi, t = 0.3, 0.4, 11.0
     es = g.expectations_series(spec, "gha", r, phi, t)
-    st = _plan(spec, "gha", r, phi, "oracle", None, 1.0, 1.0, _TAIL)[1]
+    st = _plan(spec, "gha", r, phi, "oracle", None, 1.0, 1.0)[1]
     eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         assert getattr(es, name) == pytest.approx(getattr(eo, name), abs=1e-10)
@@ -201,15 +201,13 @@ def test_trace_validation():
         g.trace(spec, "gha", 0.1, path="magic")
     with pytest.raises(WrongSystemError):
         g.trace(g.square_well(), "gha", 0.1, path="series")
-    # one message per bad label on every route; a bad tail comes first
+    # one message per bad label on every route
     for path in ("oracle", "series", "both"):
         with pytest.raises(WrongSystemError, match=_MORSE_LINEAR):
             g.trace(g.morse(7.59), "linear", 0.1, path=path, n_points=11)
         with pytest.raises(WrongSystemError,
                            match="unknown state kind 'bogus'"):
             g.trace(spec, "bogus", 0.1, path=path, n_points=11)
-        with pytest.raises(InvalidParameterError, match="tail must lie"):
-            g.trace(spec, "bogus", 0.1, path=path, tail=5.0)
         # a table too short for the linear state: the fit check names the
         # ladder before either route sums anything, the series one included
         with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
@@ -667,8 +665,7 @@ def test_peak_deviation_on_flat_trace():
 
 
 def test_grid_helpers_shapes():
-    routes, _ = _plan(g.hydrogen(), "gha", 0.3, 0.2, "both", None, 1.0, 1.0,
-                      _TAIL)
+    routes, _ = _plan(g.hydrogen(), "gha", 0.3, 0.2, "both", None, 1.0, 1.0)
     mo, ms = _moments(routes, np.linspace(0, 5, 7))
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
@@ -690,7 +687,7 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_banded_oracle_matches_dense(spec, kind, r):
-    routes, st = _plan(spec, kind, r, 0.7, "oracle", None, 1.3, 0.8, _TAIL)
+    routes, st = _plan(spec, kind, r, 0.7, "oracle", None, 1.3, 0.8)
     rep = _rep_for(spec, st, 1.3, 0.8)
     # the second grid starts below zero and its last tile is ragged
     for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
@@ -705,7 +702,7 @@ def test_banded_oracle_matches_dense(spec, kind, r):
 
 def test_oracle_detects_non_hermitian_rho():
     spec = g.type1()
-    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0, _TAIL)[1]
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0)[1]
     rep = _rep_for(spec, st, 1.0, 1.0)
     up, down = rep.rho_bands
     up = up.copy()
@@ -731,7 +728,7 @@ def _count_kernel_rows(monkeypatch):
 @pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1), ("rho", -1)])
 def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     spec = g.type1()
-    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0, _TAIL)[1]
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle", None, 1.0, 1.0)[1]
     rep = _rep_for(spec, st, 1.0, 1.0)
     assert rep.dim == st.dim + 2
     up, down = getattr(rep, f"{name}_bands")
@@ -763,8 +760,7 @@ def _merged_cases():
                          ids=[f"{s.system}-{k}-{r}" for s, k, r in
                               _merged_cases()])
 def test_both_routes_share_one_call_per_band(spec, kind, r, monkeypatch):
-    (oracle, series), _ = _plan(spec, kind, r, 0.3, "both", None, 1.0, 1.0,
-                                _TAIL)
+    (oracle, series), _ = _plan(spec, kind, r, 0.3, "both", None, 1.0, 1.0)
     for (_, fo, _), (_, fs, _) in zip(oracle, series):
         n = min(len(fo), len(fs))
         assert fo[:n].tobytes() == fs[:n].tobytes()
@@ -823,7 +819,7 @@ def test_each_route_is_built_once(monkeypatch):
     calls.clear()
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        g.expectations_series(g.type1(), "gha", 0.992, 0.0, 1.0, tail=1e-6)
+        g.expectations_series(g.type1(), "gha", 0.99, 0.0, 1.0)
     assert [w.category for w in seen] == [ConditioningWarning]
     assert calls == ["moment_series"]
 
@@ -884,7 +880,7 @@ _VIEW_BANDS = {"J0": (0,), "N_op": (0,), "A": (1,), "D": (1,),
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
-    st = _plan(spec, kind, r, 0.7, "oracle", None, 1.0, 1.0, _TAIL)[1]
+    st = _plan(spec, kind, r, 0.7, "oracle", None, 1.0, 1.0)[1]
     rep = _rep_for(spec, st, 1.3, 0.8)
     idx = np.arange(rep.dim)
     offset = idx[None, :] - idx[:, None]
@@ -940,8 +936,6 @@ _NON_FINITE_CALLS = {
     "trace-hbar-inf": lambda: g.trace(g.type1(), "gha", 0.5, path="both",
                                       hbar=math.inf),
     "build_rep-L_scale": lambda: g.build_rep(g.type1(), 10, L_scale=math.nan),
-    "gha_state-tail": lambda: g.gha_coherent_state(g.type1(), 0.5,
-                                                   tail=math.nan),
     "type1-b": lambda: g.type1(math.nan),
     "square_well-b-inf": lambda: g.square_well(math.inf),
     "q_deformed-q": lambda: g.q_deformed(math.nan),
@@ -1011,23 +1005,6 @@ def test_non_integer_counts_raise_invalid_parameter(call):
         call()
 
 
-@pytest.mark.parametrize("path", ["oracle", "series", "both"])
-@pytest.mark.parametrize("tail", [-1.0, 1.0, 2.0])
-def test_tail_outside_unit_interval_rejected(path, tail):
-    # tail = 2 used to stop both series early, 0.2 apart; tail = -1 ran the
-    # loop to its cap and reported a TailBoundError
-    with pytest.raises(InvalidParameterError, match="tail must lie in"):
-        g.trace(g.type1(), "gha", 0.5, path=path, tail=tail)
-
-
-@pytest.mark.parametrize("path", ["oracle", "series", "both"])
-def test_tail_checked_where_no_tail_loop_runs(path):
-    # a finite ladder never runs the tail loop, and the series route sets
-    # a Morse tail to 0; the bad input is rejected on every route all the same
-    with pytest.raises(InvalidParameterError, match="tail must lie in"):
-        g.trace(g.morse(7.59), "gha", 0.1, path=path, tail=-1.0)
-
-
 def test_series_route_rejects_dim():
     # the series route builds no state: a dim there used to be ignored
     with pytest.raises(InvalidParameterError, match="path 'series'"):
@@ -1035,11 +1012,6 @@ def test_series_route_rejects_dim():
     for path in ("oracle", "both"):
         assert g.trace(g.type1(), "gha", 0.5, path=path,
                        dim=40).meta["dim"] == 40
-
-
-def test_tail_checked_at_r_zero():
-    with pytest.raises(InvalidParameterError, match="tail must lie in"):
-        g.gha_coherent_state(g.type1(), 0.0, tail=5.0)
 
 
 def test_trace_overflow_raises_non_finite():
@@ -1074,20 +1046,52 @@ def test_morse_overflow_raises_non_finite_on_every_route(r):
                 call()
 
 
-@pytest.mark.parametrize("scale", [{"L_scale": 1e-160}, {"L_scale": 1e-200},
-                                   {"L_scale": 1e200}, {"hbar": 1e300}],
-                         ids=["L_scale=1e-160", "L_scale=1e-200",
-                              "L_scale=1e200", "hbar=1e300"])
+_OUT_OF_RANGE_SCALES = {
+    "L_scale=1e-160": {"L_scale": 1e-160},
+    "L_scale=1e-200": {"L_scale": 1e-200},
+    "L_scale=1e200": {"L_scale": 1e200},
+    "hbar=1e300": {"hbar": 1e300},
+    "hbar^2=1e400": {"L_scale": 1e100, "hbar": 1e200},
+    "hbar^2=1e320": {"L_scale": 1e80, "hbar": 1e160},
+    "L_scale^2=1e-320": {"L_scale": 1e-160, "hbar": 1e-160},
+    "hbar^2=1e-320": {"L_scale": 1e-80, "hbar": 1e-160},
+}
+
+
+@pytest.mark.parametrize("scale", _OUT_OF_RANGE_SCALES.values(),
+                         ids=_OUT_OF_RANGE_SCALES.keys())
 @pytest.mark.parametrize("call", [c for n, c in _SCALED_CALLS.items()
                                   if n != "build_rep"],
                          ids=[n for n in _SCALED_CALLS if n != "build_rep"])
 def test_overflowing_scales_raise_non_finite(call, scale):
     # (hbar / L_scale)^2 or L_scale^2 past the float range: the series route
-    # raised a bare OverflowError, the oracle warned four times first
+    # raised a bare OverflowError, the oracle warned four times first.  With
+    # both in range, hbar^2 past it overflowed var_xi var_rho after numpy
+    # warned, and a subnormal square kept too few digits: the product
+    # dipped below 1/2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteResultError, match="float range"):
             call(**scale)
+
+
+@pytest.mark.parametrize("call", [c for n, c in _SCALED_CALLS.items()
+                                  if n != "build_rep"],
+                         ids=[n for n in _SCALED_CALLS if n != "build_rep"])
+def test_in_range_scales_that_overflow_raise_non_finite_alone(call):
+    # every square is a normal float, but <xi^2> and var_xi var_rho
+    # overflow: the finiteness check raises, with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteResultError, match="finite"):
+            call(L_scale=1.3e154, hbar=1e150)
+
+
+def test_no_entry_takes_a_tail():
+    # every state and series stops at the one 1e-14 bound
+    for fn in (g.trace, g.expectations_series, g.gha_coherent_state,
+               g.linear_coherent_state, moment_series, _plan):
+        assert "tail" not in inspect.signature(fn).parameters, fn.__name__
 
 
 @pytest.mark.parametrize("system", sorted({s for s, k in SUPPORTED
@@ -1114,8 +1118,7 @@ def test_kind_picks_the_label_on_the_harmonic_ladder():
     # follows the kind, not the spectrum
     from ghastates.states import _HARMONIC
     for kind in ("gha", "linear"):
-        st = _plan(_HARMONIC, kind, 0.5, 0.3, "oracle", None, 1.0, 1.0,
-                   _TAIL)[1]
+        st = _plan(_HARMONIC, kind, 0.5, 0.3, "oracle", None, 1.0, 1.0)[1]
         assert (st.kind, st.spectrum_id) == (
             kind, "harmonic" if kind == "gha" else "linear")
 
@@ -1183,8 +1186,8 @@ def test_trace_oracle_route_property(spec, frac, phi, t_end):
 
     def run():
         try:
-            state = _plan(spec, "gha", r, phi, "oracle", None, 1.0, 1.0,
-                          _TAIL)[1]
+            state = _plan(spec, "gha", r, phi, "oracle", None, 1.0,
+                          1.0)[1]
             tr = g.trace(spec, "gha", r, phi, t_end=t_end, n_points=257)
         except GhaError as exc:
             return type(exc).__name__, str(exc)

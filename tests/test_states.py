@@ -116,11 +116,9 @@ def test_harmonic_gha_equals_linear():
         for phi in (0.0, 0.3, math.pi / 2, math.pi):
             z = r * complex(math.cos(phi), math.sin(phi))
             for dim in (None, 2, 900):
-                for tail in (0.0, 1e-14, 0.5):
-                    lin = build(lambda: g.linear_coherent_state(
-                        z, dim, 1, tail=tail))
-                    assert lin == build(lambda: g.gha_coherent_state(
-                        g.harmonic(), z, dim, tail=tail)), (r, phi, dim, tail)
+                lin = build(lambda: g.linear_coherent_state(z, dim, 1))
+                assert lin == build(lambda: g.gha_coherent_state(
+                    g.harmonic(), z, dim)), (r, phi, dim)
     st = g.linear_coherent_state(0.5, None, 1)
     assert (st.index_offset, st.spectrum_id, st.kind) == (1, "linear", "linear")
 
@@ -202,7 +200,7 @@ def test_radius_checks():
         with pytest.raises(TailBoundError):
             g.gha_coherent_state(g.type1(), 0.995)
     with pytest.warns(ConditioningWarning):
-        st = g.gha_coherent_state(g.type1(), 0.992, tail=1e-6)
+        st = g.gha_coherent_state(g.type1(), 0.99)
     assert st.dim < 2000
     with pytest.raises(RadiusOfConvergenceError):
         g.closed_form_normalization(g.type2(), 1.0)
@@ -215,23 +213,23 @@ def test_radius_checks():
 
 
 def test_both_routes_warn_near_the_radius():
-    # at tail 1e-6 both routes fit under the cap here: 1,039 levels and
-    # 1,117 series terms
+    # both routes fit under the cap here: 1,783 levels and 1,862 and 1,935
+    # series terms
     spec = g.type1()
     with pytest.warns(ConditioningWarning, match="within 1%"):
-        g.gha_coherent_state(spec, 0.992, tail=1e-6)
+        g.gha_coherent_state(spec, 0.99)
     with pytest.warns(ConditioningWarning, match="within 1%"):
-        g.moment_series(spec, "gha", 0.992, tail=1e-6)
+        g.moment_series(spec, "gha", 0.99)
     for path in ("oracle", "series"):
         with pytest.warns(ConditioningWarning, match="within 1%"):
-            g.trace(spec, "gha", 0.992, path=path, n_points=11, tail=1e-6)
+            g.trace(spec, "gha", 0.99, path=path, n_points=11)
     # below the band, and for the linear states, which have no radius,
     # neither route warns
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
-        g.gha_coherent_state(spec, 0.98, tail=1e-6)
-        g.moment_series(spec, "gha", 0.98, tail=1e-6)
-        g.moment_series(spec, "linear", 0.992, tail=1e-6)
+        g.gha_coherent_state(spec, 0.98)
+        g.moment_series(spec, "gha", 0.98)
+        g.moment_series(spec, "linear", 0.99)
 
 
 
@@ -240,12 +238,11 @@ def test_trace_warns_once_near_the_radius():
     for path in ("oracle", "series", "both"):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            g.trace(g.type1(), "gha", 0.992, path=path, n_points=11,
-                    tail=1e-6)
+            g.trace(g.type1(), "gha", 0.99, path=path, n_points=11)
         assert [w.category for w in seen] == [ConditioningWarning], path
     # and the series warns on its own again after a "both" trace
     with pytest.warns(ConditioningWarning, match="within 1%"):
-        g.moment_series(g.type1(), "gha", 0.992, tail=1e-6)
+        g.moment_series(g.type1(), "gha", 0.99)
 
 
 def test_trace_judges_the_label_r_on_every_path():
@@ -258,16 +255,11 @@ def test_trace_judges_the_label_r_on_every_path():
             warnings.simplefilter("always")
             g.trace(g.type1(), "gha", 0.99, phi, path=path, n_points=11)
         assert [w.category for w in seen] == [ConditioningWarning], path
-    # a bad tail raises before the verdict, so without a warning (the
-    # suite turns one into an error)
-    for path in ("oracle", "series", "both"):
-        with pytest.raises(InvalidParameterError, match="tail must lie"):
-            g.trace(g.type1(), "gha", 0.995, path=path, tail=5.0)
     # a trace that fails inside its routes leaves the builders warning
     with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
         g.trace(g.type1(), "gha", 0.995, path="series", n_points=11)
     with pytest.warns(ConditioningWarning, match="within 1%"):
-        g.gha_coherent_state(g.type1(), 0.992, tail=1e-6)
+        g.gha_coherent_state(g.type1(), 0.99)
 
 
 def test_warnings_name_the_callers_line():
@@ -276,17 +268,14 @@ def test_warnings_name_the_callers_line():
     from ghastates.dynamics import ExpectationSet, expectations_series
     spec = g.type1()
     calls = [
-        lambda: g.trace(spec, "gha", 0.992, path="oracle", n_points=11,
-                        tail=1e-6),
-        lambda: g.trace(spec, "gha", 0.992, path="series", n_points=11,
-                        tail=1e-6),
-        lambda: g.trace(spec, "gha", 0.992, path="both", n_points=11,
-                        tail=1e-6),
-        lambda: expectations_series(spec, "gha", 0.992, 0.0, 1.0, tail=1e-6),
+        lambda: g.trace(spec, "gha", 0.99, path="oracle", n_points=11),
+        lambda: g.trace(spec, "gha", 0.99, path="series", n_points=11),
+        lambda: g.trace(spec, "gha", 0.99, path="both", n_points=11),
+        lambda: expectations_series(spec, "gha", 0.99, 0.0, 1.0),
         lambda: g.klauder_continuity_check(spec, 0.99, 0.5),
         lambda: ExpectationSet(0.0, 0.0, -1e-14, 1.0),
-        lambda: g.gha_coherent_state(spec, 0.992, tail=1e-6),
-        lambda: g.moment_series(spec, "gha", 0.992, tail=1e-6),
+        lambda: g.gha_coherent_state(spec, 0.99),
+        lambda: g.moment_series(spec, "gha", 0.99),
     ]
     for i, call in enumerate(calls):
         with warnings.catch_warnings(record=True) as seen:
@@ -302,8 +291,8 @@ def test_near_radius_traces_from_two_lines_both_warn():
     spec = g.type1()
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("default")
-        g.trace(spec, "gha", 0.992, n_points=11, tail=1e-6)
-        g.trace(spec, "gha", 0.992, n_points=11, tail=1e-6)
+        g.trace(spec, "gha", 0.99, n_points=11)
+        g.trace(spec, "gha", 0.99, n_points=11)
     assert [w.category for w in seen] == [ConditioningWarning] * 2
     assert seen[0].lineno != seen[1].lineno
 
@@ -456,13 +445,15 @@ def test_fock_state_rejects_nan():
 
 
 def test_steep_ladder_overflow_past_the_stop_stays_silent():
-    # the tail loop reads 32 levels at once, far past where a steep q > 1
+    # the tail loop reads 512 levels at once, far past where a steep q > 1
     # ladder stops; q**n overflows there, and no RuntimeWarning (an error
     # under pytest) may escape
     for q in (1e20, 1e150):
         state = g.gha_coherent_state(g.q_deformed(q), 0.5)
         assert state.dim == 2
         assert abs(state.coeffs[1]) == pytest.approx(1 / math.sqrt(5), rel=1e-15)
+    for r in (1e-8, 0.3, 0.95, 5.0):
+        assert g.gha_coherent_state(g.q_deformed(1e150), r).dim >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +481,7 @@ def _loop_grow(first, ratio, k0, tail):
         k += 1
 
 
-def _loop_state(spec, kind, r, tail):
+def _loop_state(spec, kind, r):
     """The state's tail loops, run by the frozen loop with scalar ratios; a
     linear state's are those of the harmonic ladder."""
     from ghastates.states import raw_eigenvalue, state_ladder
@@ -514,10 +505,10 @@ def _loop_state(spec, kind, r, tail):
             raise DegenerateSpectrumError(f"N_{k} vanishes")
         return r2 / (step * step)
 
-    return [_loop_grow(1.0, ratio, 0, tail)]
+    return [_loop_grow(1.0, ratio, 0, 1e-14)]
 
 
-def _loop_series(spec, kind, r, tail):
+def _loop_series(spec, kind, r):
     """The series' tail loops, run by the frozen loop with scalar ratios."""
     from ghastates.series import _SQUARED_LADDERS
     x = r * r
@@ -526,8 +517,7 @@ def _loop_series(spec, kind, r, tail):
     exponential = kind == "linear" or spec.system == "harmonic"
     n2 = (math.exp(-x) if exponential
           else g.closed_form_normalization(spec, r) ** 2)
-    if spec.system == "morse":
-        tail = 0.0
+    tail = 0.0 if spec.system == "morse" else 1e-14
     loops = [
         (n2 * r / math.sqrt(L[0]), 0,
          lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))),
@@ -586,19 +576,18 @@ def _stacked_pass_checks():
             return list(grown)
         return run
 
-    def check(spec, kind, r, tail, has_series):
+    def check(spec, kind, r, has_series):
         if kind == "linear":
-            new = recorded(lambda: g.linear_coherent_state(r, tail=tail))
+            new = recorded(lambda: g.linear_coherent_state(r))
         else:
-            new = recorded(lambda: g.gha_coherent_state(spec, r, tail=tail))
-        pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
+            new = recorded(lambda: g.gha_coherent_state(spec, r))
+        pairs = [(new, lambda: _loop_state(spec, kind, r))]
         if has_series:
-            pairs.append((
-                recorded(lambda: g.moment_series(spec, kind, r, tail=tail)),
-                lambda: _loop_series(spec, kind, r, tail)))
+            pairs.append((recorded(lambda: g.moment_series(spec, kind, r)),
+                          lambda: _loop_series(spec, kind, r)))
         for got, want in pairs:
             assert _terms_or_error(got) == _terms_or_error(want), (
-                spec.system, spec.q, spec.p, kind, r, tail)
+                spec.system, spec.q, spec.p, kind, r)
         return len(pairs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -607,14 +596,13 @@ def _stacked_pass_checks():
         yield check
 
 
-@pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
-def test_array_tail_loops_match_the_loop(tail):
-    # q = 1e150 at tail 0 reads levels past q**n's overflow on both sides
+def test_array_tail_loops_match_the_loop():
+    # q = 1e150 reads levels past q**n's overflow on both sides
     checked = 0
     with _stacked_pass_checks() as check:
         for spec, kind, has_series, radii in _tail_cases():
             for r in radii:
-                checked += check(spec, kind, r, tail, has_series)
+                checked += check(spec, kind, r, has_series)
     # state and series of the 9 pairs, Morse at two p, at 5 radii; the
     # q_deformed states; type1 at r = 0.999
     assert checked == 2 * 10 * 5 + 4 * 5 + 2
@@ -632,10 +620,8 @@ def _stacked_cases():
            lambda p: not p.is_integer()),
        # q below 0.99 keeps |a|^2 finite up to 0.999 of the radius
        log_q=st.floats(-3.0, -0.005) | st.floats(0.001, 150.0),
-       frac=st.floats(0.0, 1.0),
-       tail=st.just(0.0) | st.floats(1e-16, 0.9)
-       | st.floats(-16.0, -1.0).map(lambda e: 10.0 ** e))
-def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac, tail):
+       frac=st.floats(0.0, 1.0))
+def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac):
     # r up to 0.999 of the radius, or to 26 where there is none: |a|^2 of
     # the exponential weights overflows from r = 26.64 on
     system, kind, has_series = case
@@ -645,17 +631,7 @@ def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac, tail):
     radius = g.convergence_radius(spec) if kind == "gha" else math.inf
     r = frac * min(0.999 * radius, 26.0)
     with _stacked_pass_checks() as check:
-        check(spec, kind, r, tail, has_series)
-
-
-@pytest.mark.parametrize("r", [1e-8, 0.3, 0.95, 5.0])
-def test_steep_ladder_at_tail_zero_warns_of_no_overflow(r):
-    # at tail 0 the state stops only where N_k overflows to inf, and the
-    # ladder is read a chunk past it; that overflow stays inside the loop
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        state = g.gha_coherent_state(g.q_deformed(1e150), r, tail=0.0)
-    assert state.dim >= 2
+        check(spec, kind, r, has_series)
 
 
 def test_morse_normalization_matches_the_loop():
@@ -681,9 +657,9 @@ def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
                         lambda spec, count: ladder[:count])
     spec = g.harmonic()
     with pytest.raises(DegenerateSpectrumError, match="N_40"):
-        states._adaptive_count(spec, 6.0, 1e-14)  # needs about 70 levels
-    assert states._adaptive_count(spec, 0.5, 1e-14)[0] == len(
-        _loop_state(spec, "gha", 0.5, 1e-14)[0])
+        states._adaptive_count(spec, 6.0)  # needs about 70 levels
+    assert states._adaptive_count(spec, 0.5)[0] == len(
+        _loop_state(spec, "gha", 0.5)[0])
 
 
 @pytest.mark.parametrize("system, kind, r, reads, lengths", [
