@@ -481,7 +481,7 @@ def _loop_grow(first, ratio, k0, tail):
         k += 1
 
 
-def _loop_state(spec, kind, r):
+def _loop_state(spec, kind, r, tail=1e-14):
     """The state's tail loops, run by the frozen loop with scalar ratios; a
     linear state's are those of the harmonic ladder."""
     from ghastates.states import raw_eigenvalue, state_ladder
@@ -505,10 +505,10 @@ def _loop_state(spec, kind, r):
             raise DegenerateSpectrumError(f"N_{k} vanishes")
         return r2 / (step * step)
 
-    return [_loop_grow(1.0, ratio, 0, 1e-14)]
+    return [_loop_grow(1.0, ratio, 0, tail)]
 
 
-def _loop_series(spec, kind, r):
+def _loop_series(spec, kind, r, tail=1e-14):
     """The series' tail loops, run by the frozen loop with scalar ratios."""
     from ghastates.series import _SQUARED_LADDERS
     x = r * r
@@ -517,7 +517,8 @@ def _loop_series(spec, kind, r):
     exponential = kind == "linear" or spec.system == "harmonic"
     n2 = (math.exp(-x) if exponential
           else g.closed_form_normalization(spec, r) ** 2)
-    tail = 0.0 if spec.system == "morse" else 1e-14
+    if spec.system == "morse":
+        tail = 0.0
     loops = [
         (n2 * r / math.sqrt(L[0]), 0,
          lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))),
@@ -556,10 +557,11 @@ def _tail_cases():
 
 
 @contextlib.contextmanager
-def _stacked_pass_checks():
-    """Record the rows of every stacked tail pass; yields ``check``, which
-    compares a case's state and series passes with the frozen loops and
-    returns how many it compared."""
+def _stacked_pass_checks(tail=1e-14):
+    """Record the rows of every stacked tail pass, run at the bound ``tail``
+    in place of the module's 1e-14; yields ``check``, which compares a
+    case's state and series passes with the frozen loops and returns how
+    many it compared."""
     import ghastates.series as series
     import ghastates.states as states
     grown, stacked = [], states._grow
@@ -581,25 +583,29 @@ def _stacked_pass_checks():
             new = recorded(lambda: g.linear_coherent_state(r))
         else:
             new = recorded(lambda: g.gha_coherent_state(spec, r))
-        pairs = [(new, lambda: _loop_state(spec, kind, r))]
+        pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
         if has_series:
             pairs.append((recorded(lambda: g.moment_series(spec, kind, r)),
-                          lambda: _loop_series(spec, kind, r)))
+                          lambda: _loop_series(spec, kind, r, tail)))
         for got, want in pairs:
             assert _terms_or_error(got) == _terms_or_error(want), (
-                spec.system, spec.q, spec.p, kind, r)
+                spec.system, spec.q, spec.p, kind, r, tail)
         return len(pairs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "_grow", record)
         patch.setattr(series, "_grow", record)
+        patch.setattr(states, "_TAIL", tail)
+        patch.setattr(series, "_TAIL", tail)
         yield check
 
 
-def test_array_tail_loops_match_the_loop():
-    # q = 1e150 reads levels past q**n's overflow on both sides
+@pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
+def test_array_tail_loops_match_the_loop(tail):
+    # _grow takes any bound, though the builders pass only 1e-14; q = 1e150
+    # at tail 0 reads levels past q**n's overflow on both sides
     checked = 0
-    with _stacked_pass_checks() as check:
+    with _stacked_pass_checks(tail) as check:
         for spec, kind, has_series, radii in _tail_cases():
             for r in radii:
                 checked += check(spec, kind, r, has_series)
@@ -632,6 +638,18 @@ def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac):
     r = frac * min(0.999 * radius, 26.0)
     with _stacked_pass_checks() as check:
         check(spec, kind, r, has_series)
+
+
+@pytest.mark.parametrize("r", [1e-8, 0.3, 0.95, 5.0])
+def test_steep_ladder_at_tail_zero_warns_of_no_overflow(r, monkeypatch):
+    # at tail 0 the state stops only where N_k overflows to inf, and the
+    # ladder is read a chunk past it; that overflow stays inside the loop
+    import ghastates.states as states
+    monkeypatch.setattr(states, "_TAIL", 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = g.gha_coherent_state(g.q_deformed(1e150), r)
+    assert state.dim >= 2
 
 
 def test_morse_normalization_matches_the_loop():
