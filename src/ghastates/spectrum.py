@@ -218,7 +218,13 @@ def _formula(spec: SpectrumModel, n):
     if s == "harmonic" or (s == "q_deformed" and spec.q == 1.0):
         return n
     if s == "q_deformed":
-        return (1.0 - spec.q ** n) / (1.0 - spec.q)
+        # 1 - q^n cancels where q^n is near 1; there the same ratio as
+        # expm1(n log q)/expm1(log q) keeps its digits (and eps_1 = 1)
+        log_q = math.log(spec.q)
+        y = n * log_q  # capped for expm1, so that only q^n can overflow
+        return np.where(np.abs(y) < 0.5,
+                        np.expm1(np.minimum(y, 0.5)) / np.expm1(log_q),
+                        (1.0 - spec.q ** n) / (1.0 - spec.q))
     if s == "square_well":
         return spec.b * (n + 1) ** 2
     if s == "type1":

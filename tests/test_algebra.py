@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,41 @@ def test_verify_reports_boundary_separately():
     assert rows["canonical_pair"].boundary > 0.1
     assert rows["canonical_pair"].interior < 1e-12
     assert rows["bound_ladder"].boundary > 0.1
+
+
+def _rep_with_ladder_moved(spec, dim, k, rel):
+    # a representation whose N_k is off by a relative ``rel``, so that the
+    # identities through it leave residuals near rel in columns k .. k + 2
+    rep = g.build_rep(spec, dim)
+    ladder = rep.ladder.copy()
+    ladder[k] *= 1.0 + rel
+    return dataclasses.replace(rep, ladder=ladder)
+
+
+@pytest.mark.parametrize("rel, passed", [(1.5e-12, False), (0.9e-12, True)])
+def test_verify_default_tolerance_edge(rel, passed):
+    # the default tol is 1e-12: the worst interior residual, 0.832 rel (in
+    # the ladder commutator), fails it at 1.25e-12 and passes at 0.75e-12
+    spec = g.type1()
+    report = g.verify_algebra(_rep_with_ladder_moved(spec, 12, 3, rel), spec)
+    worst = max(c.interior for c in report.checks)
+    assert worst == pytest.approx(rel * 0.832, rel=0.01)
+    assert report.tol == 1e-12 and report.passed is passed
+
+
+@pytest.mark.parametrize("spec, lowering_passes", [
+    (g.type1(), True), (g.morse(7.59), False)], ids=["type1", "morse"])
+def test_casimir_boundary_width(spec, lowering_passes):
+    # N_{d-2} moved: [Gamma, A] feels it in column d - 2 alone, [Gamma,
+    # A_dag] in column d - 3 too.  An infinite ladder's Casimir checks
+    # leave two columns to the boundary, the wrapped Morse ladder's one.
+    d = 12 if spec.max_level is None else spec.max_level + 1
+    report = g.verify_algebra(_rep_with_ladder_moved(spec, d, d - 2, 1e-6),
+                              spec)
+    rows = {c.name: c.passed for c in report.checks}
+    assert rows["casimir_lowering"] is lowering_passes
+    assert rows["casimir_raising"] is False
+    assert rows["casimir_number"] is True
 
 
 def test_verify_records_format():

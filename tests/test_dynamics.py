@@ -301,6 +301,27 @@ def test_trace_raises_below_the_floor(monkeypatch):
         g.trace(g.type1(), "gha", 0.1, n_points=5)
 
 
+@pytest.mark.parametrize("dip, raises", [(1.2e-9, True), (0.8e-9, False)])
+def test_floor_tolerance_is_one_in_a_billion(dip, raises, monkeypatch):
+    # moments whose product dips to 1/2 - dip at one point: the floor
+    # forgives 1e-9 below hbar/2, and not 1.2e-9
+    from ghastates import dynamics
+
+    def moments(routes, times):
+        product = np.full(len(times), 0.75)
+        product[2] = 0.5 - dip
+        zero, one = np.zeros(len(times)), np.ones(len(times))
+        return [(zero, zero, product * product, one)]
+
+    monkeypatch.setattr(dynamics, "_moments", moments)
+    if raises:
+        with pytest.raises(UncertaintyFloorError, match="dipped to 0.4999999"):
+            g.trace(g.type1(), "gha", 0.1, n_points=5)
+    else:
+        tr = g.trace(g.type1(), "gha", 0.1, n_points=5)
+        assert tr.values.min() == pytest.approx(0.5 - dip, rel=1e-15)
+
+
 def test_oracle_expectation_checks():
     rep = g.build_rep(g.harmonic(), 3)
     with pytest.raises(InvalidParameterError, match="exceeds representation"):
@@ -499,12 +520,18 @@ def _writer_columns(rows):
     return [np.roll(x, k) for k in range(7)]
 
 
-@pytest.mark.parametrize("rows", [1, 1024, 1025, 2049, 20001])
-def test_streamed_csv_matches_per_value_format(rows, tmp_path):
-    # the block edges (1024 rows) and a long file, on a path and on a text
-    # stream
-    header = "a,b,c,d,e,f,g"
-    columns = _writer_columns(rows)
+@pytest.mark.parametrize("rows, width", [
+    *(pytest.param(rows, 7, id=str(rows))
+      for rows in (1, 1024, 1025, 2049, 20001)),
+    *(pytest.param(rows, width, id=f"{rows}x{width}")
+      for width in (1, 3, 6, 7) for rows in (1, 2047, 2048, 2049, 4097)
+      if (rows, width) not in ((1, 7), (2049, 7)))])
+def test_streamed_csv_matches_per_value_format(rows, width, tmp_path):
+    # the block edges (multiples of 1024 rows, and one row either side), a
+    # long file, and the row ends of one column, of a state CSV's three and
+    # of a trace's six and seven, on a path and on a text stream
+    header = ",".join("abcdefg"[:width])
+    columns = _writer_columns(rows)[:width]
     want = _reference_csv(header, columns)
     path = tmp_path / "out.csv"
     _write_csv(header, columns, path)

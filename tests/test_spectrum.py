@@ -48,6 +48,24 @@ def test_characteristic_fn_domains():
         g.characteristic_fn(g.hydrogen(), 0.5)
     with pytest.raises(DomainError):
         g.characteristic_fn(g.type1(), 2.0)
+    # the hydrogen map is defined on the bound levels alone, which are < 0
+    for x in (0.0, -0.0):
+        with pytest.raises(DomainError, match="hydrogen map needs x < 0"):
+            g.characteristic_fn(g.hydrogen(), x)
+
+
+@pytest.mark.parametrize("rel, found", [(0.8e-9, True), (1.2e-9, False)])
+def test_table_map_matches_a_level_within_one_in_a_billion(rel, found):
+    # the tabulated map takes x for a stored level within a relative 1e-9
+    # (its absolute 1e-12 is far below these levels' spacing)
+    spec = g.from_table([10.0, 20.0, 40.0])
+    for e, successor in ((10.0, 20.0), (20.0, 40.0)):
+        for x in (e * (1.0 + rel), e * (1.0 - rel)):
+            if found:
+                assert g.characteristic_fn(spec, x) == successor
+            else:
+                with pytest.raises(DomainError, match="not a tabulated level"):
+                    g.characteristic_fn(spec, x)
 
 
 def test_next_energy():
@@ -272,6 +290,36 @@ def test_level_table_property(case):
             g.levels(spec, spec.max_level + 2)
         with pytest.raises(LevelOutOfRangeError):
             g.energy(spec, spec.max_level + 1)
+
+
+_Q_NEAR_ONE = [1.0 + s * d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+               for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("q", _Q_NEAR_ONE + [0.5, 0.75, 2.0, 3.0])
+def test_q_deformed_levels_within_four_ulp(q):
+    # eps_n = (1 - q^n)/(1 - q) and N_n = sqrt(eps_{n+1}) against the level
+    # map eps_{n+1} = q eps_n + 1 at 50 digits, for every n < 2000 whose
+    # level is finite.  That formula alone was off by up to 5e-9 relative
+    # at q = 1 + 1e-8; with the expm1 ratio where q^n is near 1 the worst
+    # case here is 1.4 ulp.
+    mpmath = pytest.importorskip("mpmath")
+    spec = g.q_deformed(q)
+    count = 2000 if q < 1.5 else int(700 / math.log(q))
+    eps = g.levels(spec, count)
+    ladder = ladder_coefficients(spec, count - 1)
+    assert eps[0] == 0.0 and eps[1] == 1.0
+    with mpmath.workdps(50):
+        exact, level = [], mpmath.mpf(0)
+        for _ in range(count - 1):
+            level = mpmath.mpf(q) * level + 1
+            exact.append(level)
+        budget = 4 * np.finfo(float).eps
+        for got, want in ((eps[1:], exact),
+                          (ladder, [mpmath.sqrt(e) for e in exact])):
+            worst = max(abs(mpmath.mpf(float(v)) / w - 1)
+                        for v, w in zip(got, want))
+            assert worst <= budget, (q, float(worst))
 
 
 def test_morse_rejects_bad_n_max_and_omega():
