@@ -170,6 +170,45 @@ def test_empty_series():
         assert c.shape == (points,)
 
 
+def test_empty_weight_rows():
+    for K in (0, 5):
+        for points in (1, 2, 2001):
+            re, im = _kernels_py.weighted_trig_sums(
+                np.zeros((0, K)), np.arange(K, dtype=float),
+                np.linspace(0.0, 100.0, points))
+            assert re.shape == im.shape == (0, points)
+
+
+def test_empty_times_rejected():
+    with pytest.raises(ValueError, match="at least one point"):
+        _kernels_py.weighted_trig_sums(np.ones(3), np.ones(3), np.array([]))
+
+
+@pytest.mark.parametrize("count", [129, 300, 2001])
+def test_multi_block_sums_match_direct_exp(count):
+    # frequencies too wide to aggregate on [0, 1000], so the join sums
+    # ceil(K / 128) products of at most 128 frequencies each
+    rng = np.random.default_rng(count)
+    f = rng.uniform(-5.0, 5.0, size=count)
+    rows = rng.normal(size=(2, count)) + 1j * rng.normal(size=(2, count))
+    real = rng.normal(size=count)
+    every = np.vstack([rows, real])
+    bound = 1e-12 * np.abs(every).sum(axis=1)
+    for times in (np.linspace(0.0, 1000.0, 2001),
+                  np.linspace(0.0, 1000.0, 20001), np.array([7.5])):
+        assert len(_kernels_py._aggregated(rows, f, times)[1]) == count
+        re, im = _kernels_py.weighted_trig_sums(rows, f, times)
+        c, s = _kernels_py.weighted_trig_sums(real, f, times)
+        got = np.vstack([re + 1j * im, c + 1j * s])
+        # the direct table in slices of 1000 points: whole, it would take
+        # 640 MB at T = 20001 and K = 2001
+        want = np.hstack([
+            every @ np.exp(1j * np.multiply.outer(f, times[j:j + 1000]))
+            for j in range(0, len(times), 1000)])
+        assert (np.abs(got - want).max(axis=1) <= bound).all(), (
+            count, len(times))
+
+
 def test_length_mismatch():
     with pytest.raises(ValueError):
         _kernels_py.weighted_trig_sums(np.ones(3), np.ones(2), np.ones(4))
@@ -178,9 +217,28 @@ def test_length_mismatch():
                                        np.ones(4))
 
 
+def _digests_over_blas_threads(script):
+    """The set of what ``script`` prints at 1, 2 and 4 OpenBLAS threads.  The
+    count is read when numpy loads, so each setting needs its own process;
+    4 threads on a 2-core machine still splits the work four ways."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    return digests
+
+
 def test_output_independent_of_blas_threads():
-    # CSV bytes must not depend on the BLAS thread count; the count is read
-    # when numpy loads, so each setting needs its own process
+    # CSV bytes must not depend on the BLAS thread count.  K = 129, 131, 177
+    # and 300 take more than one block of 128 frequencies; with OpenBLAS
+    # 0.3.31's Haswell kernels, one product over 129 to 134 frequencies
+    # already rounds with the thread count
     script = (
         "import hashlib, numpy as np\n"
         "from ghastates import _kernels_py\n"
@@ -194,18 +252,14 @@ def test_output_independent_of_blas_threads():
         "out = [c, s, re, im]\n"
         "for t in (np.linspace(-37.5, 62.5, 3001), np.array([7.5])):\n"
         "    out += _kernels_py.weighted_trig_sums(w4 * np.exp(0.4j), f, t)\n"
+        "t = np.linspace(0.0, 1000.0, 2001)\n"  # M = 45
+        "for K in (128, 129, 131, 300):\n"
+        "    wk = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))\n"
+        "    fk = rng.uniform(-5.0, 5.0, size=K)\n"
+        "    assert len(_kernels_py._aggregated(wk, fk, t)[1]) == K\n"
+        "    out += _kernels_py.weighted_trig_sums(wk, fk, t)\n"
         "print(hashlib.sha256(b''.join(a.tobytes() for a in out)).hexdigest())\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.add(proc.stdout)
-    assert len(digests) == 1
+    assert len(_digests_over_blas_threads(script)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +341,8 @@ def test_near_radius_traces_aggregate(monkeypatch):
 
 
 def test_aggregated_output_independent_of_blas_threads():
-    # the node weights come from one matrix-vector product per row, so an
+    # the node weights come from one matrix-vector product per row and the
+    # join from products over at most 128 frequencies each, so an
     # aggregated call keeps its bytes at any BLAS thread count
     script = (
         "import hashlib, numpy as np\n"
@@ -301,14 +356,4 @@ def test_aggregated_output_independent_of_blas_threads():
         "assert len(_kernels_py._aggregated(w, f, t)[1]) < 1200\n"
         "re, im = _kernels_py.weighted_trig_sums(w * np.exp(0.3j), f, t)\n"
         "print(hashlib.sha256(re.tobytes() + im.tobytes()).hexdigest())\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.add(proc.stdout)
-    assert len(digests) == 1
+    assert len(_digests_over_blas_threads(script)) == 1
