@@ -174,7 +174,7 @@ def main() -> None:
 @main.command()
 @_spectrum_options
 @click.option("--dim", type=int, default=None, help="Truncation dimension: "
-              "30, or n_max for a table; Morse is always represented whole.")
+              "30, or n_max for a table; Morse takes only n_max + 1.")
 @click.option("--tol", type=float, default=1e-12, show_default=True,
               help="Pass tolerance for the scaled identity residuals.")
 @click.option("--out", type=str, default=None,
@@ -188,10 +188,10 @@ def verify(ctx, **kwargs) -> None:
     """Check every algebraic identity numerically; exit 0 iff all pass."""
     v = _merged(ctx, kwargs.get("config"))
     spec = _guard(spectrum_from_config, v)
-    # Morse is represented whole; a table's checks need each level's image
-    dim = spec.max_level + 1 if spec.system == "morse" else v["dim"]
-    if dim is None:
-        dim = 30 if spec.max_level is None else spec.max_level
+    dim = v["dim"]
+    if dim is None:  # Morse whole; a table, each level that has an image
+        dim = nilpotency_index(spec) or (
+            30 if spec.max_level is None else spec.max_level)
     rep = _guard(build_rep, spec, dim)
     report = _guard(verify_algebra, rep, spec, v["tol"])
     body = "\n".join(report.to_records()) if v["fmt"] == "records" \
@@ -221,8 +221,6 @@ def verify(ctx, **kwargs) -> None:
 @click.option("--path", "route", type=click.Choice(["oracle", "series", "both"]),
               default="oracle", show_default=True,
               help="Evaluation route; 'both' adds a discrepancy column.")
-@click.option("--dim", type=int, default=None,
-              help="Explicit truncation dimension for the state.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="With --path both: largest allowed route discrepancy.")
 @click.option("--out", type=str, required=True, help="Output CSV path.")
@@ -236,7 +234,7 @@ def trace_cmd(ctx, **kwargs) -> None:
     _guard(require_positive, tol=v["tol"])
     spec = _guard(spectrum_from_config, v)
     tr = _guard(trace, spec, v["kind"], v["r"], v["phi"], v["t_start"],
-                v["t_end"], v["points"], v["route"], v["dim"])
+                v["t_end"], v["points"], v["route"])
     path = _open_out(v["out"], v["force"])
     _guard(write_trace_csv, tr, path)
     click.echo(f"wrote {path}")

@@ -215,7 +215,7 @@ def _moments(routes, times: np.ndarray):
 
 
 def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
-          dim: int | None, L_scale: float, hbar: float):
+          L_scale: float, hbar: float):
     """Check a label's inputs, judge r once, build its state where the oracle
     needs it or a linear state must fit a finite ladder, and each route's
     bands (oracle first, as ``_moments`` takes them); return the bands with
@@ -224,11 +224,6 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
     require_positive(L_scale=L_scale, hbar=hbar)
     if path not in ("oracle", "series", "both"):
         raise InvalidParameterError(f"unknown path {path!r}")
-    if dim is not None:
-        require_integer(dim=dim)
-        if path == "series":
-            raise InvalidParameterError("dim truncates the oracle route's "
-                                        "state; path 'series' builds none")
     ladder = _ladder_of(spec, kind)
     # one verdict on r, whatever the path: the builders below take it
     # rather than judge |r e^{i phi}|, which may round up to the radius
@@ -256,8 +251,8 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
         if path != "series" or (kind == "linear"
                                 and spec.max_level is not None):
             z = r * complex(math.cos(phi), math.sin(phi))
-            state = (gha_coherent_state(spec, z, dim) if kind == "gha" else
-                     linear_coherent_state(z, dim, spec.index_offset,
+            state = (gha_coherent_state(spec, z) if kind == "gha" else
+                     linear_coherent_state(z, index_offset=spec.index_offset,
                                            within=spec))
         if path != "series":
             routes.append(_oracle_bands(
@@ -289,7 +284,7 @@ def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
     require_finite(t=t)
     # as in ``trace``: an overflow comes out as NonFiniteResultError alone
     with np.errstate(over="ignore", invalid="ignore"):
-        routes, _ = _plan(spec, kind, r, phi, "series", None, L_scale, hbar)
+        routes, _ = _plan(spec, kind, r, phi, "series", L_scale, hbar)
         [arrays] = _moments(routes, np.array([float(t)]))
         es = ExpectationSet(*(float(a[0]) for a in arrays))
     if not (math.isfinite(es.var_xi) and math.isfinite(es.var_rho)):
@@ -318,8 +313,8 @@ class UncertaintyTrace:
 
 def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
           t_start: float = 0.0, t_end: float = 100.0, n_points: int = 2001,
-          path: str = "oracle", dim: int | None = None,
-          L_scale: float = 1.0, hbar: float = 1.0) -> UncertaintyTrace:
+          path: str = "oracle", L_scale: float = 1.0,
+          hbar: float = 1.0) -> UncertaintyTrace:
     """Uncertainty product Delta(xi) Delta(rho)/hbar on a uniform grid.
 
     ``path`` selects the evaluation route; with ``"both"`` the matrix route
@@ -336,7 +331,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     # every comparison in this block, and the finiteness check after it
     # raises, with no numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        routes, state = _plan(spec, kind, r, phi, path, dim, L_scale, hbar)
+        routes, state = _plan(spec, kind, r, phi, path, L_scale, hbar)
         times = np.linspace(t_start, t_end, n_points)
         (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
         var_xi = _clamp_var_array(mxi2, mxi, "xi")

@@ -27,6 +27,7 @@ from .errors import (
     ConditioningWarning,
     DegenerateSpectrumError,
     DimensionMismatchError,
+    LevelOutOfRangeError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
@@ -72,6 +73,10 @@ class FockState:
 
 def basis_state(dim: int, n: int = 0, index_offset: int = 0,
                 spectrum_id: str = "harmonic") -> FockState:
+    """The Fock vector |n> in ``dim`` slots, 0 <= n < dim."""
+    require_integer(dim=dim, n=n)
+    if not 0 <= n < dim:  # also refuses every dim < 1
+        raise LevelOutOfRangeError(f"basis level n = {n} is outside [0, {dim})")
     c = np.zeros(dim, dtype=complex)
     c[n] = 1.0
     return FockState(c, index_offset, spectrum_id, kind="basis")

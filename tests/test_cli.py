@@ -27,6 +27,40 @@ def test_verify_morse_includes_nilpotency(runner):
     assert "hamiltonian_from_ladder" in res.output
 
 
+def test_verify_morse_refuses_any_other_dim(runner):
+    # a Morse ladder is represented whole; a --dim it cannot take fails
+    # instead of being replaced by n_max + 1
+    args = ["verify", "--system", "morse", "--p", "7.59", "--dim"]
+    res = runner.invoke(main, args + ["5"])
+    assert res.exit_code == 1
+    assert "represented whole: dim must equal n_max + 1 = 8, got 5" \
+        in res.output
+    res = runner.invoke(main, args + ["8"])
+    assert res.exit_code == 0, res.output
+    assert "dim=8" in res.output and "overall: pass" in res.output
+
+
+def test_trace_takes_no_dim(runner, tmp_path):
+    # the state's length is the one the tail bound picks; only verify
+    # takes --dim
+    res = runner.invoke(main, ["trace", "--system", "type1", "--r", "0.5",
+                               "--dim", "40", "--out",
+                               str(tmp_path / "t.csv")])
+    assert res.exit_code == 1
+    assert "No such option" in res.output and "--dim" in res.output
+    assert not (tmp_path / "t.csv").exists()
+    # a config file's dim is read by verify alone; trace ignores it, as it
+    # ignores every key it has no option for
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system = morse\np = 7.59\nr = 0.1\ndim = 5\n",
+                   encoding="utf-8")
+    res = runner.invoke(main, ["trace", "--config", str(cfg), "--points", "11",
+                               "--out", str(tmp_path / "t.csv")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 1 and "got 5" in res.output
+
+
 def test_verify_square_well(runner):
     res = runner.invoke(main, ["verify", "--system", "square-well",
                                "--b", "4", "--dim", "40"])

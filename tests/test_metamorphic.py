@@ -81,7 +81,7 @@ def _cases(b=1.0):
 
 def _bound(spec, kind, r, trs, t_max):
     """The model's bound for a relation between the traces ``trs``."""
-    dim = _plan(spec, kind, r, 0.0, "oracle", None, 1.0, 1.0)[1].dim
+    dim = _plan(spec, kind, r, 0.0, "oracle", 1.0, 1.0)[1].dim
     eps_n = g.levels(spec, dim)
     f_max = max(np.abs(eps_n[:-k] - eps_n[k:]).max() for k in (1, 2)
                 if dim > k)

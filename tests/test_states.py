@@ -16,6 +16,7 @@ from ghastates.errors import (
     DimensionMismatchError,
     GhaError,
     InvalidParameterError,
+    LevelOutOfRangeError,
     NonFiniteResultError,
     RadiusOfConvergenceError,
     TailBoundError,
@@ -31,6 +32,23 @@ def unnormalized_norm(spec, r):
     amps = _amplitudes(state_ladder(spec, count - 1), raw_eigenvalue(spec, r),
                        count)
     return float(np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((3, -1), LevelOutOfRangeError, r"n = -1 is outside \[0, 3\)"),
+    ((3, 5), LevelOutOfRangeError, r"n = 5 is outside \[0, 3\)"),
+    ((3, 3), LevelOutOfRangeError, r"n = 3 is outside \[0, 3\)"),
+    ((0,), LevelOutOfRangeError, r"n = 0 is outside \[0, 0\)"),
+    ((3, 1.5), InvalidParameterError, "n must be an integer"),
+    ((2.0,), InvalidParameterError, "dim must be an integer"),
+], ids=["n=-1", "n=dim+2", "n=dim", "dim=0", "n=1.5", "dim=2.0"])
+def test_basis_state_refuses_levels_outside_its_slots(args, error, message):
+    # a negative n used to index from the top: basis_state(3, -1) was |2>
+    with pytest.raises(error, match=message):
+        g.basis_state(*args)
+    assert np.array_equal(g.basis_state(3, 2).coeffs, [0, 0, 1])
+    assert np.array_equal(g.basis_state(1).coeffs, [1])
+    assert g.basis_state(1).index_offset == 0
 
 
 def test_unit_norm_everywhere():
