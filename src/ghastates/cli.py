@@ -104,15 +104,21 @@ def _open_out(path: str | Path, force: bool) -> Path:
 
 
 def _merged(ctx: click.Context, config: str | None) -> dict:
-    """Effective parameters: command line > config file > defaults.  Config
-    keys that are not options (``energies``) stay strings for the builder."""
+    """Effective parameters: command line > config file > defaults.  A file
+    may hold any command's options, so one file serves several commands;
+    ``energies`` stays a string for the builder, and any other key exits."""
     values = dict(ctx.params)
     if not config:
         return values
     src = click.core.ParameterSource
     params = {p.name: p for p in ctx.command.params}
-    for key, raw in _guard(load_key_values, config).items():
-        key = _canonical(key)
+    known = {p.name for c in main.commands.values() for p in c.params
+             if isinstance(p, click.Option)} | {"energies"}
+    for spelt, raw in _guard(load_key_values, config).items():
+        key = _canonical(spelt)
+        if key not in known:
+            _fail(EXIT_VALIDATION,
+                  f"config key {spelt!r} is not an option of any command")
         if key == "config" or ctx.get_parameter_source(key) == src.COMMANDLINE:
             continue
         param = params.get(key)

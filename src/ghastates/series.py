@@ -17,9 +17,11 @@ squared ladders written here (Curado & Rego-Monteiro, J. Phys. A 34, 3253
 weights never read the spectrum's ladders or the matrix representation,
 which provides the independent cross-check.
 
-Infinite series are truncated adaptively once a geometric majorant bounds
-the remaining tail below 1e-14 of the accumulated sum, the bound of every
-state; the Morse series runs to its top level.
+A series sums exactly the terms of its state: over the state's n levels,
+n - 1 mean, n - 2 cross and n - 1 diagonal terms.  On an infinite ladder n
+comes from the state's one tail rule, ``states._grow``, run on the ratios
+r^2 / L_k of the table below; on the finite Morse ladder n is its top
+level.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import NonFiniteResultError, WrongSystemError, require_finite
 from .spectrum import SpectrumModel, levels
-from .states import (_TAIL, _grow, _judge_radius, _ladder_of,
+from .states import (_grow, _judge_radius, _ladder_of,
                      closed_form_normalization)
 
 #: (system, kind) pairs with a closed-form series
@@ -60,36 +62,28 @@ class MomentSeries:
 # the squared ladders and the one weight builder
 
 #: L_k = Ntilde_k^2 / b of the gha states on an index array k, with
-#: a_{k+1}^2 / a_k^2 = r^2 / L_k; hydrogen's includes its degeneracy fold,
-#: and the Morse state stops below its top level.  Written here, not read
-#: from the spectrum; integer powers stay exact in int64 up to k = _CAP.
+#: a_{k+1}^2 / a_k^2 = r^2 / L_k; hydrogen's includes its degeneracy fold.
+#: A series reads k below its state's length only, so Morse's below its top
+#: level.  Written here, not read from the spectrum; integer powers stay
+#: exact in int64 up to k = _CAP.
 _SQUARED_LADDERS = {
     "harmonic": lambda spec, k: k + 1.0,
     "type1": lambda spec, k: (k + 1) / (k + 2),
     "type2": lambda spec, k: (k + 1) ** 2 / (k + 2) ** 2,
     "hydrogen": lambda spec, k: (k + 1) ** 3 * (k + 3) / (k + 2) ** 4,
-    "morse": lambda spec, k: np.where(k < spec.max_level - 1,
-                                      (k + 1) * (2.0 * spec.p - k - 1), np.inf),
+    "morse": lambda spec, k: (k + 1) * (2.0 * spec.p - k - 1),
 }
 
 
 def _weights(ladder: SpectrumModel, r: float):
-    """The mean terms w_k, cross terms v_k and the sum S on ``ladder``, as
-    three rows of term ratios of its squared ladder, cut in one pass; the
-    harmonic ladder's exponential weights keep S = r^2 and no diag row."""
+    """The mean terms w_k, cross terms v_k and the sum S on ``ladder``, over
+    the state's n levels: n - 1, n - 2 and n - 1 terms, each row one
+    accumulate of term ratios of its squared ladder; the harmonic ladder's
+    exponential weights keep S = r^2.  At r = 0 every row is empty."""
+    if r == 0.0:
+        return np.empty(0), np.empty(0), 0.0
     x = r * r
     table = _SQUARED_LADDERS[ladder.system]
-
-    # each ratio divides x by a square root whose radicand is (k+1)^2 on
-    # the harmonic ladder, so its terms round as x / (k+1) does; the diag
-    # terms N^2 (k+1) a_{k+1}^2 sum to S
-    def ratio(k: np.ndarray) -> np.ndarray:
-        L = table(ladder, np.arange(k[0], k[-1] + 3))
-        Lk, Lk1, Lk2 = L[:-2], L[1:-1], L[2:]
-        return np.array((x / np.sqrt((k + 1) * Lk * Lk1 / (k + 2)),
-                         x / np.sqrt((k + 1) * Lk * Lk2 / (k + 3)),
-                         x / ((k + 1) * Lk1 / (k + 2))))
-
     exponential = ladder.system == "harmonic"
     n2 = math.exp(-x) if exponential else closed_form_normalization(
         ladder, r) ** 2
@@ -98,16 +92,26 @@ def _weights(ladder: SpectrumModel, r: float):
         name = ("linear-state normalization exp(-r^2)" if exponential
                 else f"{ladder.system} normalization N^2")
         raise NonFiniteResultError(f"{name} underflows at r = {r:.6g}")
-    L0, L1 = table(ladder, np.arange(2)).tolist()
-    mean, cross, diag = _grow(
-        [n2 * r / math.sqrt(L0), n2 * x * math.sqrt(2.0 / (L0 * L1)),
-         0.0 if exponential else n2 * x / L0], ratio,
-        # the Morse rows stop at their first zero ratio: the top level
-        0.0 if ladder.system == "morse" else _TAIL)
-    if exponential:
-        return mean, cross, x
+    # the state's length: the whole finite ladder, else the one tail rule on
+    # the state's ratios a_{k+1}^2 / a_k^2
+    n = ladder.max_level if ladder.max_level is not None else _grow(
+        lambda k: x / table(ladder, k))
+    L = table(ladder, np.arange(max(n, 2)))
+    L0, L1 = L[:2].tolist()
+    # each ratio divides x by a square root whose radicand is (k+1)^2 on
+    # the harmonic ladder, so its terms round as x / (k+1) does; the diag
+    # terms N^2 (k+1) a_{k+1}^2 sum to S
+    k = np.arange(n - 2)
+    Lk, Lk1, Lk2 = L[:-2], L[1:-1], L[2:]
+    mean, cross, diag = np.multiply.accumulate(np.concatenate((
+        [[n2 * r / math.sqrt(L0)], [n2 * x * math.sqrt(2.0 / (L0 * L1))],
+         [n2 * x / L0]],
+        [x / np.sqrt((k + 1) * Lk * Lk1 / (k + 2)),
+         x / np.sqrt((k + 1) * Lk * Lk2 / (k + 3)),
+         x / ((k + 1) * Lk1 / (k + 2))]), axis=1), axis=1)[:, :n - 1]
     # S summed in sequence from 0: np.sum's pairwise order rounds otherwise
-    return mean, cross, np.add.accumulate(np.append(0.0, diag))[-1]
+    return mean, cross[:n - 2], x if exponential else np.add.accumulate(
+        np.append(0.0, diag))[-1]
 
 
 def moment_series(spec: SpectrumModel, kind: str, r: float) -> MomentSeries:

@@ -187,56 +187,43 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     return a
 
 
-def _grow(firsts: list[float], ratio: Callable[[np.ndarray], np.ndarray],
-          tail: float) -> list[np.ndarray]:
-    """Rows of terms first, first*rho(0), first*rho(0)*rho(1), ..., one per
-    first term, each cut where the geometric majorant of its rest, valid
-    once its ratio decreases (the catalog ladders are monotone), drops below
-    ``tail`` relative to the row's accumulated total.
+def _grow(ratio: Callable[[np.ndarray], np.ndarray]) -> int:
+    """Length of the row 1, rho(0), rho(0) rho(1), ..., cut where the
+    geometric majorant of its rest, valid once its ratio decreases (the
+    catalog ladders are monotone), drops below ``_TAIL`` relative to the
+    row's accumulated total; at least 2, a state's first ladder step.  The
+    one length rule of every infinite state and series.
 
-    ``ratio`` maps an index array k to the rows' ratios there, an
-    (R, <= len(k)) array; it may return fewer columns, and then raises when
-    asked for the next index.  It is read on 512 indices, then on three
-    times all read so far, up to the cap, where every row must have
-    stopped.  A row whose first term is 0 is empty.  Terms and totals
+    ``ratio`` maps an index array k to the ratios there, at most len(k) of
+    them; it may return fewer, and then raises when asked for the next
+    index.  It is read on 512 indices, then on three times all read so far,
+    up to the cap, where the row must have stopped.  Terms and totals
     accumulate in sequence, so each rounds as in a loop over one term at a
     time."""
-    last = np.array(firsts, dtype=float)[:, None]
-    total, prev = np.abs(last), np.full_like(last, math.inf)
-    ends = [0 if f == 0.0 else None for f in firsts]  # None until it stops
-    parts, n = [last[:, :0]], 0
-    while n < _CAP and None in ends:
+    last, total, prev, n = 1.0, 1.0, math.inf, 0
+    while n < _CAP:
         rho = ratio(np.arange(n, min(max(4 * n, 512), _CAP)))
         # the chunk runs past the stop, where the loop never went: terms
         # may overflow there and 1 - rho vanish
         with np.errstate(all="ignore"):
-            t = np.multiply.accumulate(np.concatenate((last, rho), axis=1),
-                                       axis=1)
-            tot = np.add.accumulate(
-                np.concatenate((total, np.abs(t[:, 1:])), axis=1), axis=1)
-            stop = ((rho < 1.0)
-                    & (rho <= np.concatenate((prev, rho[:, :-1]), axis=1)
-                       + 1e-15)
-                    & (np.abs(t[:, :-1]) * rho / (1.0 - rho)
-                       <= tail * np.maximum(tot[:, :-1], 1.0)))
-        for i, j in enumerate(stop.argmax(axis=1).tolist()):
-            if ends[i] is None and stop[i, j]:
-                ends[i] = n + j + 1
-        parts.append(t[:, :-1])
-        last, total, prev = t[:, -1:], tot[:, -1:], rho[:, -1:]
-        n += rho.shape[1]
-    if None in ends:
-        raise TailBoundError(
-            f"tail bound {tail:g} not reached within {_CAP} terms")
-    terms = np.concatenate(parts, axis=1)
-    return [row[:end] for row, end in zip(terms, ends)]
+            t = np.multiply.accumulate(np.append(last, rho))
+            tot = np.add.accumulate(np.append(total, t[1:]))
+            stop = ((rho < 1.0) & (rho <= np.append(prev, rho[:-1]) + 1e-15)
+                    & (t[:-1] * rho / (1.0 - rho)
+                       <= _TAIL * np.maximum(tot[:-1], 1.0)))
+        if stop.any():
+            return max(n + int(stop.argmax()) + 1, 2)
+        last, total, prev = t[-1], tot[-1], rho[-1]
+        n += len(rho)
+    raise TailBoundError(
+        f"tail bound {_TAIL:g} not reached within {_CAP} terms")
 
 
 def _adaptive_count(spec: SpectrumModel,
                     z: complex) -> tuple[int, np.ndarray]:
-    """Smallest length whose analytic tail mass stays below ``_TAIL``, from
-    the ratios |a_{k+1}|^2/|a_k|^2 = r^2/N_k^2, and the ladder N_0, N_1, ...
-    its last chunk read: at least length - 1 long, or empty at r = 0."""
+    """The state's length by ``_grow``, from the ratios |a_{k+1}|^2/|a_k|^2
+    = r^2/N_k^2, and the ladder N_0, N_1, ... its last chunk read: at least
+    length - 1 long, or empty at r = 0."""
     r2 = abs(z) ** 2
     read = np.empty(0)
     if r2 == 0.0:
@@ -256,10 +243,9 @@ def _adaptive_count(spec: SpectrumModel,
                         f"ladder coefficient N_{k[0]} vanishes below the "
                         "requested dim")
                 step = step[:zero[0]]
-            return r2 / (step * step)[None]
+            return r2 / (step * step)
 
-    [terms] = _grow([1.0], ratio, _TAIL)
-    return max(len(terms), 2), read
+    return _grow(ratio), read
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,26 @@ def test_config_values_are_converted_like_flags(runner, tmp_path):
     assert len(out.read_text().splitlines()) == 6
 
 
+def test_config_key_of_no_command_exits_naming_it(runner, tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfg.write_text("system = type1\nr = 0.5\npoint = 11\n")
+    res = runner.invoke(main, ["trace", "--config", str(cfg), "--out",
+                               str(out)])
+    assert res.exit_code == 1
+    assert "config key 'point' is not an option of any command" in res.output
+    assert not out.exists()
+    # one file holds the keys of both commands: each reads its own
+    cfg.write_text("system = type1\nr = 0.5\npoints = 11\ndim = 20\n"
+                   "path = series\n")
+    res = runner.invoke(main, ["trace", "--config", str(cfg), "--out",
+                               str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 12
+    res = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert "dim=20" in res.output and "overall: pass" in res.output
+
+
 def test_module_runs_as_a_script():
     import subprocess
     import sys

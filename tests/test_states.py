@@ -405,19 +405,21 @@ _PINNED_GHA_DIMS = [
     (g.q_deformed(1.5), (1.0, 10.0, 100.0), (11, 22, 33)),
     (g.square_well(2.0), (0.5, 3.0, 20.0), (7, 14, 39)),
 ]
+# a series sums the terms of its state: n - 1 mean and n - 2 cross terms
+# over the state's n levels, its dim on an infinite ladder and n_max on Morse
 _PINNED_SERIES_LENGTHS = [
-    ("harmonic", "gha", (0.5, 3.0, 10.0), ((11, 11), (41, 41), (187, 187))),
+    ("harmonic", "gha", (0.5, 3.0, 10.0), ((10, 9), (40, 39), (186, 185))),
     ("harmonic", "linear", (0.5, 3.0, 10.0),
-     ((11, 11), (41, 41), (187, 187))),
+     ((10, 9), (40, 39), (186, 185))),
     ("type1", "gha", (0.1, 0.5, 0.9, 0.989),
-     ((8, 7), (27, 27), (177, 184), (1691, 1759))),
-    ("type1", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+     ((7, 6), (25, 24), (169, 168), (1619, 1618))),
+    ("type1", "linear", (0.1, 0.5, 0.9), ((5, 4), (10, 9), (15, 14))),
     ("type2", "gha", (0.1, 0.5, 0.9, 0.989),
-     ((8, 8), (29, 29), (191, 197), (1823, 1885))),
-    ("type2", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+     ((7, 6), (27, 26), (184, 183), (1758, 1757))),
+    ("type2", "linear", (0.1, 0.5, 0.9), ((5, 4), (10, 9), (15, 14))),
     ("hydrogen", "gha", (0.1, 0.5, 0.9, 0.989),
-     ((8, 8), (29, 30), (191, 197), (1824, 1885))),
-    ("hydrogen", "linear", (0.1, 0.5, 0.9), ((6, 5), (11, 11), (16, 16))),
+     ((8, 7), (27, 26), (184, 183), (1759, 1758))),
+    ("hydrogen", "linear", (0.1, 0.5, 0.9), ((5, 4), (10, 9), (15, 14))),
     ("morse", "gha", (0.03, 0.1, 0.3), ((6, 5), (6, 5), (6, 5))),
 ]
 
@@ -435,7 +437,11 @@ def test_tail_counts_pinned():
         got = tuple((len(ms.mean_w), len(ms.cross_w))
                     for ms in (g.moment_series(spec, kind, r) for r in radii))
         assert got == lengths, (system, kind)
-    # each loop stops at the same 2000-term cap
+        n = [spec.max_level if system == "morse" else
+             (g.gha_coherent_state(spec, r) if kind == "gha"
+              else g.linear_coherent_state(r)).dim for r in radii]
+        assert got == tuple((m - 1, m - 2) for m in n), (system, kind)
+    # one tail rule stops at the 2000-term cap
     with pytest.raises(TailBoundError):
         g.linear_coherent_state(45.0)
     with pytest.warns(ConditioningWarning), pytest.raises(TailBoundError):
@@ -526,31 +532,47 @@ def _loop_state(spec, kind, r, tail=1e-14):
     return [_loop_grow(1.0, ratio, 0, tail)]
 
 
+def _loop_products(first, ratio, count):
+    """first, first*ratio(0), first*ratio(0)*ratio(1), ...: ``count`` terms,
+    one product at a time."""
+    terms = [first]
+    for k in range(count - 1):
+        terms.append(terms[-1] * ratio(k))
+    return terms[:count]
+
+
 def _loop_series(spec, kind, r, tail=1e-14):
-    """The series' tail loops, run by the frozen loop with scalar ratios."""
+    """The series' mean and cross rows and its S, one term at a time, over
+    the state's n levels: the frozen loop's length on an infinite ladder,
+    n_max on Morse, and no terms at r = 0."""
     from ghastates.series import _SQUARED_LADDERS
+    if r == 0.0:
+        return [[], [], [0.0]]
     x = r * r
     table = "harmonic" if kind == "linear" else spec.system
     L = _SQUARED_LADDERS[table](spec, np.arange(2003)).tolist()
+    n = spec.max_level if spec.system == "morse" else max(
+        len(_loop_grow(1.0, lambda k: x / L[k], 0, tail)), 2)
     exponential = kind == "linear" or spec.system == "harmonic"
     n2 = (math.exp(-x) if exponential
           else g.closed_form_normalization(spec, r) ** 2)
-    if spec.system == "morse":
-        tail = 0.0
-    loops = [
-        (n2 * r / math.sqrt(L[0]), 0,
-         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2))),
-        (n2 * x * math.sqrt(2.0 / (L[0] * L[1])), 0,
-         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3))),
-    ]
-    # the exponential weights keep S = r^2 exactly: their diag row is empty
-    loops.append((0.0 if exponential else n2 * x / L[0], 1,
-                  lambda k: x / (k * L[k] / (k + 1))))
-    return [_loop_grow(first, ratio, k0, tail) for first, k0, ratio in loops]
+    mean = _loop_products(
+        n2 * r / math.sqrt(L[0]),
+        lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2)), n - 1)
+    cross = _loop_products(
+        n2 * x * math.sqrt(2.0 / (L[0] * L[1])),
+        lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3)), n - 2)
+    # the exponential weights keep S = r^2 exactly
+    total = 0.0
+    for term in _loop_products(n2 * x / L[0],
+                               lambda k: x / ((k + 1) * L[k + 1] / (k + 2)),
+                               n - 1):
+        total += term
+    return [mean, cross, [x if exponential else total]]
 
 
 def _terms_or_error(run):
-    """The bytes of every tail loop ``run`` makes, or its error class, and
+    """The bytes of every row ``run`` returns, or its error class, and
     the classes of the warnings it raised besides ConditioningWarning."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -576,34 +598,38 @@ def _tail_cases():
 
 @contextlib.contextmanager
 def _stacked_pass_checks(tail=1e-14):
-    """Record the rows of every stacked tail pass, run at the bound ``tail``
-    in place of the module's 1e-14; yields ``check``, which compares a
-    case's state and series passes with the frozen loops and returns how
+    """Record the lengths of every tail pass, run at the bound ``tail`` in
+    place of the module's 1e-14; yields ``check``, which compares a case's
+    state lengths and series rows with the frozen loops and returns how
     many it compared."""
-    import ghastates.series as series
     import ghastates.states as states
-    grown, stacked = [], states._grow
+    grown, grow = [], states._grow
 
-    def record(*args, **kwargs):
-        rows = stacked(*args, **kwargs)
-        grown.extend(rows)
-        return rows
+    def record(ratio):
+        grown.append(grow(ratio))
+        return grown[-1]
 
     def recorded(build):
         def run():
             grown.clear()
             build()
-            return list(grown)
+            return [list(grown)]
         return run
+
+    def series(spec, kind, r):
+        ms = g.moment_series(spec, kind, r)
+        return [ms.mean_w, ms.cross_w, [ms.diag]]
 
     def check(spec, kind, r, has_series):
         if kind == "linear":
             new = recorded(lambda: g.linear_coherent_state(r))
         else:
             new = recorded(lambda: g.gha_coherent_state(spec, r))
-        pairs = [(new, lambda: _loop_state(spec, kind, r, tail))]
+        # the state's length: the loop's, and at least 2
+        pairs = [(new, lambda: [[max(len(terms), 2) for terms in
+                                 _loop_state(spec, kind, r, tail)]])]
         if has_series:
-            pairs.append((recorded(lambda: g.moment_series(spec, kind, r)),
+            pairs.append((lambda: series(spec, kind, r),
                           lambda: _loop_series(spec, kind, r, tail)))
         for got, want in pairs:
             assert _terms_or_error(got) == _terms_or_error(want), (
@@ -612,16 +638,14 @@ def _stacked_pass_checks(tail=1e-14):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(states, "_grow", record)
-        patch.setattr(series, "_grow", record)
         patch.setattr(states, "_TAIL", tail)
-        patch.setattr(series, "_TAIL", tail)
         yield check
 
 
 @pytest.mark.parametrize("tail", [0.0, 1e-14, 0.5])
 def test_array_tail_loops_match_the_loop(tail):
-    # _grow takes any bound, though the builders pass only 1e-14; q = 1e150
-    # at tail 0 reads levels past q**n's overflow on both sides
+    # _grow stops at any bound, though the module sets 1e-14; q = 1e150 at
+    # tail 0 reads levels past q**n's overflow on both sides
     checked = 0
     with _stacked_pass_checks(tail) as check:
         for spec, kind, has_series, radii in _tail_cases():
@@ -699,28 +723,29 @@ def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
 
 
 @pytest.mark.parametrize("system, kind, r, reads, lengths", [
-    ("type2", "gha", 0.95, 1, [[379], [393, 406, 406]]),
-    ("harmonic", "linear", 12.0, 1, [[246], [246, 246, 0]]),
-    ("type1", "gha", 0.99, 2, [[1783], [1862, 1935, 1936]]),
+    ("type2", "gha", 0.95, 1, [379, 379]),
+    ("harmonic", "linear", 12.0, 1, [246, 246]),
+    ("type1", "gha", 0.99, 2, [1783, 1783]),
 ])
 def test_first_chunk_serves_the_benchmark_radii(system, kind, r, reads,
                                                 lengths):
     # the benchmark's largest radii end each tail pass, state and series,
-    # in the first chunk; type1 at r = 0.99 takes a second one
+    # in the first chunk; type1 at r = 0.99 takes a second one.  Both
+    # passes pick the state's length, and the series sums its terms
     import ghastates.series as series
     import ghastates.states as states
     grow, passes = states._grow, []
 
-    def counted(firsts, ratio, tail):
+    def counted(ratio):
         calls = []
 
         def read(k):
             calls.append(len(k))
             return ratio(k)
 
-        rows = grow(firsts, read, tail)
-        passes.append((len(calls), [len(row) for row in rows]))
-        return rows
+        n = grow(read)
+        passes.append((len(calls), n))
+        return n
 
     spec = g.make_spectrum(system)
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
@@ -731,8 +756,10 @@ def test_first_chunk_serves_the_benchmark_radii(system, kind, r, reads,
             g.gha_coherent_state(spec, r)
         else:
             g.linear_coherent_state(r)
-        g.moment_series(spec, kind, r)
+        ms = g.moment_series(spec, kind, r)
     assert passes == [(reads, n) for n in lengths]
+    assert (len(ms.mean_w), len(ms.cross_w)) == (lengths[1] - 1,
+                                                 lengths[1] - 2)
 
 
 def test_state_reads_its_ladder_once_per_chunk():

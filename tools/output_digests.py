@@ -3,7 +3,7 @@
 
 The grid: the CSV bundles of ``figure 1`` to ``7`` and ``o2``; 20001-row
 traces of every catalog system (q_deformed and square_well at two
-parameters each, type1 and hydrogen at two b) for both state kinds, two
+parameters each, type1 and hydrogen at two b) for both state kinds, four
 radii and the three paths, each written to a file and to a text stream;
 and one state CSV per system and kind.  It takes no options.  To check
 that a change keeps every output's bytes, run it on both trees and diff:
@@ -37,7 +37,9 @@ SPECTRA = {
     "hydrogen:b=0.5": g.hydrogen(0.5),
     "morse:p=7.59": g.morse(7.59),
 }
-RADII = (0.3, 0.9)
+# RADII[0] also labels the state entries; 0 and 0.99 are the two edges of
+# the length rule: no terms at all, and near the 2,000-term cap
+RADII = (0.3, 0.9, 0.0, 0.99)
 PHI = 0.7
 FIGURES = ("1", "2", "3", "4", "5", "6", "7", "o2")
 
