@@ -160,39 +160,47 @@ def _ladder_of(spec: SpectrumModel, kind: str) -> SpectrumModel:
     return spec if kind == "gha" else _HARMONIC
 
 
+def _profile(log_ratio: np.ndarray) -> np.ndarray:
+    """The amplitude profile alpha_k in proportion to 1, rho_0, rho_0 rho_1,
+    ... from the logs of the ratios rho_k, scaled so that p_k = alpha_k^2
+    sums to 1.  The logs accumulate and their maximum is subtracted before
+    ``exp`` (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41 (2021)), so
+    no term overflows, and alpha_k, not p_k, must leave the float range to
+    underflow.  The one normalizer of a state and of its series."""
+    log_alpha = np.add.accumulate(np.append(0.0, log_ratio))
+    alpha = np.exp(log_alpha - log_alpha.max())
+    return alpha / np.linalg.norm(alpha)
+
+
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
-    """a_k = a_{k-1} z / N_{k-1} from a_0 = 1, as one accumulate over
-    [1, z, 1/N_0, z, 1/N_1, ...]: numpy rounds (a z) / N as (a z) * (1/N)
-    but for signed zeros, so a vector with a zero or non-finite part past
-    a_0 is redone by the loop, which also raises on a vanishing N.  On the
-    positive real axis both keep every a_k at (x >= 0, +0)."""
-    f = np.empty(2 * count - 1, dtype=complex)
-    f[0], f[1::2] = 1.0, z
-    with np.errstate(all="ignore"):
-        f[2::2] = 1.0 / ladder[:count - 1]
-        a = np.multiply.accumulate(f)[::2].copy()
-    if np.isfinite(a).all() and ((z.imag == 0.0 and z.real > 0.0)
-                                 or (a[1:].real.all() and a[1:].imag.all())):
-        return a
-    # past r = 40 the terms overflow here, and _coefficients raises on
-    # their norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, count):
-            step = ladder[k - 1]
-            if step == 0.0:
-                raise DegenerateSpectrumError(
-                    f"ladder coefficient N_{k - 1} vanishes; the coherent-"
-                    "state series is not defined for this spectrum")
-            a[k] = a[k - 1] * z / step
-    return a
+    """The normalized a_k in proportion to z^k / (N_0 ... N_{k-1}): the
+    profile on the log ratios log|z| - log N_k, times the phase powers
+    (z/|z|)^k from one accumulate, so a label on an axis keeps its exact
+    zeros and the positive real axis keeps every a_k at (x, +0).  Raises on
+    a vanishing N."""
+    step = ladder[:count - 1]
+    zero = np.flatnonzero(step == 0.0)
+    if zero.size:
+        raise DegenerateSpectrumError(
+            f"ladder coefficient N_{zero[0]} vanishes; the coherent-state "
+            "series is not defined for this spectrum")
+    r = abs(z)
+    # log 0 = -inf at z = 0, and log N = inf where a q**n ladder overflows
+    with np.errstate(divide="ignore"):
+        alpha = _profile(np.log(r) - np.log(step))
+    phase = np.multiply.accumulate(
+        np.append(1.0 + 0j, np.full(count - 1, z / r if r else 1.0 + 0j)))
+    return alpha * phase
 
 
-def _grow(ratio: Callable[[np.ndarray], np.ndarray]) -> int:
+def _grow(ratio: Callable[[np.ndarray], np.ndarray], r: float) -> int:
     """Length of the row 1, rho(0), rho(0) rho(1), ..., cut where the
     geometric majorant of its rest, valid once its ratio decreases (the
     catalog ladders are monotone), drops below ``_TAIL`` relative to the
     row's accumulated total; at least 2, a state's first ladder step.  The
-    one length rule of every infinite state and series.
+    one length rule of every infinite state and series.  A total that has
+    overflowed passes any such test too soon, so a stop there raises
+    ``NonFiniteResultError``, naming the label radius ``r``.
 
     ``ratio`` maps an index array k to the ratios there, at most len(k) of
     them; it may return fewer, and then raises when asked for the next
@@ -212,7 +220,12 @@ def _grow(ratio: Callable[[np.ndarray], np.ndarray]) -> int:
                     & (t[:-1] * rho / (1.0 - rho)
                        <= _TAIL * np.maximum(tot[:-1], 1.0)))
         if stop.any():
-            return max(n + int(stop.argmax()) + 1, 2)
+            i = int(stop.argmax())
+            if math.isinf(tot[i]):
+                raise NonFiniteResultError(
+                    f"the coherent-state norm overflows at r = {r:.6g}: "
+                    "its terms sum past the float range")
+            return max(n + i + 1, 2)
         last, total, prev = t[-1], tot[-1], rho[-1]
         n += len(rho)
     raise TailBoundError(
@@ -224,7 +237,8 @@ def _adaptive_count(spec: SpectrumModel,
     """The state's length by ``_grow``, from the ratios |a_{k+1}|^2/|a_k|^2
     = r^2/N_k^2, and the ladder N_0, N_1, ... its last chunk read: at least
     length - 1 long, or empty at r = 0."""
-    r2 = abs(z) ** 2
+    r = abs(z)
+    r2 = r ** 2
     read = np.empty(0)
     if r2 == 0.0:
         return 2, read
@@ -245,7 +259,7 @@ def _adaptive_count(spec: SpectrumModel,
                 step = step[:zero[0]]
             return r2 / (step * step)
 
-    return _grow(ratio), read
+    return _grow(ratio, r), read
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +305,7 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
         if len(ladder) < dim - 1:  # an explicit dim past the read, or r = 0
             ladder = state_ladder(spec, dim - 1)
         a = _amplitudes(ladder, zr, dim)
-    # |a|^2 overflows from r = 26.64 on for the exponential weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a)
-    if not math.isfinite(norm):
-        raise NonFiniteResultError(
-            f"coherent-state norm is {norm} at r = {r:.6g}: the amplitudes "
-            "overflow")
-    return a / norm
+    return a
 
 
 def gha_coherent_state(spec: SpectrumModel, z: complex,

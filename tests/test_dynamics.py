@@ -179,7 +179,8 @@ def test_trace_paths_agree():
 
 
 # ROADMAP item 2's grid: every series pair on these spectra, r from 0 past
-# the bounded ladders' radius to where exp(-r^2) underflows, t_end = 20
+# the bounded ladders' radius to where the norm sum e^(r^2) overflows,
+# t_end = 20
 _GRID_SPECTRA = {"harmonic": g.harmonic(), "type1": g.type1(),
                  "type1-b37": g.type1(37.0), "type2": g.type2(),
                  "hydrogen-b0.5": g.hydrogen(0.5),
@@ -229,12 +230,17 @@ def test_routes_agree_on_every_outcome(spec, kind, r, n_points):
        # the 2,000-term cap binds
        frac=st.floats(0.0, 1.0) | st.floats(0.95, 1.0),
        phi=st.floats(-10.0, 10.0),
-       n_points=st.sampled_from((2, 3, 101)))
+       n_points=st.sampled_from((2, 3, 101)),
+       # about half the draws of the exponential weights and of Morse in the
+       # windows where the routes once ended differently
+       window=st.none() | st.floats(0.0, 1.0))
 def test_routes_agree_on_drawn_labels(system, kind, log_b, p, frac, phi,
-                                      n_points):
+                                      n_points, window):
     # the grid above at drawn points: r up to 0.999 of the radius, or to 27
     # where there is none; an infinite ladder's series sums exactly the
-    # terms of the state, whose length one tail rule picks
+    # terms of the state, whose length one tail rule picks.  In the
+    # windows, r is in [26.55, 26.75] for the exponential weights (harmonic
+    # and every linear state) and log10 r in [25, 160] for Morse
     if system == "morse":
         spec = g.morse(p)
     elif system == "harmonic":
@@ -243,6 +249,10 @@ def test_routes_agree_on_drawn_labels(system, kind, log_b, p, frac, phi,
         spec = g.make_spectrum(system, b=10.0 ** log_b)
     radius = g.convergence_radius(spec) if kind == "gha" else math.inf
     r = frac * min(0.999 * radius, 27.0)
+    if window is not None and system == "morse":
+        r = 10.0 ** (25.0 + 135.0 * window)
+    elif window is not None and (system == "harmonic" or kind == "linear"):
+        r = 26.55 + 0.2 * window
     oracle, series = (_outcome(spec, kind, r, n_points, path, phi)
                       for path in ("oracle", "series"))
     if isinstance(oracle, type) or isinstance(series, type):
@@ -301,9 +311,12 @@ def test_linear_state_must_fit_its_table():
     # the builder checks the fit as trace does
     with pytest.raises(WrongSystemError, match=_SHORT_TABLE):
         g.linear_coherent_state(0.1, within=table)
-    # before the amplitudes overflow (from r = 26.64 on), on every route
+    # before the state is formed, on every route; from r = 26.642 on, the
+    # tail pass's total overflows before it finds the state's length
     for path in ("oracle", "series", "both"):
-        with pytest.raises(WrongSystemError, match=r"\| = 30 needs 901$"):
+        with pytest.raises(WrongSystemError, match=r"\| = 26 needs 885$"):
+            g.trace(table, "linear", 26.0, path=path, n_points=11)
+        with pytest.raises(NonFiniteResultError, match="r = 30:"):
             g.trace(table, "linear", 30.0, path=path, n_points=11)
     # the builder checks an explicit dim as the state's length
     with pytest.raises(WrongSystemError, match=r"\| = 0.1 needs 5$"):
@@ -884,9 +897,11 @@ def test_both_raises_the_states_error_before_the_series(monkeypatch):
 
     monkeypatch.setattr(g.dynamics, "moment_series", fail)
     rows = _count_kernel_rows(monkeypatch)
-    with pytest.raises(WrongSystemError, match=r"\| = 30 needs 901$"):
-        g.trace(g.from_table([0, 0.5, 0.6667, 0.75]), "linear", 30.0,
-                path="both")
+    table = g.from_table([0, 0.5, 0.6667, 0.75])
+    with pytest.raises(WrongSystemError, match=r"\| = 26 needs 885$"):
+        g.trace(table, "linear", 26.0, path="both")
+    with pytest.raises(NonFiniteResultError, match="r = 30:"):
+        g.trace(table, "linear", 30.0, path="both")
     with pytest.raises(NonFiniteResultError, match="series"):
         g.trace(g.morse(7.59), "gha", 0.3, path="both")
     assert rows == []
@@ -1112,29 +1127,48 @@ def test_trace_overflow_raises_non_finite():
 
 
 def test_series_underflow_raises_non_finite():
-    # exp(-r^2) is subnormal from r = 26.62 on and zero from r = 27.3; the
-    # series route used to return wrong products or a false floor error
-    for r in (27.0, 27.2, 30.0):
-        with pytest.raises(NonFiniteResultError):
-            g.trace(g.harmonic(), "linear", r, path="series")
-    tr = g.trace(g.harmonic(), "linear", 26.5, path="series", n_points=11)
-    assert np.abs(tr.values - 0.5).max() < 1e-9
+    # exp(-r^2) is subnormal from r = 26.62 on, and the series route raised
+    # there while the state answered; with no separate N^2 both routes
+    # answer until the tail pass's total overflows at r = 26.642, and both
+    # raise from there on
+    for r in (26.5, 26.62):
+        values = [g.trace(g.harmonic(), "linear", r, path=path,
+                          n_points=11).values
+                  for path in ("oracle", "series")]
+        assert np.abs(values[0] - 0.5).max() < 1e-9
+        assert np.abs(values[0] - values[1]).max() <= 1e-9
+    for r in (26.65, 27.0, 30.0):
+        for path in ("oracle", "series"):
+            with pytest.raises(NonFiniteResultError, match=f"r = {r:g}:"):
+                g.trace(g.harmonic(), "linear", r, path=path)
 
 
-@pytest.mark.parametrize("r", [3e26, 1e30, 1e155])
-def test_morse_overflow_raises_non_finite_on_every_route(r):
-    # the normalization sum overflows from r = 2.9e26 on; the series route
-    # used to take N = 0 from it and return a flat 1/2, or run out of terms
+_MORSE_PAST_OVERFLOW = [3e26, 1e30, 1e155]
+
+
+@pytest.mark.parametrize("r", _MORSE_PAST_OVERFLOW)
+def test_morse_normalization_overflow_raises_non_finite(r):
+    # the Morse normalization sum overflows from r = 2.9e26 on
+    with pytest.raises(NonFiniteResultError, match="overflows"):
+        g.closed_form_normalization(g.morse(7.59), r)
+
+
+@pytest.mark.parametrize("r", _MORSE_PAST_OVERFLOW)
+def test_morse_routes_answer_past_the_normalization_overflow(r):
+    # the routes take no N^2: both answer past the sum's overflow, where
+    # the state sits on its top level, agree, and warn nothing
     spec = g.morse(7.59)
-    calls = [lambda: g.closed_form_normalization(spec, r),
-             lambda: g.expectations_series(spec, "gha", r, 0.0, 1.0)]
-    calls += [functools.partial(g.trace, spec, "gha", r, path=path, n_points=5)
-              for path in ("oracle", "series", "both")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for call in calls:
-            with pytest.raises(NonFiniteResultError):
-                call()
+        traces = [g.trace(spec, "gha", r, 0.0, 0.0, 1.0, 5, path)
+                  for path in ("oracle", "series", "both")]
+        es = g.expectations_series(spec, "gha", r, 0.0, 1.0)
+    oracle, series, both = traces
+    assert np.abs(oracle.values - series.values).max() <= 1e-9
+    assert np.array_equal(both.values, oracle.values)
+    assert np.abs(both.alt_values - series.values).max() <= 1e-9
+    assert math.sqrt(es.var_xi * es.var_rho) == pytest.approx(
+        series.values[-1], abs=1e-9)
 
 
 _OUT_OF_RANGE_SCALES = {

@@ -25,12 +25,13 @@ from ghastates.errors import (
 
 
 def unnormalized_norm(spec, r):
-    """Brute-force norm of the raw series, the oracle behind N(r)."""
-    from ghastates.states import _amplitudes, raw_eigenvalue, state_ladder
+    """Brute-force norm of the raw series, the oracle behind N(r): the
+    frozen one-term-at-a-time loop over the state's length."""
+    from ghastates.states import raw_eigenvalue, state_ladder
     st = g.gha_coherent_state(spec, r)
     count = st.dim if spec.max_level is None else spec.max_level
-    amps = _amplitudes(state_ladder(spec, count - 1), raw_eigenvalue(spec, r),
-                       count)
+    amps = _loop_amplitudes(state_ladder(spec, count - 1),
+                            raw_eigenvalue(spec, r), count)
     return float(np.linalg.norm(amps))
 
 
@@ -450,9 +451,22 @@ def test_tail_counts_pinned():
         g.moment_series(g.type1(), "gha", 0.999)
 
 
+def test_grow_raises_where_its_total_overflows():
+    # a total that has overflowed passes any stop test: at r = 26.65, 27
+    # and 30 the harmonic rows stopped at 721, 730 and 901 of their 924,
+    # 946 and 1140 terms.  Below r = 26.642 the total of the e^(r^2) row
+    # stays finite and the lengths stand
+    from ghastates.states import _grow
+    for r, n in ((26.0, 885), (26.6, 921)):
+        assert _grow(lambda k: r * r / (k + 1.0), r) == n
+    for r in (26.65, 27.0, 30.0):
+        with pytest.raises(NonFiniteResultError, match=f"r = {r:g}:"):
+            _grow(lambda k: r * r / (k + 1.0), r)
+
+
 def test_large_r_states_raise_non_finite():
-    # |a|^2 overflows from r = 26.64 on, and the amplitudes at r = 40; the
-    # typed error comes with no numpy RuntimeWarning ahead of it
+    # the tail pass's total overflows from r = 26.642 on; the typed error
+    # comes with no numpy RuntimeWarning ahead of it
     for r in (27.0, 30.0, 40.0):
         with pytest.raises(NonFiniteResultError, match=f"r = {r:g}"):
             g.linear_coherent_state(r)
@@ -485,7 +499,7 @@ def test_steep_ladder_overflow_past_the_stop_stays_silent():
 
 def _loop_grow(first, ratio, k0, tail):
     """``states._grow`` as a loop over one term at a time, frozen as the
-    reference: the array version must give the same term bytes."""
+    reference: the array version must give the same lengths."""
     if first == 0.0:
         return []
     terms = [first]
@@ -544,7 +558,9 @@ def _loop_products(first, ratio, count):
 def _loop_series(spec, kind, r, tail=1e-14):
     """The series' mean and cross rows and its S, one term at a time, over
     the state's n levels: the frozen loop's length on an infinite ladder,
-    n_max on Morse, and no terms at r = 0."""
+    n_max on Morse, and no terms at r = 0.  N^2 is one over the sum of the
+    same n squared amplitudes, so the rows are those of the truncated
+    state."""
     from ghastates.series import _SQUARED_LADDERS
     if r == 0.0:
         return [[], [], [0.0]]
@@ -553,35 +569,46 @@ def _loop_series(spec, kind, r, tail=1e-14):
     L = _SQUARED_LADDERS[table](spec, np.arange(2003)).tolist()
     n = spec.max_level if spec.system == "morse" else max(
         len(_loop_grow(1.0, lambda k: x / L[k], 0, tail)), 2)
-    exponential = kind == "linear" or spec.system == "harmonic"
-    n2 = (math.exp(-x) if exponential
-          else g.closed_form_normalization(spec, r) ** 2)
+    n2 = 1.0 / math.fsum(_loop_products(1.0, lambda k: x / L[k], n))
     mean = _loop_products(
         n2 * r / math.sqrt(L[0]),
         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 1] / (k + 2)), n - 1)
     cross = _loop_products(
         n2 * x * math.sqrt(2.0 / (L[0] * L[1])),
         lambda k: x / math.sqrt((k + 1) * L[k] * L[k + 2] / (k + 3)), n - 2)
-    # the exponential weights keep S = r^2 exactly
-    total = 0.0
-    for term in _loop_products(n2 * x / L[0],
-                               lambda k: x / ((k + 1) * L[k + 1] / (k + 2)),
-                               n - 1):
-        total += term
-    return [mean, cross, [x if exponential else total]]
+    diag = _loop_products(n2 * x / L[0],
+                          lambda k: x / ((k + 1) * L[k + 1] / (k + 2)), n - 1)
+    return [mean, cross, [math.fsum(diag)]]
 
 
-def _terms_or_error(run):
-    """The bytes of every row ``run`` returns, or its error class, and
-    the classes of the warnings it raised besides ConditioningWarning."""
+def _rows_or_error(run):
+    """Every row ``run`` returns, or its error class, and the classes of
+    the warnings it raised besides ConditioningWarning."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         warnings.simplefilter("ignore", ConditioningWarning)
         try:
-            out = [np.asarray(t, dtype=float).tobytes() for t in run()]
+            out = [np.asarray(t, dtype=float) for t in run()]
         except GhaError as exc:
             out = type(exc)
     return out, {w.category for w in seen}
+
+
+def _assert_rows_close(got, want, case):
+    """The same error class and warnings, or rows of the same lengths, each
+    within 1e-12 of its largest term: exact for the lengths, round-off for
+    the log-space weights against the loops' products."""
+    (rows, seen), (rows_want, seen_want) = (_rows_or_error(got),
+                                            _rows_or_error(want))
+    assert seen == seen_want, case
+    if isinstance(rows, type) or isinstance(rows_want, type):
+        assert rows is rows_want, case
+        return
+    assert [len(row) for row in rows] == [len(row) for row in rows_want], case
+    for row, row_want in zip(rows, rows_want):
+        if len(row):
+            assert np.abs(row - row_want).max() <= 1e-12 * np.abs(
+                row_want).max(), case
 
 
 def _tail_cases():
@@ -605,8 +632,8 @@ def _stacked_pass_checks(tail=1e-14):
     import ghastates.states as states
     grown, grow = [], states._grow
 
-    def record(ratio):
-        grown.append(grow(ratio))
+    def record(ratio, r):
+        grown.append(grow(ratio, r))
         return grown[-1]
 
     def recorded(build):
@@ -632,8 +659,8 @@ def _stacked_pass_checks(tail=1e-14):
             pairs.append((lambda: series(spec, kind, r),
                           lambda: _loop_series(spec, kind, r, tail)))
         for got, want in pairs:
-            assert _terms_or_error(got) == _terms_or_error(want), (
-                spec.system, spec.q, spec.p, kind, r, tail)
+            _assert_rows_close(got, want,
+                               (spec.system, spec.q, spec.p, kind, r, tail))
         return len(pairs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -670,8 +697,8 @@ def _stacked_cases():
        log_q=st.floats(-3.0, -0.005) | st.floats(0.001, 150.0),
        frac=st.floats(0.0, 1.0))
 def test_stacked_pass_matches_the_loops_property(case, p, log_q, frac):
-    # r up to 0.999 of the radius, or to 26 where there is none: |a|^2 of
-    # the exponential weights overflows from r = 26.64 on
+    # r up to 0.999 of the radius, or to 26 where there is none: the norm
+    # sum of the exponential weights overflows from r = 26.642 on
     system, kind, has_series = case
     spec = (g.morse(p) if system == "morse"
             else g.q_deformed(10.0 ** log_q) if system == "q_deformed"
@@ -708,6 +735,50 @@ def test_morse_normalization_matches_the_loop():
                 total), (p, r)
 
 
+#: the squared ladders L_k of ``series._SQUARED_LADDERS``, written again
+#: for mpmath from their closed forms
+_MP_SQUARED_LADDERS = {
+    "harmonic": lambda mp, p, k: mp.mpf(k + 1),
+    "type1": lambda mp, p, k: mp.mpf(k + 1) / (k + 2),
+    "type2": lambda mp, p, k: mp.mpf(k + 1) ** 2 / mp.mpf(k + 2) ** 2,
+    "hydrogen": lambda mp, p, k: mp.mpf(k + 1) ** 3 * (k + 3)
+    / mp.mpf(k + 2) ** 4,
+    "morse": lambda mp, p, k: (k + 1) * (2 * mp.mpf(p) - k - 1),
+}
+
+
+@pytest.mark.parametrize("system, kind, r", [
+    ("harmonic", "gha", 3.0), ("harmonic", "gha", 26.6),
+    ("type1", "linear", 10.0), ("type1", "gha", 0.9), ("type1", "gha", 0.989),
+    ("type2", "gha", 0.9), ("hydrogen", "gha", 0.9),
+    ("hydrogen", "linear", 0.5), ("morse", "gha", 0.3),
+    ("morse", "gha", 30.0), ("morse", "gha", 3e26), ("morse", "gha", 1e100),
+])
+def test_weights_match_mpmath_over_the_same_length(system, kind, r):
+    # the log-space weights against the same n terms summed at 40 digits:
+    # rows within 1e-12 of their largest term, S within 1e-13 relative
+    mpmath = pytest.importorskip("mpmath")
+    spec = g.morse(7.59) if system == "morse" else g.make_spectrum(system)
+    ms = g.moment_series(spec, kind, r)
+    n = len(ms.mean_w) + 1
+    ladder = _MP_SQUARED_LADDERS["harmonic" if kind == "linear" else system]
+    with mpmath.workdps(40):
+        x = mpmath.mpf(r) ** 2
+        p = [mpmath.mpf(1)]
+        for k in range(n - 1):
+            p.append(p[-1] * x / ladder(mpmath, spec.p, k))
+        total = mpmath.fsum(p)
+        p = [term / total for term in p]
+        mean = [mpmath.sqrt(p[k] * p[k + 1] * (k + 1)) for k in range(n - 1)]
+        cross = [mpmath.sqrt(p[k] * p[k + 2] * (k + 1) * (k + 2))
+                 for k in range(n - 2)]
+        diag = float(mpmath.fsum(k * p[k] for k in range(n)))
+    for got, want in ((ms.mean_w, mean), (ms.cross_w, cross)):
+        want = np.array([float(w) for w in want])
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert ms.diag == pytest.approx(diag, rel=1e-13, abs=0.0)
+
+
 def test_tail_loop_raises_where_the_ladder_vanishes(monkeypatch):
     # the loop raised on reaching N_k = 0, and only if no stop came first
     import ghastates.states as states
@@ -736,14 +807,14 @@ def test_first_chunk_serves_the_benchmark_radii(system, kind, r, reads,
     import ghastates.states as states
     grow, passes = states._grow, []
 
-    def counted(ratio):
+    def counted(ratio, r):
         calls = []
 
         def read(k):
             calls.append(len(k))
             return ratio(k)
 
-        n = grow(read)
+        n = grow(read, r)
         passes.append((len(calls), n))
         return n
 
@@ -820,10 +891,11 @@ def test_edge_raises_of_the_state_builders():
 
 
 # ---------------------------------------------------------------------------
-# the amplitude recurrence as one accumulate against the loop it replaced
+# the amplitude profile against the recurrence loop it replaced
 
 def _loop_amplitudes(ladder, z, count):
-    """``states._amplitudes`` as the loop it was, frozen as the reference."""
+    """``states._amplitudes`` as the unnormalized loop it was, frozen as the
+    reference."""
     a = np.empty(count, dtype=complex)
     a[0] = 1.0
     for k in range(1, count):
@@ -836,8 +908,9 @@ def _loop_amplitudes(ladder, z, count):
 
 def _amplitude_cases():
     """(ladder, z, count) as the constructors pass them, for every
-    SUPPORTED pair, q_deformed and square_well at fixed and drawn labels;
-    counts up to 1000 on the infinite ladders, where components underflow."""
+    SUPPORTED pair, q_deformed and square_well at fixed and drawn labels and
+    on the four half-axes; counts up to 1000 on the infinite ladders, where
+    components underflow."""
     from ghastates.series import SUPPORTED
     from ghastates.states import raw_eigenvalue, state_ladder
     rng = np.random.default_rng(20)
@@ -854,8 +927,11 @@ def _amplitude_cases():
         counts = ([spec.max_level] if spec.max_level is not None
                   else [2, 40, 1000])
         for r in radii:
-            for phi in phis:
-                z = r * complex(math.cos(phi), math.sin(phi))
+            labels = [r * complex(math.cos(phi), math.sin(phi))
+                      for phi in phis]
+            labels += [complex(r, 0.0), complex(-r, 0.0), complex(0.0, r),
+                       complex(0.0, -r)]
+            for z in labels:
                 for count in counts:
                     if kind == "linear":
                         ladder = np.sqrt(np.arange(1, count, dtype=float))
@@ -868,36 +944,44 @@ def _amplitude_cases():
 
 
 def test_amplitude_accumulate_matches_the_loop():
+    # the log-space profile moves each amplitude by round-off alone: within
+    # 1e-12 of the largest of the loop's normalized terms.  A label on an
+    # axis keeps its exact zeros, and the positive real axis its +0
+    # imaginary parts, as the loop did
     from ghastates.states import _amplitudes
-
-    def run(build):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            try:
-                out = build().tobytes()
-            except DegenerateSpectrumError:
-                out = DegenerateSpectrumError
-        return out, [(w.category, str(w.message)) for w in seen]
-
-    def unguarded(ladder, z, count):
-        f = np.empty(2 * count - 1, dtype=complex)
-        f[0], f[1::2] = 1.0, z
-        with np.errstate(all="ignore"):
-            f[2::2] = 1.0 / ladder[:count - 1]
-            return np.multiply.accumulate(f)[::2]
-
-    cases = guarded = 0
+    cases = on_axis = 0
     for ladder, z, count in _amplitude_cases():
-        want = run(lambda: _loop_amplitudes(ladder, z, count))
-        assert run(lambda: _amplitudes(ladder, z, count)) == want, (
+        want = _loop_amplitudes(ladder, z, count)
+        want /= np.linalg.norm(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _amplitudes(ladder, z, count)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (
             ladder[:3], z, count)
+        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-13)
+        odd = np.arange(count) % 2 == 1
+        if z.imag == 0.0:
+            assert not got.imag.any(), (ladder[:3], z, count)
+            if z.real > 0.0:
+                assert not np.signbit(got.imag).any(), (ladder[:3], z, count)
+        if z.real == 0.0:
+            assert not (got.real[odd].any() or got.imag[~odd].any()), (
+                ladder[:3], z, count)
         cases += 1
-        # where the bare accumulate differs (signed zeros, NaN bits), only
-        # the loop path gives the bytes above
-        guarded += unguarded(ladder, z, count).tobytes() != want[0]
-    # 13 systems at 7 radii and 7 phases; Morse has one count, the others 3
-    assert cases == 7 * 7 * (1 + 12 * 3)
-    assert guarded > 0
+        on_axis += z.real == 0.0 or z.imag == 0.0
+    # 13 systems at 7 radii and 11 labels; Morse has one count, the others 3
+    assert cases == 7 * 11 * (1 + 12 * 3)
+    assert on_axis == (1 * 11 + 6 * 6) * (1 + 12 * 3)
+
+
+def test_amplitudes_raise_where_the_ladder_vanishes():
+    from ghastates.states import _amplitudes
+    ladder = np.sqrt(np.arange(1.0, 40.0))
+    ladder[[7, 20]] = 0.0
+    for z in (0.0, 0.5, 0.5j):
+        with pytest.raises(DegenerateSpectrumError, match="N_7 vanishes"):
+            _amplitudes(ladder, z, 40)
+    assert np.isfinite(_amplitudes(ladder, 0.5, 8)).all()
 
 
 def _loop_hydrogen_norm(x):

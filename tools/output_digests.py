@@ -5,7 +5,8 @@ The grid: the CSV bundles of ``figure 1`` to ``7`` and ``o2``; 20001-row
 traces of every catalog system (q_deformed and square_well at two
 parameters each, type1 and hydrogen at two b) for both state kinds, four
 radii and the three paths, each written to a file and to a text stream;
-and one state CSV per system and kind.  It takes no options.  To check
+one state CSV per system and kind; and the edge labels, traced on the
+three paths.  It takes no options.  To check
 that a change keeps every output's bytes, run it on both trees and diff:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
@@ -41,6 +42,11 @@ SPECTRA = {
 # the length rule: no terms at all, and near the 2,000-term cap
 RADII = (0.3, 0.9, 0.0, 0.99)
 PHI = 0.7
+# labels at the end of the float range: harmonic linear states answer to
+# r = 26.642, and Morse answers past its normalization sum's overflow at
+# r = 2.9e26
+EDGES = (("harmonic", "linear", 26.62), ("harmonic", "linear", 26.65),
+         ("morse:p=7.59", "gha", 3e26))
 FIGURES = ("1", "2", "3", "4", "5", "6", "7", "o2")
 
 
@@ -63,24 +69,32 @@ def figures(tmp: Path):
             yield f"figure/{fid}/{f.name}", _sha(f.read_bytes())
 
 
+def _trace(tmp: Path, name: str, kind: str, r: float):
+    for path in ("oracle", "series", "both"):
+        label = f"trace/{name}/{kind}/r={r:g}/{path}"
+        try:
+            tr = g.trace(SPECTRA[name], kind, r, PHI, 0.0, 100.0, 20001, path)
+        except GhaError as exc:
+            yield label, f"error:{type(exc).__name__}"
+            continue
+        target = tmp / "trace.csv"
+        g.write_trace_csv(tr, target)
+        yield f"{label}/file", _sha(target.read_bytes())
+        stream = io.StringIO()
+        g.write_trace_csv(tr, stream)
+        yield f"{label}/stream", _sha(stream.getvalue().encode())
+
+
 def traces(tmp: Path):
-    for name, spec in SPECTRA.items():
+    for name in SPECTRA:
         for kind in ("gha", "linear"):
             for r in RADII:
-                for path in ("oracle", "series", "both"):
-                    label = f"trace/{name}/{kind}/r={r:g}/{path}"
-                    try:
-                        tr = g.trace(spec, kind, r, PHI, 0.0, 100.0, 20001,
-                                     path)
-                    except GhaError as exc:
-                        yield label, f"error:{type(exc).__name__}"
-                        continue
-                    target = tmp / "trace.csv"
-                    g.write_trace_csv(tr, target)
-                    yield f"{label}/file", _sha(target.read_bytes())
-                    stream = io.StringIO()
-                    g.write_trace_csv(tr, stream)
-                    yield f"{label}/stream", _sha(stream.getvalue().encode())
+                yield from _trace(tmp, name, kind, r)
+
+
+def edges(tmp: Path):
+    for name, kind, r in EDGES:
+        yield from _trace(tmp, name, kind, r)
 
 
 def states(tmp: Path):
@@ -102,7 +116,7 @@ def states(tmp: Path):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for part in (figures, traces, states):
+        for part in (figures, traces, states, edges):
             for name, digest in part(Path(tmp)):
                 print(name, digest)
 
