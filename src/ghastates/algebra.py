@@ -3,10 +3,10 @@
 The generators are built directly from the ladder coefficients:
 ``A_dag|n> = N_n|n+1>``, ``J0|n> = eps_n|n>``, together with the canonical
 pair ``D|n> = sqrt(n)|n-1>``, ``D_dag|n> = sqrt(n+1)|n+1>`` and the
-position/momentum-like combinations
+position/momentum-like combinations, in units L = hbar = 1,
 
-    xi  = (L/sqrt(2)) (D + D_dag),
-    rho = (i hbar / (sqrt(2) L)) (D_dag - D).
+    xi  = (D + D_dag) / sqrt(2),
+    rho = i (D_dag - D) / sqrt(2).
 
 All identities are exact on interior basis vectors; truncation necessarily
 breaks ``[D, D_dag] = I`` on the last column, which is reported separately
@@ -121,8 +121,6 @@ class AlgebraRep:
     ladder: np.ndarray
     xi_bands: tuple[np.ndarray, np.ndarray]
     rho_bands: tuple[np.ndarray, np.ndarray]
-    L_scale: float = 1.0
-    hbar: float = 1.0
 
     dim = property(lambda s: len(s.eps))
 
@@ -141,8 +139,7 @@ class AlgebraRep:
         for name in ("J0", "N_op", "A", "A_dag", "D", "D_dag", "xi", "rho"))
 
 
-def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
-              hbar: float = 1.0) -> AlgebraRep:
+def build_rep(spec: SpectrumModel, dim: int) -> AlgebraRep:
     """Build the bands of all generators at truncation dimension ``dim``.
 
     Finite ladders must be represented whole: for the Morse system ``dim``
@@ -159,7 +156,6 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
     if spec.system == "custom" and dim > spec.max_level + 1:
         raise DimensionMismatchError(
             f"tabulated spectrum supports dim <= {spec.max_level + 1}")
-    require_positive(L_scale=L_scale, hbar=hbar)
 
     eps = levels(spec, dim)
     ladder = ladder_coefficients(spec, dim - 1)
@@ -167,12 +163,12 @@ def build_rep(spec: SpectrumModel, dim: int, L_scale: float = 1.0,
 
     # xi and rho from D (sqrt(n) above the diagonal) and D_dag (below it)
     root = np.sqrt(np.arange(1.0, dim))
-    xi = (L_scale / math.sqrt(2.0)) * root.astype(complex)
-    i_scale = 1j * hbar / (math.sqrt(2.0) * L_scale)
+    xi = (1.0 / math.sqrt(2.0)) * root.astype(complex)
+    i_scale = 1j / math.sqrt(2.0)
     rho = (i_scale * (-root).astype(complex), i_scale * root.astype(complex))
     for a in (eps, ladder, xi, *rho):
         a.flags.writeable = False
-    return AlgebraRep(spec.system, eps, ladder, (xi, xi), rho, L_scale, hbar)
+    return AlgebraRep(spec.system, eps, ladder, (xi, xi), rho)
 
 
 def _check_reconstruction(eps: np.ndarray, ladder: np.ndarray) -> None:
@@ -295,7 +291,7 @@ def verify_algebra(rep: AlgebraRep, spec: SpectrumModel,
             ("number_raising", b["N_op"], b["D_dag"], b["D_dag"]),
             ("canonical_pair", b["D"], b["D_dag"], eye),
             ("position_momentum", b["xi"], b["rho"],
-             Band.of(d, {0: 1j * rep.hbar}))):
+             Band.of(d, {0: 1j}))):
         XY = X @ Y
         add(name, XY - Y @ X - rhs, XY)
 

@@ -1,7 +1,8 @@
 """Time evolution and uncertainty-product traces.
 
-Every state evolves by pure phases, coefficient n picking up
-exp(-i eps_n t) with hbar = 1.  The levels eps_n include b, so t is time
+Units are L = hbar = 1; Delta(xi) Delta(rho) is in units of hbar, the same
+number at any L and hbar.  Every state evolves by pure phases, coefficient
+n picking up exp(-i eps_n t).  The levels eps_n include b, so t is time
 in units of hbar per the energy unit b is given in; it equals b t / hbar
 only at b = 1.  Morse levels are in units of hbar omega, so there t
 stands for omega t.  The canonical moments are computed along two
@@ -28,8 +29,8 @@ independence lies in their weights (matrix elements against closed-form
 ladders), not in separate kernel calls.
 
 Both entry points start from one plan, ``_plan``.  It checks the label's
-inputs and scales, judges r against the convergence radius once (warning
-once near it; the builders take that verdict), builds the label's state by
+inputs, judges r against the convergence radius once (warning once near
+it; the builders take that verdict), builds the label's state by
 its kind wherever the oracle needs it or a linear state must fit a finite
 ladder (the builder alone checks that fit), and builds the bands of each
 route the path names, oracle first, as ``_moments`` sums them.
@@ -41,7 +42,6 @@ series plan at one time.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +58,6 @@ from .errors import (
     UncertaintyFloorError,
     require_finite,
     require_integer,
-    require_positive,
     warn_caller,
 )
 from .series import moment_series
@@ -110,9 +109,9 @@ def _clamp_var_array(m2: np.ndarray, m: np.ndarray, label: str) -> np.ndarray:
     return v
 
 
-def uncertainty(es: ExpectationSet, hbar: float = 1.0) -> float:
+def uncertainty(es: ExpectationSet) -> float:
     """Delta(xi) Delta(rho) in units of hbar."""
-    return math.sqrt(es.var_xi * es.var_rho) / hbar
+    return math.sqrt(es.var_xi * es.var_rho)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +178,11 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
                              2.0 * re[1] + consts[1]])]
 
 
-def _rep_for(spec: SpectrumModel, state: FockState, L_scale: float,
-             hbar: float) -> AlgebraRep:
+def _rep_for(spec: SpectrumModel, state: FockState) -> AlgebraRep:
     # two rows above the state's support keep every two-step cross term of
     # the truncated state inside the matrices; finite ladders are whole
     dim = state.dim + 2 if spec.max_level is None else spec.max_level + 1
-    return build_rep(spec, dim, L_scale=L_scale, hbar=hbar)
+    return build_rep(spec, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +212,18 @@ def _moments(routes, times: np.ndarray):
     return out
 
 
-def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
-          L_scale: float, hbar: float):
+def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str):
     """Check a label's inputs, judge r once, build its state where the oracle
     needs it or a linear state must fit a finite ladder, and each route's
     bands (oracle first, as ``_moments`` takes them); return the bands with
     the state, or None where none was built."""
     require_finite(r=r, phi=phi)
-    require_positive(L_scale=L_scale, hbar=hbar)
     if path not in ("oracle", "series", "both"):
         raise InvalidParameterError(f"unknown path {path!r}")
     ladder = _ladder_of(spec, kind)
     # one verdict on r, whatever the path: the builders below take it
     # rather than judge |r e^{i phi}|, which may round up to the radius
     _judge_radius(ladder, r)
-    # <xi^2> and <rho^2> carry the first two factors on both routes, and
-    # var_xi var_rho the third; a subnormal one keeps too few digits
-    try:
-        xi2, rho2, hbar2 = L_scale ** 2, (hbar / L_scale) ** 2, hbar ** 2
-    except OverflowError:
-        xi2 = rho2 = hbar2 = math.inf
-    if not all(sys.float_info.min <= v < math.inf for v in (xi2, rho2, hbar2)):
-        raise NonFiniteResultError(
-            f"L_scale = {L_scale!r} and hbar = {hbar!r} put L_scale^2, "
-            "(hbar/L_scale)^2 or hbar^2 outside the normal float range")
     routes = []
     state = None
     # the builders take the verdict above while this is set.  The plan calls
@@ -256,7 +242,7 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
                                            within=spec))
         if path != "series":
             routes.append(_oracle_bands(
-                state, _rep_for(spec, state, L_scale, hbar)))
+                state, _rep_for(spec, state)))
         if path != "oracle":
             ms = moment_series(spec, kind, r)
             # the label phase rides on the weights, w_k exp(i phi) and
@@ -265,26 +251,24 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str,
             s2 = math.sqrt(2.0)
             routes.append([
                 ([ms.mean_w * complex(math.cos(phi), math.sin(phi))],
-                 ms.mean_f, lambda re, im: [s2 * L_scale * re[0],
-                                            s2 * hbar / L_scale * im[0]]),
+                 ms.mean_f, lambda re, im: [s2 * re[0], s2 * im[0]]),
                 ([ms.cross_w * complex(math.cos(2.0 * phi),
                                        math.sin(2.0 * phi))], ms.cross_f,
-                 lambda re, im: [xi2 * (re[0] + ms.diag + 0.5),
-                                 rho2 * (-re[0] + ms.diag + 0.5)])])
+                 lambda re, im: [re[0] + ms.diag + 0.5,
+                                 -re[0] + ms.diag + 0.5])])
     finally:
         _RADIUS_JUDGED.reset(judged)
     return routes, state
 
 
 def expectations_series(spec: SpectrumModel, kind: str, r: float, phi: float,
-                        t: float, L_scale: float = 1.0,
-                        hbar: float = 1.0) -> ExpectationSet:
+                        t: float) -> ExpectationSet:
     """Moments from the closed-form series at a single time point, behind
     the checks ``trace`` makes."""
     require_finite(t=t)
-    # as in ``trace``: an overflow comes out as NonFiniteResultError alone
+    # as in ``trace``: an overflowing level raises NonFiniteResultError alone
     with np.errstate(over="ignore", invalid="ignore"):
-        routes, _ = _plan(spec, kind, r, phi, "series", L_scale, hbar)
+        routes, _ = _plan(spec, kind, r, phi, "series")
         [arrays] = _moments(routes, np.array([float(t)]))
         es = ExpectationSet(*(float(a[0]) for a in arrays))
     if not (math.isfinite(es.var_xi) and math.isfinite(es.var_rho)):
@@ -313,9 +297,8 @@ class UncertaintyTrace:
 
 def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
           t_start: float = 0.0, t_end: float = 100.0, n_points: int = 2001,
-          path: str = "oracle", L_scale: float = 1.0,
-          hbar: float = 1.0) -> UncertaintyTrace:
-    """Uncertainty product Delta(xi) Delta(rho)/hbar on a uniform grid.
+          path: str = "oracle") -> UncertaintyTrace:
+    """Delta(xi) Delta(rho), in units of hbar, on a uniform grid.
 
     ``path`` selects the evaluation route; with ``"both"`` the matrix route
     provides the reported values and the series route is kept alongside,
@@ -327,16 +310,17 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
     require_finite(t_start=t_start, t_end=t_end)
     if not t_end > t_start:
         raise InvalidParameterError("t_end must exceed t_start")
-    # in-range scales times large moments may still overflow: NaN passes
-    # every comparison in this block, and the finiteness check after it
-    # raises, with no numpy warning first
+    # a level that overflows puts an infinite frequency on a term, and one
+    # of zero weight (as on the oracle's padding levels) sums to NaN: NaN
+    # passes every comparison in this block, and the finiteness check after
+    # it raises, with no numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        routes, state = _plan(spec, kind, r, phi, path, L_scale, hbar)
+        routes, state = _plan(spec, kind, r, phi, path)
         times = np.linspace(t_start, t_end, n_points)
         (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
         var_xi = _clamp_var_array(mxi2, mxi, "xi")
         var_rho = _clamp_var_array(mrho2, mrho, "rho")
-        values = np.sqrt(var_xi * var_rho) / hbar
+        values = np.sqrt(var_xi * var_rho)
 
         if float(values.min()) < 0.5 - _FLOOR_TOL:
             raise UncertaintyFloorError(
@@ -347,7 +331,7 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         if path == "both":
             [(sxi, srho, sxi2, srho2)] = series_m
             alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")
-                          * _clamp_var_array(srho2, srho, "rho")) / hbar
+                          * _clamp_var_array(srho2, srho, "rho"))
             disc = float(np.abs(values - alt).max())
     # overflow upstream (e.g. in the state amplitudes at large r) would
     # otherwise be returned silently

@@ -59,27 +59,25 @@ class MorsePhysicalParams:
     """Dimensionful Morse-well constants.
 
     ``V0`` is the well depth in joules, ``beta`` the inverse width in 1/m,
-    ``m_r`` the reduced mass in kg.
+    ``m_r`` the reduced mass in kg; hbar is the SI constant ``HBAR``.
     """
 
     beta: float
     V0: float
     m_r: float
-    hbar: float = HBAR
 
     def __post_init__(self) -> None:
-        require_positive(beta=self.beta, V0=self.V0, m_r=self.m_r,
-                         hbar=self.hbar)
+        require_positive(beta=self.beta, V0=self.V0, m_r=self.m_r)
 
     @property
     def nu(self) -> float:
         """Dimensionless well-depth parameter sqrt(8 m_r V0 / beta^2 hbar^2)."""
-        return math.sqrt(8.0 * self.m_r * self.V0 / (self.beta * self.hbar) ** 2)
+        return math.sqrt(8.0 * self.m_r * self.V0 / (self.beta * HBAR) ** 2)
 
     @property
     def omega(self) -> float:
         """Time scale hbar beta^2 / (2 m_r) in rad/s."""
-        return self.hbar * self.beta ** 2 / (2.0 * self.m_r)
+        return HBAR * self.beta ** 2 / (2.0 * self.m_r)
 
 
 # ---------------------------------------------------------------------------

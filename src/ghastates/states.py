@@ -151,12 +151,16 @@ _HARMONIC = harmonic()  # every linear state's ladder, N_n = sqrt(n + 1)
 
 
 def _ladder_of(spec: SpectrumModel, kind: str) -> SpectrumModel:
-    """The spectrum whose ladder a state of ``kind`` on ``spec`` reads."""
+    """The spectrum whose ladder a state of ``kind`` on ``spec`` reads; for
+    the state and both routes alike, it refuses a one-level Morse well."""
     if kind not in ("gha", "linear"):
         raise WrongSystemError(f"unknown state kind {kind!r}")
     if kind == "linear" and spec.system == "morse":
         raise WrongSystemError(
             "the finite Morse ladder admits no linear coherent state")
+    if spec.system == "morse" and spec.max_level < 1:  # p < 1
+        raise DegenerateSpectrumError("the ladder has no room for a "
+                                      "coherent state below its top level")
     return spec if kind == "gha" else _HARMONIC
 
 
@@ -274,6 +278,7 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
     require_finite(z=z)
     if dim is not None:
         require_integer(dim=dim)
+    _ladder_of(spec, "gha")  # refuses a one-level well
     r = abs(z)
     _judge_radius(spec, r)
     zr = raw_eigenvalue(spec, z)
@@ -284,9 +289,6 @@ def _coefficients(spec: SpectrumModel, z: complex, dim: int | None,
         if dim is not None and dim != full:
             raise DimensionMismatchError(
                 f"finite ladder states live in dim = n_max + 1 = {full}")
-        if support < 1:
-            raise DegenerateSpectrumError("the ladder has no room for a "
-                                          "coherent state below its top level")
         a = np.zeros(full, dtype=complex)
         a[:support] = _amplitudes(state_ladder(spec, support - 1), zr, support)
     else:

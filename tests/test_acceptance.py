@@ -89,9 +89,8 @@ def test_criterion_4_route_equivalence():
             phi = rng.uniform(0.0, 2.0 * math.pi)
             t = rng.uniform(0.0, 100.0)
             es = g.expectations_series(sp, kind, r, phi, t)
-            st = _plan(sp, kind, r, phi, "oracle", 1.0, 1.0)[1]
-            eo = g.expectations_oracle(g.evolve(st, sp, t),
-                                       _rep_for(sp, st, 1.0, 1.0))
+            st = _plan(sp, kind, r, phi, "oracle")[1]
+            eo = g.expectations_oracle(g.evolve(st, sp, t), _rep_for(sp, st))
             for field in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
                 a, b = getattr(es, field), getattr(eo, field)
                 worst = max(worst, abs(a - b) / (1.0 + abs(b)))

@@ -187,12 +187,6 @@ def test_dimension_rules():
         g.build_rep(g.from_table([0.0, 1.0, 3.0]), 4)
 
 
-def test_scaled_canonical_commutator():
-    rep = g.build_rep(g.harmonic(), 12, L_scale=0.3, hbar=2.0)
-    C = g.commutator(rep.xi, rep.rho)
-    assert np.abs(C - 2.0j * np.eye(12))[:, :11].max() < 1e-13
-
-
 def test_reconstruction_check_rejects_perturbed_ladder(monkeypatch):
     from ghastates import algebra
     true_ladder = algebra.ladder_coefficients
@@ -260,7 +254,7 @@ def _dense_rows(rep, spec, tol=1e-12):
     add("number_raising", C(rep.N_op, rep.D_dag) - rep.D_dag,
         scale(rep.N_op @ rep.D_dag))
     add("canonical_pair", C(rep.D, rep.D_dag) - eye, scale(rep.D @ rep.D_dag))
-    add("position_momentum", C(rep.xi, rep.rho) - 1j * rep.hbar * eye,
+    add("position_momentum", C(rep.xi, rep.rho) - 1j * eye,
         scale(rep.xi @ rep.rho))
     gamma = g.casimir(rep, spec)
     cols = 1 if spec.system == "morse" else 2
@@ -310,7 +304,7 @@ def test_band_residuals_match_dense(spec):
     eps = np.finfo(float).eps
     dims = [spec.max_level + 1] if spec.system == "morse" else _BAND_DIMS
     for dim in dims:
-        rep = g.build_rep(spec, dim, L_scale=1.3, hbar=0.8)
+        rep = g.build_rep(spec, dim)
         report = g.verify_algebra(rep, spec, 1e-12)
         rows = _dense_rows(rep, spec)
         assert [c.name for c in report.checks] == [r[0] for r in rows]

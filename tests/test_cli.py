@@ -20,6 +20,14 @@ def test_verify_harmonic_passes(runner):
     assert "overall: pass" in res.output
 
 
+def test_verify_default_tol_is_1e_12(runner):
+    # with no --tol the report's header names the default it applied
+    res = runner.invoke(main, ["verify", "--system", "harmonic"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[0] == \
+        "algebra verification: system=harmonic dim=30 tol=1e-12"
+
+
 def test_verify_morse_includes_nilpotency(runner):
     res = runner.invoke(main, ["verify", "--system", "morse", "--p", "7.59"])
     assert res.exit_code == 0

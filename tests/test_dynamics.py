@@ -28,6 +28,7 @@ from ghastates.dynamics import (
 from ghastates.errors import (
     ClampWarning,
     ConditioningWarning,
+    DegenerateSpectrumError,
     GhaError,
     ImaginaryResidualError,
     InvalidParameterError,
@@ -88,7 +89,7 @@ def test_vacuum_saturates_floor():
 def test_harmonic_linear_cs_constant_half():
     spec = g.harmonic()
     st = g.linear_coherent_state(0.8)
-    rep = _rep_for(spec, st, 1.0, 1.0)
+    rep = _rep_for(spec, st)
     for t in (0.0, 1.7, 42.0):
         es = g.expectations_oracle(g.evolve(st, spec, t), rep)
         assert g.uncertainty(es) == pytest.approx(0.5, abs=1e-12)
@@ -100,7 +101,7 @@ def test_harmonic_textbook_mean_position():
     spec = g.harmonic()
     r, phi = 0.8, 0.6
     st = g.linear_coherent_state(r * np.exp(1j * phi))
-    rep = _rep_for(spec, st, 1.0, 1.0)
+    rep = _rep_for(spec, st)
     for t in (0.0, 0.9, 2.4, 7.7):
         expected_xi = math.sqrt(2.0) * r * math.cos(t - phi)
         expected_rho = -math.sqrt(2.0) * r * math.sin(t - phi)
@@ -119,8 +120,8 @@ def test_series_matches_oracle_spot(sysname, kind):
     spec = g.make_spectrum(sysname)
     r, phi, t = 0.35, 1.1, 23.7
     es = g.expectations_series(spec, kind, r, phi, t)
-    st = _plan(spec, kind, r, phi, "oracle", 1.0, 1.0)[1]
-    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
+    st = _plan(spec, kind, r, phi, "oracle")[1]
+    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         a, b = getattr(es, name), getattr(eo, name)
         assert abs(a - b) <= 1e-9 * (1 + abs(b))
@@ -130,20 +131,10 @@ def test_series_matches_oracle_nonunit_b():
     spec = g.type1(b=2.5)
     r, phi, t = 0.3, 0.4, 11.0
     es = g.expectations_series(spec, "gha", r, phi, t)
-    st = _plan(spec, "gha", r, phi, "oracle", 1.0, 1.0)[1]
-    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st, 1, 1))
+    st = _plan(spec, "gha", r, phi, "oracle")[1]
+    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         assert getattr(es, name) == pytest.approx(getattr(eo, name), abs=1e-10)
-
-
-def test_series_scales_with_L_and_hbar():
-    spec = g.type1()
-    es = g.expectations_series(spec, "gha", 0.3, 0.0, 5.0, L_scale=2.0,
-                               hbar=3.0)
-    base = g.expectations_series(spec, "gha", 0.3, 0.0, 5.0)
-    assert es.mean_xi == pytest.approx(2.0 * base.mean_xi)
-    assert es.mean_rho == pytest.approx(1.5 * base.mean_rho)
-    assert es.mean_xi2 == pytest.approx(4.0 * base.mean_xi2)
 
 
 def test_phase_shift_rotates_first_moments():
@@ -180,11 +171,12 @@ def test_trace_paths_agree():
 
 # ROADMAP item 2's grid: every series pair on these spectra, r from 0 past
 # the bounded ladders' radius to where the norm sum e^(r^2) overflows,
-# t_end = 20
+# t_end = 20; Morse at p = 0.5 has no level below its top
 _GRID_SPECTRA = {"harmonic": g.harmonic(), "type1": g.type1(),
                  "type1-b37": g.type1(37.0), "type2": g.type2(),
                  "hydrogen-b0.5": g.hydrogen(0.5),
-                 "morse-7.59": g.morse(7.59), "morse-2.5": g.morse(2.5)}
+                 "morse-7.59": g.morse(7.59), "morse-2.5": g.morse(2.5),
+                 "morse-0.5": g.morse(0.5)}
 
 
 def _route_grid():
@@ -780,7 +772,7 @@ def test_peak_deviation_on_flat_trace():
 
 
 def test_grid_helpers_shapes():
-    routes, _ = _plan(g.hydrogen(), "gha", 0.3, 0.2, "both", 1.0, 1.0)
+    routes, _ = _plan(g.hydrogen(), "gha", 0.3, 0.2, "both")
     mo, ms = _moments(routes, np.linspace(0, 5, 7))
     assert all(a.shape == (7,) for a in mo)
     assert all(a.shape == (7,) for a in ms)
@@ -802,8 +794,8 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_banded_oracle_matches_dense(spec, kind, r):
-    routes, st = _plan(spec, kind, r, 0.7, "oracle", 1.3, 0.8)
-    rep = _rep_for(spec, st, 1.3, 0.8)
+    routes, st = _plan(spec, kind, r, 0.7, "oracle")
+    rep = _rep_for(spec, st)
     # the second grid starts below zero and its last tile is ragged
     for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
         [grid] = _moments(routes, times)
@@ -817,8 +809,8 @@ def test_banded_oracle_matches_dense(spec, kind, r):
 
 def test_oracle_detects_non_hermitian_rho():
     spec = g.type1()
-    st = _plan(spec, "gha", 0.5, 0.3, "oracle", 1.0, 1.0)[1]
-    rep = _rep_for(spec, st, 1.0, 1.0)
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
+    rep = _rep_for(spec, st)
     up, down = rep.rho_bands
     up = up.copy()
     up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
@@ -843,8 +835,8 @@ def _count_kernel_rows(monkeypatch):
 @pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1), ("rho", -1)])
 def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     spec = g.type1()
-    st = _plan(spec, "gha", 0.5, 0.3, "oracle", 1.0, 1.0)[1]
-    rep = _rep_for(spec, st, 1.0, 1.0)
+    st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
+    rep = _rep_for(spec, st)
     assert rep.dim == st.dim + 2
     up, down = getattr(rep, f"{name}_bands")
     up = up.copy()
@@ -875,7 +867,7 @@ def _merged_cases():
                          ids=[f"{s.system}-{k}-{r}" for s, k, r in
                               _merged_cases()])
 def test_both_routes_share_one_call_per_band(spec, kind, r, monkeypatch):
-    (oracle, series), _ = _plan(spec, kind, r, 0.3, "both", 1.0, 1.0)
+    (oracle, series), _ = _plan(spec, kind, r, 0.3, "both")
     for (_, fo, _), (_, fs, _) in zip(oracle, series):
         n = min(len(fo), len(fs))
         assert fo[:n].tobytes() == fs[:n].tobytes()
@@ -975,7 +967,7 @@ def test_series_entries_raise_one_class(spec, kind, r, error):
     assert str(by_point.value) == str(by_trace.value)
 
 
-def _eager_dense(spec, dim, L_scale, hbar):
+def _eager_dense(spec, dim):
     # reference: every generator built eagerly with np.diag, bands and zeros
     eps = g.levels(spec, dim)
     A_dag = np.diag(ladder_coefficients(spec, dim - 1), -1)
@@ -984,9 +976,8 @@ def _eager_dense(spec, dim, L_scale, hbar):
     return {
         "J0": np.diag(eps), "A": A_dag.T.copy(), "A_dag": A_dag,
         "N_op": np.diag(np.arange(dim, dtype=float)), "D": D, "D_dag": D_dag,
-        "xi": (L_scale / math.sqrt(2.0)) * (D + D_dag).astype(complex),
-        "rho": 1j * hbar / (math.sqrt(2.0) * L_scale)
-        * (D_dag - D).astype(complex),
+        "xi": (1.0 / math.sqrt(2.0)) * (D + D_dag).astype(complex),
+        "rho": 1j / math.sqrt(2.0) * (D_dag - D).astype(complex),
     }
 
 
@@ -998,11 +989,11 @@ _VIEW_BANDS = {"J0": (0,), "N_op": (0,), "A": (1,), "D": (1,),
 @pytest.mark.parametrize("spec,kind,r", _ORACLE_CASES,
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
-    st = _plan(spec, kind, r, 0.7, "oracle", 1.0, 1.0)[1]
-    rep = _rep_for(spec, st, 1.3, 0.8)
+    st = _plan(spec, kind, r, 0.7, "oracle")[1]
+    rep = _rep_for(spec, st)
     idx = np.arange(rep.dim)
     offset = idx[None, :] - idx[:, None]
-    for name, want in _eager_dense(spec, rep.dim, 1.3, 0.8).items():
+    for name, want in _eager_dense(spec, rep.dim).items():
         view = getattr(rep, name)
         assert view.dtype == want.dtype and view.shape == want.shape
         assert view.tobytes() == want.tobytes(), name  # bit for bit, signed 0
@@ -1019,8 +1010,7 @@ def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
     if (spec.system, kind) in SUPPORTED:
         paths += ["series", "both"]
     for path in paths:
-        g.trace(spec, kind, r, 0.7, t_end=20.0, n_points=101, path=path,
-                L_scale=1.3, hbar=0.8)
+        g.trace(spec, kind, r, 0.7, t_end=20.0, n_points=101, path=path)
 
 
 def test_trace_rejects_non_finite_r():
@@ -1047,13 +1037,6 @@ _NON_FINITE_CALLS = {
     "gha_state-morse-nan": lambda: g.gha_coherent_state(g.morse(7.59),
                                                         math.nan),
     "linear_state-nan": lambda: g.linear_coherent_state(math.nan),
-    "trace-oracle-L_scale": lambda: g.trace(g.type1(), "gha", 0.5,
-                                            L_scale=math.nan),
-    "trace-series-L_scale": lambda: g.trace(g.type1(), "gha", 0.5,
-                                            path="series", L_scale=math.nan),
-    "trace-hbar-inf": lambda: g.trace(g.type1(), "gha", 0.5, path="both",
-                                      hbar=math.inf),
-    "build_rep-L_scale": lambda: g.build_rep(g.type1(), 10, L_scale=math.nan),
     "type1-b": lambda: g.type1(math.nan),
     "square_well-b-inf": lambda: g.square_well(math.inf),
     "q_deformed-q": lambda: g.q_deformed(math.nan),
@@ -1081,28 +1064,6 @@ def test_non_finite_inputs_raise_invalid_parameter(call):
         call()
 
 
-_SCALED_CALLS = {
-    "trace-oracle": lambda **kw: g.trace(g.type1(), "gha", 0.5, **kw),
-    "trace-series": lambda **kw: g.trace(g.type1(), "gha", 0.5,
-                                         path="series", **kw),
-    "trace-both": lambda **kw: g.trace(g.type1(), "gha", 0.5, path="both",
-                                       **kw),
-    "build_rep": lambda **kw: g.build_rep(g.type1(), 10, **kw),
-    "expectations_series": lambda **kw: g.expectations_series(
-        g.type1(), "gha", 0.5, 0.0, 1.0, **kw),
-}
-
-
-@pytest.mark.parametrize("scale", [{"L_scale": 0.0}, {"L_scale": -1.0},
-                                   {"hbar": -1.0}],
-                         ids=["L_scale=0", "L_scale=-1", "hbar=-1"])
-@pytest.mark.parametrize("call", _SCALED_CALLS.values(),
-                         ids=_SCALED_CALLS.keys())
-def test_non_positive_scales_raise_invalid_parameter(call, scale):
-    with pytest.raises(InvalidParameterError, match="must be positive"):
-        call(**scale)
-
-
 _COUNT_CALLS = {
     "trace-n_points": lambda: g.trace(g.type1(), "gha", 0.5, n_points=2.5),
     "gha_state-dim": lambda: g.gha_coherent_state(g.type1(), 0.5, dim=40.5),
@@ -1124,6 +1085,39 @@ def test_trace_overflow_raises_non_finite():
     # z^n / sqrt(n!) overflows in the state amplitudes at r = 40
     with pytest.raises(NonFiniteResultError):
         g.trace(g.harmonic(), "linear", 40.0, path="both")
+
+
+def test_overflowing_levels_raise_non_finite_alone():
+    # q**n overflows on the two padding levels the oracle adds to the
+    # 2-level state of q_deformed(1e150): an infinite frequency on a term of
+    # zero weight.  The trace answers finite values or raises
+    # NonFiniteResultError, with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            tr = g.trace(g.q_deformed(1e150), "gha", 0.5)
+        except NonFiniteResultError:
+            return
+    assert np.isfinite(tr.values).all()
+
+
+def test_a_well_with_one_level_raises_one_error_everywhere():
+    # a Morse well below p = 1 has its top level alone: the state, both
+    # routes and the series entries refuse it with one class and message,
+    # at r = 0 too
+    spec = g.morse(0.5)
+    calls = [lambda: g.gha_coherent_state(spec, 0.3),
+             lambda: g.expectations_series(spec, "gha", 0.3, 0.0, 1.0),
+             lambda: moment_series(spec, "gha", 0.3),
+             lambda: moment_series(spec, "gha", 0.0)]
+    calls += [functools.partial(g.trace, spec, "gha", 0.3, path=path,
+                                n_points=11)
+              for path in ("oracle", "series", "both")]
+    for call in calls:
+        with pytest.raises(DegenerateSpectrumError,
+                           match="^the ladder has no room for a coherent "
+                                 "state below its top level$"):
+            call()
 
 
 def test_series_underflow_raises_non_finite():
@@ -1171,52 +1165,24 @@ def test_morse_routes_answer_past_the_normalization_overflow(r):
         series.values[-1], abs=1e-9)
 
 
-_OUT_OF_RANGE_SCALES = {
-    "L_scale=1e-160": {"L_scale": 1e-160},
-    "L_scale=1e-200": {"L_scale": 1e-200},
-    "L_scale=1e200": {"L_scale": 1e200},
-    "hbar=1e300": {"hbar": 1e300},
-    "hbar^2=1e400": {"L_scale": 1e100, "hbar": 1e200},
-    "hbar^2=1e320": {"L_scale": 1e80, "hbar": 1e160},
-    "L_scale^2=1e-320": {"L_scale": 1e-160, "hbar": 1e-160},
-    "hbar^2=1e-320": {"L_scale": 1e-80, "hbar": 1e-160},
-}
-
-
-@pytest.mark.parametrize("scale", _OUT_OF_RANGE_SCALES.values(),
-                         ids=_OUT_OF_RANGE_SCALES.keys())
-@pytest.mark.parametrize("call", [c for n, c in _SCALED_CALLS.items()
-                                  if n != "build_rep"],
-                         ids=[n for n in _SCALED_CALLS if n != "build_rep"])
-def test_overflowing_scales_raise_non_finite(call, scale):
-    # (hbar / L_scale)^2 or L_scale^2 past the float range: the series route
-    # raised a bare OverflowError, the oracle warned four times first.  With
-    # both in range, hbar^2 past it overflowed var_xi var_rho after numpy
-    # warned, and a subnormal square kept too few digits: the product
-    # dipped below 1/2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteResultError, match="float range"):
-            call(**scale)
-
-
-@pytest.mark.parametrize("call", [c for n, c in _SCALED_CALLS.items()
-                                  if n != "build_rep"],
-                         ids=[n for n in _SCALED_CALLS if n != "build_rep"])
-def test_in_range_scales_that_overflow_raise_non_finite_alone(call):
-    # every square is a normal float, but <xi^2> and var_xi var_rho
-    # overflow: the finiteness check raises, with no numpy warning first
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteResultError, match="finite"):
-            call(L_scale=1.3e154, hbar=1e150)
-
-
 def test_no_entry_takes_a_tail():
     # every state and series stops at the one 1e-14 bound
     for fn in (g.trace, g.expectations_series, g.gha_coherent_state,
                g.linear_coherent_state, moment_series, _plan):
         assert "tail" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_no_entry_takes_a_scale():
+    # units are fixed at L = hbar = 1; the product is in units of hbar
+    for fn in (g.trace, g.expectations_series, _plan, _rep_for, g.build_rep,
+               g.uncertainty):
+        params = inspect.signature(fn).parameters
+        assert not {"L_scale", "hbar"} & set(params), fn.__name__
+    assert [f.name for f in dataclasses.fields(g.AlgebraRep)] == [
+        "system", "eps", "ladder", "xi_bands", "rho_bands"]
+    # the Morse constants are SI, with hbar the constant HBAR
+    assert [f.name for f in dataclasses.fields(g.MorsePhysicalParams)] == [
+        "beta", "V0", "m_r"]
 
 
 def test_no_trace_entry_takes_a_dim():
@@ -1250,7 +1216,7 @@ def test_kind_picks_the_label_on_the_harmonic_ladder():
     # follows the kind, not the spectrum
     from ghastates.states import _HARMONIC
     for kind in ("gha", "linear"):
-        st = _plan(_HARMONIC, kind, 0.5, 0.3, "oracle", 1.0, 1.0)[1]
+        st = _plan(_HARMONIC, kind, 0.5, 0.3, "oracle")[1]
         assert (st.kind, st.spectrum_id) == (
             kind, "harmonic" if kind == "gha" else "linear")
 
@@ -1318,7 +1284,7 @@ def test_trace_oracle_route_property(spec, frac, phi, t_end):
 
     def run():
         try:
-            state = _plan(spec, "gha", r, phi, "oracle", 1.0, 1.0)[1]
+            state = _plan(spec, "gha", r, phi, "oracle")[1]
             tr = g.trace(spec, "gha", r, phi, t_end=t_end, n_points=257)
         except GhaError as exc:
             return type(exc).__name__, str(exc)

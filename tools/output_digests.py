@@ -5,8 +5,10 @@ The grid: the CSV bundles of ``figure 1`` to ``7`` and ``o2``; 20001-row
 traces of every catalog system (q_deformed and square_well at two
 parameters each, type1 and hydrogen at two b) for both state kinds, four
 radii and the three paths, each written to a file and to a text stream;
-one state CSV per system and kind; and the edge labels, traced on the
-three paths.  It takes no options.  To check
+one state CSV per system and kind; the edge labels, traced on the three
+paths; and the ``verify`` report of every system above and of the README's
+tabulated ladder, as text and as records, each digest over the report and
+the exit code.  It takes no options.  To check
 that a change keeps every output's bytes, run it on both trees and diff:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
@@ -48,6 +50,8 @@ PHI = 0.7
 EDGES = (("harmonic", "linear", 26.62), ("harmonic", "linear", 26.65),
          ("morse:p=7.59", "gha", 3e26))
 FIGURES = ("1", "2", "3", "4", "5", "6", "7", "o2")
+# the tabulated ladder of the README's configuration example
+README_TABLE = "system = custom\nenergies = 0.0, 0.5, 0.6667, 0.75\n"
 
 
 def _sha(data: bytes) -> str:
@@ -97,6 +101,34 @@ def edges(tmp: Path):
         yield from _trace(tmp, name, kind, r)
 
 
+def _verify_args(spec) -> list[str]:
+    """The command-line spectrum options that rebuild ``spec``."""
+    args = ["--system", spec.system, "--b", repr(spec.b)]
+    for key in ("q", "p"):
+        if getattr(spec, key) is not None:
+            args += [f"--{key}", repr(getattr(spec, key))]
+    return args
+
+
+def verify(tmp: Path):
+    table = tmp / "table.cfg"
+    table.write_text(README_TABLE)
+    runs = {name: _verify_args(spec) for name, spec in SPECTRA.items()}
+    runs["readme-table"] = ["--config", str(table)]
+    for name, args in runs.items():
+        for fmt in ("text", "records"):
+            out, code = io.StringIO(), 0
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    cli.main(["verify", *args, "--format", fmt],
+                             prog_name="ghastates", standalone_mode=False)
+                except SystemExit as exc:  # a failed check exits 2
+                    code = exc.code
+            yield (f"verify/{name}/{fmt}",
+                   _sha(f"{out.getvalue()}exit={code}\n".encode()))
+
+
 def states(tmp: Path):
     z = RADII[0] * complex(math.cos(PHI), math.sin(PHI))
     for name, spec in SPECTRA.items():
@@ -116,7 +148,7 @@ def states(tmp: Path):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for part in (figures, traces, states, edges):
+        for part in (figures, traces, states, edges, verify):
             for name, digest in part(Path(tmp)):
                 print(name, digest)
 
