@@ -9,7 +9,7 @@ from its endpoints, so that step reproduces every point but the last
 exactly and the last to a few ulp.  The grid is tiled as ``j = b M + m``
 and each phasor factors as ``exp(i f t_{bM}) * exp(i f m dt)``: two small
 tables, shared by every weight row, joined by complex matrix products
-(R B x K) @ (K x M).  Each table is a coarse exp table times a fine one of
+(B x K) @ (K x M).  Each table is a coarse exp table times a fine one of
 about sqrt(M) rows, so a call takes about ``4 T^(1/4) K`` complex exps and
 ``(B + M) K`` products, not ``2 T K`` exps, and, unlike a recurrence,
 accumulates no round-off.  One point is one tile of width 1 with
@@ -20,7 +20,9 @@ The output must not depend on the BLAS thread count.  OpenBLAS 0.3.31
 complex product over K = 1..128 frequencies, M in {2, 17, 45, 142, 300}
 and 1..423 rows, and different bytes for 130 of the 172 K in 129..300.
 So the join is one product per block of at most 128 frequencies, and the
-blocks are summed in order: one product for most calls.
+blocks are summed in order: one product for most calls.  A product over R
+weight rows rounds each by R, so every row takes its own products, in the
+shapes of a one-row call, and reads the same beside other rows as alone.
 
 A call on more than one point first trades its K frequencies for fewer
 (Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 40, A529 (2018)).  Centred
@@ -101,12 +103,12 @@ def _aggregated(rows, freqs, times):
     d[:, on.any(axis=0)] = np.inf
     d[on] = 1.0
     basis = lam[:, None] / d
-    basis /= basis.sum(axis=0)
+    table = (basis / basis.sum(axis=0)).astype(complex).T
     shifted = rows * np.exp(1j * (freqs * t_c))
-    # one complex matrix-vector product per row with a (P, K) table: a
-    # real or a (K, P) table rounds with the BLAS thread count
-    merged = np.matmul(shifted[:, None, core], basis.astype(complex).T)
-    return (np.concatenate([merged[:, 0], shifted[:, peeled]], axis=1),
+    # a complex product per row with a (P, K) table: a real or a (K, P)
+    # table rounds with the BLAS thread count, more rows with their count
+    merged = np.array([row[core] @ table for row in shifted]).reshape(-1, size)
+    return (np.concatenate([merged, shifted[:, peeled]], axis=1),
             np.concatenate((f_c + h * x_p, freqs[peeled])), times[0] - t_c)
 
 
@@ -134,16 +136,19 @@ def weighted_trig_sums(weights, freqs, times):
     # B = ceil(T / M) <= M tile starts t_{bM}, so the left table is no
     # larger than the right one
     tiles, K = -(-count // width), len(freqs)
-    left = (rows[:, None, :] * _progression(start, dt, width, tiles, freqs)
-            ).reshape(len(rows) * tiles, K)
+    starts = _progression(start, dt, width, tiles, freqs)
+    left = [row * starts for row in rows]  # each row as in a one-row call
+    del starts  # freed before the right table, which takes its pages
     right = _progression(0.0, dt, 1, width, freqs).T
-    # one product per block of <= 128 frequencies, summed in block order,
-    # so that no product rounds with the BLAS thread count (see above)
-    sums = left[:, :128] @ right[:128]
-    for k in range(128, K, 128):
-        sums += left[:, k:k + 128] @ right[k:k + 128]
+    # per row, one product per block of <= 128 frequencies, summed in block
+    # order, so that no product rounds with the BLAS thread count or with
+    # the call's other rows (see above)
+    sums = np.empty((len(rows), tiles, width), complex)
+    for out, row in zip(sums, left):
+        np.matmul(row[:, :128], right[:128], out=out)
+        for k in range(128, K, 128):
+            out += row[:, k:k + 128] @ right[k:k + 128]
     sums = sums.reshape(len(rows), tiles * width)[:, :count]
-    re, im = sums.real, sums.imag
     if weights.ndim == 1:
-        return re[0], im[0]
-    return re, im
+        sums = sums[0]
+    return sums.real, sums.imag

@@ -79,6 +79,25 @@ def test_single_row_matches_one_dimensional_call():
         assert s.tobytes() == s2[0].tobytes()
 
 
+@pytest.mark.parametrize("system", ["harmonic", "type1", "wide"])
+def test_each_row_sums_as_it_does_alone(system):
+    # a row's bytes do not depend on the rows beside it: harmonic gaps
+    # merge to one node, type1 gaps to a few, wide ones keep every
+    # frequency, and one or two points take a single tile
+    rng = np.random.default_rng(13)
+    f = (rng.uniform(0.0, 5000.0, 300) if system == "wide"
+         else _gaps(_GAP_SPECTRA[system], 300, 1))
+    rows = rng.normal(size=(3, 300)) + 1j * rng.normal(size=(3, 300))
+    for times in (np.array([7.5]), np.linspace(0.0, 100.0, 2),
+                  np.linspace(0.0, 100.0, 2001),
+                  np.linspace(0.0, 100.0, 20001)):
+        re, im = _kernels_py.weighted_trig_sums(rows, f, times)
+        for row, got_re, got_im in zip(rows, re, im):
+            c, s = _kernels_py.weighted_trig_sums(row, f, times)
+            assert got_re.tobytes() == c.tobytes(), (system, len(times))
+            assert got_im.tobytes() == s.tobytes(), (system, len(times))
+
+
 def test_kernel_bounds_memory():
     # a table of every phasor of this call would be 4 x 20001 x 200 complex,
     # 256 MB; the two tile tables and the sums take a few MB
@@ -343,17 +362,21 @@ def test_near_radius_traces_aggregate(monkeypatch):
 def test_aggregated_output_independent_of_blas_threads():
     # the node weights come from one matrix-vector product per row and the
     # join from products over at most 128 frequencies each, so an
-    # aggregated call keeps its bytes at any BLAS thread count
+    # aggregated call keeps its bytes at any BLAS thread count; harmonic
+    # gaps merge to a single node
     script = (
         "import hashlib, numpy as np\n"
         "import ghastates as g\n"
         "from ghastates import _kernels_py\n"
-        "eps = g.levels(g.type1(), 1201)\n"
-        "f = eps[:-1] - eps[1:]\n"
         "rng = np.random.default_rng(5)\n"
         "w = rng.normal(size=(2, 1200)) + 1j * rng.normal(size=(2, 1200))\n"
         "t = np.linspace(0.0, 100.0, 2001)\n"
-        "assert len(_kernels_py._aggregated(w, f, t)[1]) < 1200\n"
-        "re, im = _kernels_py.weighted_trig_sums(w * np.exp(0.3j), f, t)\n"
-        "print(hashlib.sha256(re.tobytes() + im.tobytes()).hexdigest())\n")
+        "out = b''\n"
+        "for spec, nodes in ((g.type1(), 1199), (g.harmonic(), 1)):\n"
+        "    eps = g.levels(spec, 1201)\n"
+        "    f = eps[:-1] - eps[1:]\n"
+        "    assert len(_kernels_py._aggregated(w, f, t)[1]) <= nodes\n"
+        "    re, im = _kernels_py.weighted_trig_sums(w * np.exp(0.3j), f, t)\n"
+        "    out += re.tobytes() + im.tobytes()\n"
+        "print(hashlib.sha256(out).hexdigest())\n")
     assert len(_digests_over_blas_threads(script)) == 1
