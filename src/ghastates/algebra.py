@@ -106,9 +106,10 @@ class AlgebraRep:
     """All generators at one truncation dimension, stored as bands.
 
     ``eps`` is the J0 diagonal, ``ladder`` the subdiagonal N_n of A_dag, and
-    ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho,
-    kept apart so that the oracle can check each sub-band against the
-    conjugate of its super-band before it sums the super-band alone.
+    ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho.
+    The oracle checks xi's sub-band against the conjugate of its super-band
+    before it sums that super-band alone, and reads rho's moments from the
+    same sums; ``verify_algebra`` and the dense views read rho's bands.
     The ``bands`` of every generator, and their dense renderings ``J0, A,
     A_dag, N_op, D, D_dag, xi, rho``, are built on first access and cached.
     The fields and the dense views are read-only, so a representation is

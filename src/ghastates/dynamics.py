@@ -12,21 +12,21 @@ truth; the series route must reproduce it to 1e-9.
 
 The oracle never forms the evolved state on the grid, nor any dim x dim
 matrix.  xi and rho are zero off their first sub- and superdiagonals, and
-xi^2 and rho^2 off the diagonal and the second ones.  The stored bands are
-checked once to be Hermitian (each sub-band the conjugate of its
-super-band), so each moment is a constant from the diagonal plus twice the
-real part of one trigonometric sum over its upper band, with weights read
-from the bands the representation stores.  That costs O(dim T) rather
-than O(dim^2 T), and the weights still come from the generators and the
-Fock vector, never from the series catalog.
+xi^2 and rho^2 off the diagonal and the second ones.  xi's stored bands
+are checked once to be Hermitian, and rho's super-band is -i times xi's,
+so all four moments come from two trigonometric sums over the stored
+upper bands, S1 of xi and S2 of xi^2: <xi> = 2 Re S1, <rho> = 2 Im S1,
+and <xi^2>, <rho^2> = +-2 Re S2 plus one constant from the diagonal.  That
+costs O(dim T) rather than O(dim^2 T), and the weights still come from
+the generators and the Fock vector, never from the series catalog.
 
 Both routes sum over the same two bands: the gaps eps_n - eps_{n+1} for
 the means and eps_n - eps_{n+2} for the squares, and the series takes the
 label phase into its weights.  So a trace makes one kernel call per band,
-two on every path; under "both" each call carries the rows of both routes,
-the shorter frequency list being a prefix of the longer.  The routes'
-independence lies in their weights (matrix elements against closed-form
-ladders), not in separate kernel calls.
+two on every path, with one weight row per route; under "both" each call
+carries the rows of both routes, the shorter frequency list being a prefix
+of the longer.  The routes' independence lies in their weights (matrix
+elements against closed-form ladders), not in separate kernel calls.
 
 Both entry points start from one plan, ``_plan``.  It checks the label's
 inputs, judges r against the convergence radius once (warning once near
@@ -154,33 +154,32 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
     # k of X (entries X[n, n+k]) has weights conj(c_n) X[n, n+k] c_{n+k} and
     # frequencies eps_n - eps_{n+k}.  For Hermitian bands, band -k sums to
     # the conjugate of band +k, so each moment is 2 Re(band +k) plus its
-    # diagonal.  Hermiticity is checked once, on the stored bands, to an
-    # absolute bound: unlike an imaginary part on the grid, this also sees
-    # a defect on levels where the state has no weight.
+    # diagonal; rho = -i xi on band 1, so <rho> = 2 Im S1 and <rho^2> =
+    # -2 Re S2 + const from xi's sums.  Hermiticity is checked once, on xi's
+    # stored bands, to an absolute bound: unlike an imaginary part on the
+    # grid, this also sees a defect on levels where the state has no weight.
     c = _embed(state, rep.dim)
+    up, down = rep.xi_bands
+    worst = float(np.abs(up - down.conj()).max())
+    if worst > _IMAG_TOL:
+        raise ImaginaryResidualError(
+            f"xi is not Hermitian: |up - conj(down)| = {worst:.3e}")
+    # the loop xi[n, n+1] xi[n+1, n] sits on the diagonal at n and at n+1,
+    # and rho's loop equals it
+    const = np.sum((np.abs(c[:-1]) ** 2 + np.abs(c[1:]) ** 2)
+                   * up * down).real
     cc = c.conj()
-    loop_weights = np.abs(c[:-1]) ** 2 + np.abs(c[1:]) ** 2
-    firsts, squares, consts = [], [], []
-    for name, (up, down) in (("xi", rep.xi_bands), ("rho", rep.rho_bands)):
-        worst = float(np.abs(up - down.conj()).max())
-        if worst > _IMAG_TOL:
-            raise ImaginaryResidualError(
-                f"{name} is not Hermitian: |up - conj(down)| = {worst:.3e}")
-        firsts.append(cc[:-1] * up * c[1:])
-        # X^2 from the stored bands: X[n, n+1] X[n+1, n+2] on band 2; the
-        # loop X[n, n+1] X[n+1, n] sits on the diagonal at n and at n+1
-        squares.append(cc[:-2] * up[:-1] * up[1:] * c[2:])
-        consts.append(np.sum(loop_weights * up * down).real)
-    return [(firsts, rep.eps[:-1] - rep.eps[1:],
-             lambda re, im: [2.0 * re[0], 2.0 * re[1]]),
-            (squares, rep.eps[:-2] - rep.eps[2:],
-             lambda re, im: [2.0 * re[0] + consts[0],
-                             2.0 * re[1] + consts[1]])]
+    return [(cc[:-1] * up * c[1:], rep.eps[:-1] - rep.eps[1:],
+             lambda re, im: [2.0 * re, 2.0 * im]),
+            (cc[:-2] * up[:-1] * up[1:] * c[2:], rep.eps[:-2] - rep.eps[2:],
+             lambda re, im: [2.0 * re + const, -2.0 * re + const])]
 
 
 def _rep_for(spec: SpectrumModel, state: FockState) -> AlgebraRep:
-    # two rows above the state's support keep every two-step cross term of
-    # the truncated state inside the matrices; finite ladders are whole
+    # one padding level carries the term past the state's support, the loop
+    # xi[n, n+1] xi[n+1, n] at its top level n; the second adds zero-weight
+    # terms alone, and its overflowing level makes q_deformed(1e150) at
+    # r = 0.5 raise NonFiniteResultError.  Finite ladders are whole
     dim = state.dim + 2 if spec.max_level is None else spec.max_level + 1
     return build_rep(spec, dim)
 
@@ -190,24 +189,19 @@ def _rep_for(spec: SpectrumModel, state: FockState) -> AlgebraRep:
 
 def _moments(routes, times: np.ndarray):
     """The four moments of each route on ``times``, from one kernel call per
-    band.  A route is a list of bands (weight rows, frequencies, reduction
-    of the rows' sums to moments).  Every frequency list of a band is a
-    prefix of its longest, since all are gaps of ``spectrum.levels``, so
-    the shorter rows are zero-padded to it."""
+    band.  A route is a list of bands (one weight row, its frequencies, and
+    the reduction of the row's sums to moments).  Every frequency list of a
+    band is a prefix of its longest, since all are gaps of
+    ``spectrum.levels``, so the shorter rows are zero-padded to it."""
     out = [[] for _ in routes]
     for band in zip(*routes):
         freqs = max((f for _, f, _ in band), key=len)
-        rows = np.zeros((sum(len(w) for w, _, _ in band), len(freqs)),
-                        dtype=complex)
-        i = 0
-        for w, f, _ in band:
-            rows[i:i + len(w), :len(f)] = w
-            i += len(w)
+        rows = np.zeros((len(band), len(freqs)), dtype=complex)
+        for row, (w, f, _) in zip(rows, band):
+            row[:len(f)] = w
         re, im = weighted_trig_sums(rows, freqs, times)
-        i = 0
-        for (w, _, reduce), moments in zip(band, out):
-            moments += reduce(re[i:i + len(w)], im[i:i + len(w)])
-            i += len(w)
+        for i, ((_, _, reduce), moments) in enumerate(zip(band, out)):
+            moments += reduce(re[i], im[i])
         del re, im  # the complex sums go before the next band's call
     return out
 
@@ -250,12 +244,11 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str):
             # product in the kernel rounds as with the real weights alone
             s2 = math.sqrt(2.0)
             routes.append([
-                ([ms.mean_w * complex(math.cos(phi), math.sin(phi))],
-                 ms.mean_f, lambda re, im: [s2 * re[0], s2 * im[0]]),
-                ([ms.cross_w * complex(math.cos(2.0 * phi),
-                                       math.sin(2.0 * phi))], ms.cross_f,
-                 lambda re, im: [re[0] + ms.diag + 0.5,
-                                 -re[0] + ms.diag + 0.5])])
+                (ms.mean_w * complex(math.cos(phi), math.sin(phi)),
+                 ms.mean_f, lambda re, im: [s2 * re, s2 * im]),
+                (ms.cross_w * complex(math.cos(2.0 * phi),
+                                      math.sin(2.0 * phi)), ms.cross_f,
+                 lambda re, im: [re + ms.diag + 0.5, -re + ms.diag + 0.5])])
     finally:
         _RADIUS_JUDGED.reset(judged)
     return routes, state

@@ -2,12 +2,12 @@
 
 For a state with real amplitude profile alpha_k at label r and phase phi,
 normalized so that the alpha_k^2 sum to 1, the four canonical moments share
-one structure:
+one structure, at L = hbar = 1:
 
-    <xi>    = sqrt(2) L   sum_k w_k cos(W_k t + phi)
-    <rho>   = sqrt(2) hb/L sum_k w_k sin(W_k t + phi)
-    <xi^2>  = L^2  [ sum_k v_k cos(V_k t + 2 phi) + S ] + L^2/2
-    <rho^2> = hb^2/L^2 [ -sum_k v_k cos(V_k t + 2 phi) + S ] + hb^2/(2 L^2)
+    <xi>    = sqrt(2) sum_k w_k cos(W_k t + phi)
+    <rho>   = sqrt(2) sum_k w_k sin(W_k t + phi)
+    <xi^2>  =  sum_k v_k cos(V_k t + 2 phi) + S + 1/2
+    <rho^2> = -sum_k v_k cos(V_k t + 2 phi) + S + 1/2
 
 with w_k = alpha_k alpha_{k+1} sqrt(k+1), v_k = alpha_k alpha_{k+2}
 sqrt((k+1)(k+2)), S = sum_k k alpha_k^2, and frequencies given by the level

@@ -807,7 +807,9 @@ def test_banded_oracle_matches_dense(spec, kind, r):
                 assert abs(got[j] - want) <= bound
 
 
-def test_oracle_detects_non_hermitian_rho():
+def test_rho_defect_shows_outside_the_oracle_bands():
+    # the oracle reads rho's moments from xi's sums; verify_algebra and the
+    # dense route still read rho's stored bands
     spec = g.type1()
     st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
     rep = _rep_for(spec, st)
@@ -815,8 +817,11 @@ def test_oracle_detects_non_hermitian_rho():
     up = up.copy()
     up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
     bad = dataclasses.replace(rep, rho_bands=(up, down))
+    _oracle_bands(st, bad)
+    report = g.verify_algebra(bad, spec)
+    assert not {c.name: c.passed for c in report.checks}["position_momentum"]
     with pytest.raises(ImaginaryResidualError):
-        _oracle_bands(st, bad)
+        g.expectations_oracle(st, bad)
 
 
 def _count_kernel_rows(monkeypatch):
@@ -832,7 +837,7 @@ def _count_kernel_rows(monkeypatch):
 
 # entry -1 is X[dim - 2, dim - 1]: both levels lie above the state's support,
 # so no moment on any time grid carries the defect
-@pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1), ("rho", -1)])
+@pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1)])
 def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     spec = g.type1()
     st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
@@ -848,10 +853,10 @@ def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
     assert rows == []  # raised before any kernel call
 
 
-def test_oracle_sums_one_row_per_operator(monkeypatch):
+def test_oracle_sums_one_row_per_band(monkeypatch):
     rows = _count_kernel_rows(monkeypatch)
     g.trace(g.type1(), "gha", 0.5, t_end=10.0, n_points=101)
-    assert rows == [2, 2]  # <xi>, <rho>, then <xi^2>, <rho^2>
+    assert rows == [1, 1]  # S1 for <xi>, <rho>; then S2 for <xi^2>, <rho^2>
 
 
 def _merged_cases():
@@ -873,7 +878,7 @@ def test_both_routes_share_one_call_per_band(spec, kind, r, monkeypatch):
         assert fo[:n].tobytes() == fs[:n].tobytes()
     rows = _count_kernel_rows(monkeypatch)
     both = g.trace(spec, kind, r, 0.3, path="both")
-    assert rows == [3, 3]  # <xi>, <rho> and the mean series; then squares
+    assert rows == [2, 2]  # the oracle's and the series' row per band
     # relative to the second moments the variances cancel from: at r = 12
     # they are about 290, and the padded rows sum in another order
     for path, got in (("oracle", both.values), ("series", both.alt_values)):

@@ -269,6 +269,9 @@ def test_output_independent_of_blas_threads():
         "re, im = _kernels_py.weighted_trig_sums(\n"
         "    w4, f, np.linspace(0.0, 1000.0, 20001))\n"
         "out = [c, s, re, im]\n"
+        # two complex rows: the shape of a "both" trace's calls
+        "out += _kernels_py.weighted_trig_sums(\n"
+        "    w4[:2] * np.exp(0.2j), f, np.linspace(0.0, 1000.0, 20001))\n"
         "for t in (np.linspace(-37.5, 62.5, 3001), np.array([7.5])):\n"
         "    out += _kernels_py.weighted_trig_sums(w4 * np.exp(0.4j), f, t)\n"
         "t = np.linspace(0.0, 1000.0, 2001)\n"  # M = 45
