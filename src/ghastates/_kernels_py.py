@@ -10,8 +10,8 @@ exactly and the last to a few ulp.  The grid is tiled as ``j = b M + m``
 and each phasor factors as ``exp(i f t_{bM}) * exp(i f m dt)``: two small
 tables, shared by every weight row, joined by complex matrix products
 (B x K) @ (K x M).  Each table is a coarse exp table times a fine one of
-about sqrt(M) rows, so a call takes about ``4 T^(1/4) K`` complex exps and
-``(B + M) K`` products, not ``2 T K`` exps, and, unlike a recurrence,
+about sqrt(M) rows: a call takes one exp over about ``4 T^(1/4) K`` phases
+and ``(B + M) K`` products, not ``2 T K`` exps, and, unlike a recurrence,
 accumulates no round-off.  One point is one tile of width 1 with
 ``dt = 0``.
 
@@ -40,6 +40,7 @@ its own frequencies, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -54,22 +55,42 @@ _C_MAX = np.minimum(_COUNTS, 2.0 * np.exp(
     / _COUNTS)).tolist()  # cumsum(log P) = ln P!
 
 
-def _progression(start, step, stride, count, freqs):
-    """exp(i f_k (start + n step)) for n = j stride, j < count, as
-    coarse[q] * fine[r] with j = q w + r, w = ceil(sqrt(count)): (count, K)."""
-    width = math.isqrt(max(count - 1, 0)) + 1
-    n = stride * np.arange(width)  # exact integers: step * n rounds once
-    fine = np.exp(1j * np.multiply.outer(step * n, freqs))
-    coarse = np.exp(1j * np.multiply.outer(
-        start + step * (width * n[:-(-count // width)]), freqs))
-    table = coarse[:, None, :] * fine  # shape given: K = 0 is allowed
-    return table.reshape(len(coarse) * width, len(freqs))[:count]
+def _split(count):
+    """w = ceil(sqrt(count)) and ceil(count / w) <= w: j = q w + r, r < w."""
+    return (w := math.isqrt(max(count - 1, 0)) + 1), -(-count // w)
+
+
+def _phases(start, step, tiles, width, freqs):
+    """exp(i f_k t) at t = start + j width step, j < tiles, then at t = m step,
+    m < width, K >= 0: two tables, each coarse[q] * fine[r] for j = q w + r
+    by ``_split``, all four from one exp; yielded, so that the caller frees
+    the first before the second is formed."""
+    args, spans = [], []
+    for origin, stride, count in ((start, width, tiles), (0.0, 1, width)):
+        w, q = _split(count)
+        n = stride * np.arange(w)  # exact integers: step * n rounds once
+        args += [step * n, origin + step * (w * n[:q])]
+        spans.append((w, q, count))
+    table = np.exp(1j * np.multiply.outer(np.concatenate(args), freqs))
+    for w, q, count in spans:
+        fine, coarse, table = table[:w], table[w:w + q], table[w + q:]
+        yield (coarse[:, None, :] * fine).reshape(q * w, len(freqs))[:count]
 
 
 def _nodes(c):
     """Chebyshev node count for c = h tau, or inf past the table."""
     p = bisect_left(_C_MAX, c)
     return p + 1 if p < len(_C_MAX) else math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(size):
+    """Chebyshev points of the second kind, barycentric weights: read-only."""
+    x_p = np.cos(np.pi / max(size - 1, 1) * np.arange(size))
+    lam = (-1.0) ** np.arange(size)
+    lam[[0, -1]] /= 2
+    x_p.flags.writeable = lam.flags.writeable = False
+    return x_p, lam
 
 
 def _aggregated(rows, freqs, times):
@@ -94,22 +115,26 @@ def _aggregated(rows, freqs, times):
     f_c, h = (f[lo] + f[hi]) / 2, (f[hi] - f[lo]) / 2
     core = order[lo:hi + 1]
     peeled = np.concatenate((order[:lo], order[hi + 1:]))
-    x_p = np.cos(np.pi / max(size - 1, 1) * np.arange(size))
-    lam = (-1.0) ** np.arange(size)
-    lam[[0, -1]] /= 2
-    # (h or 1.0): h = 0 leaves one node, where every l_p(x) = 1
-    d = np.subtract.outer(x_p, (freqs[core] - f_c) / (h or 1.0))
-    on = d == 0  # a frequency on a node keeps its weight there
-    d[:, on.any(axis=0)] = np.inf
-    d[on] = 1.0
-    basis = lam[:, None] / d
-    table = (basis / basis.sum(axis=0)).astype(complex).T
+    x_p, lam = _chebyshev(size)
+    if size == 1:  # every l_0(x) = basis / basis.sum() = 1
+        table = np.ones((1, len(core)), complex).T
+    else:
+        d = np.subtract.outer(x_p, (freqs[core] - f_c) / h)
+        on = d == 0  # a frequency on a node keeps its weight there
+        if on.any():
+            d[:, on.any(axis=0)] = np.inf
+            d[on] = 1.0
+        basis = lam[:, None] / d
+        table = (basis / basis.sum(axis=0)).astype(complex).T
     shifted = rows * np.exp(1j * (freqs * t_c))
+    merged = np.empty((len(rows), size + len(peeled)), complex)
     # a complex product per row with a (P, K) table: a real or a (K, P)
     # table rounds with the BLAS thread count, more rows with their count
-    merged = np.array([row[core] @ table for row in shifted]).reshape(-1, size)
-    return (np.concatenate([merged, shifted[:, peeled]], axis=1),
-            np.concatenate((f_c + h * x_p, freqs[peeled])), times[0] - t_c)
+    for out, row in zip(merged, shifted):
+        np.matmul(row[core], table, out=out[:size])
+    merged[:, size:] = shifted[:, peeled]
+    return (merged, np.concatenate((f_c + h * x_p, freqs[peeled])),
+            times[0] - t_c)
 
 
 def weighted_trig_sums(weights, freqs, times):
@@ -126,27 +151,27 @@ def weighted_trig_sums(weights, freqs, times):
     times = np.ascontiguousarray(times, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1:] != freqs.shape:
         raise ValueError("weights must be (K,) or (R, K) with K = len(freqs)")
+    if times.ndim != 1 or not len(times):
+        raise ValueError("times must be one-dimensional, at least one point")
     count = len(times)
-    if not count:
-        raise ValueError("times must hold at least one point")
     rows = weights[None] if weights.ndim == 1 else weights
     dt = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
-    width = math.isqrt(count - 1) + 1  # M = ceil(sqrt(T))
+    # M = ceil(sqrt(T)) and B = ceil(T / M) <= M tile starts t_{bM}, so the
+    # left table is no larger than the right one
+    width, tiles = _split(count)
     rows, freqs, start = _aggregated(rows, freqs, times)
-    # B = ceil(T / M) <= M tile starts t_{bM}, so the left table is no
-    # larger than the right one
-    tiles, K = -(-count // width), len(freqs)
-    starts = _progression(start, dt, width, tiles, freqs)
+    phases = _phases(start, dt, tiles, width, freqs)
+    starts = next(phases)
     left = [row * starts for row in rows]  # each row as in a one-row call
     del starts  # freed before the right table, which takes its pages
-    right = _progression(0.0, dt, 1, width, freqs).T
+    right = next(phases).T
     # per row, one product per block of <= 128 frequencies, summed in block
     # order, so that no product rounds with the BLAS thread count or with
     # the call's other rows (see above)
     sums = np.empty((len(rows), tiles, width), complex)
     for out, row in zip(sums, left):
         np.matmul(row[:, :128], right[:128], out=out)
-        for k in range(128, K, 128):
+        for k in range(128, len(freqs), 128):
             out += row[:, k:k + 128] @ right[k:k + 128]
     sums = sums.reshape(len(rows), tiles * width)[:, :count]
     if weights.ndim == 1:

@@ -166,8 +166,8 @@ def _oracle_bands(state: FockState, rep: AlgebraRep):
             f"xi is not Hermitian: |up - conj(down)| = {worst:.3e}")
     # the loop xi[n, n+1] xi[n+1, n] sits on the diagonal at n and at n+1,
     # and rho's loop equals it
-    const = np.sum((np.abs(c[:-1]) ** 2 + np.abs(c[1:]) ** 2)
-                   * up * down).real
+    p = np.abs(c) ** 2
+    const = np.sum((p[:-1] + p[1:]) * up * down).real
     cc = c.conj()
     return [(cc[:-1] * up * c[1:], rep.eps[:-1] - rep.eps[1:],
              lambda re, im: [2.0 * re, 2.0 * im]),
@@ -248,7 +248,7 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str):
                  ms.mean_f, lambda re, im: [s2 * re, s2 * im]),
                 (ms.cross_w * complex(math.cos(2.0 * phi),
                                       math.sin(2.0 * phi)), ms.cross_f,
-                 lambda re, im: [re + ms.diag + 0.5, -re + ms.diag + 0.5])])
+                 lambda re, im: [re + ms.diag + 0.5, (ms.diag - re) + 0.5])])
     finally:
         _RADIUS_JUDGED.reset(judged)
     return routes, state
@@ -313,22 +313,20 @@ def trace(spec: SpectrumModel, kind: str, r: float, phi: float = 0.0,
         (mxi, mrho, mxi2, mrho2), *series_m = _moments(routes, times)
         var_xi = _clamp_var_array(mxi2, mxi, "xi")
         var_rho = _clamp_var_array(mrho2, mrho, "rho")
-        values = np.sqrt(var_xi * var_rho)
-
-        if float(values.min()) < 0.5 - _FLOOR_TOL:
+        values = var_xi * var_rho
+        low = float(np.sqrt(values, out=values).min())
+        if low < 0.5 - _FLOOR_TOL:
             raise UncertaintyFloorError(
-                f"uncertainty dipped to {values.min():.12g}, below hbar/2")
-
-        alt = None
-        disc = None
+                f"uncertainty dipped to {low:.12g}, below hbar/2")
+        alt = disc = None
         if path == "both":
             [(sxi, srho, sxi2, srho2)] = series_m
-            alt = np.sqrt(_clamp_var_array(sxi2, sxi, "xi")
-                          * _clamp_var_array(srho2, srho, "rho"))
-            disc = float(np.abs(values - alt).max())
+            alt = _clamp_var_array(sxi2, sxi, "xi")
+            alt *= _clamp_var_array(srho2, srho, "rho")
+            disc = float(np.abs(values - np.sqrt(alt, out=alt)).max())
     # overflow upstream (e.g. in the state amplitudes at large r) would
-    # otherwise be returned silently
-    if not (np.isfinite(values).all()
+    # otherwise be returned silently; a NaN value makes the min NaN
+    if not (math.isfinite(low) and math.isfinite(float(values.max()))
             and (disc is None or math.isfinite(disc))):
         raise NonFiniteResultError(
             f"trace on path {path!r} gave non-finite values at r = {r!r}")

@@ -250,7 +250,8 @@ def _levels(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
 
 
 def _ladder(spec: SpectrumModel, start: int, stop: int) -> np.ndarray:
-    gaps = _levels(spec, start, stop + 1)[1:] - energy(spec, 0)
+    eps = _levels(spec, start, stop + 1)
+    gaps = eps[1:] - (eps[0] if start == 0 else energy(spec, 0))
     below = np.flatnonzero(gaps < 0)
     if below.size:
         k = below[0]

@@ -171,9 +171,9 @@ def _profile(log_ratio: np.ndarray) -> np.ndarray:
     ``exp`` (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41 (2021)), so
     no term overflows, and alpha_k, not p_k, must leave the float range to
     underflow.  The one normalizer of a state and of its series."""
-    log_alpha = np.add.accumulate(np.append(0.0, log_ratio))
+    log_alpha = np.add.accumulate(np.concatenate(([0.0], log_ratio)))
     alpha = np.exp(log_alpha - log_alpha.max())
-    return alpha / np.linalg.norm(alpha)
+    return alpha / math.sqrt(alpha @ alpha)  # np.linalg.norm's sum
 
 
 def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
@@ -192,9 +192,9 @@ def _amplitudes(ladder: np.ndarray, z: complex, count: int) -> np.ndarray:
     # log 0 = -inf at z = 0, and log N = inf where a q**n ladder overflows
     with np.errstate(divide="ignore"):
         alpha = _profile(np.log(r) - np.log(step))
-    phase = np.multiply.accumulate(
-        np.append(1.0 + 0j, np.full(count - 1, z / r if r else 1.0 + 0j)))
-    return alpha * phase
+    phase = np.full(count, z / r if r else 1.0, dtype=complex)
+    phase[0] = 1.0
+    return alpha * np.multiply.accumulate(phase, out=phase)
 
 
 def _grow(ratio: Callable[[np.ndarray], np.ndarray], r: float) -> int:
@@ -218,9 +218,10 @@ def _grow(ratio: Callable[[np.ndarray], np.ndarray], r: float) -> int:
         # the chunk runs past the stop, where the loop never went: terms
         # may overflow there and 1 - rho vanish
         with np.errstate(all="ignore"):
-            t = np.multiply.accumulate(np.append(last, rho))
-            tot = np.add.accumulate(np.append(total, t[1:]))
-            stop = ((rho < 1.0) & (rho <= np.append(prev, rho[:-1]) + 1e-15)
+            t = np.multiply.accumulate(np.concatenate(([last], rho)))
+            tot = np.add.accumulate(np.concatenate(([total], t[1:])))
+            stop = ((rho < 1.0)
+                    & (rho <= np.concatenate(([prev], rho[:-1])) + 1e-15)
                     & (t[:-1] * rho / (1.0 - rho)
                        <= _TAIL * np.maximum(tot[:-1], 1.0)))
         if stop.any():

@@ -132,36 +132,46 @@ def test_linspace_grid_is_the_kernels_progression(count):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 15, 16, 17, 45, 141, 142])
 def test_progression_matches_direct_exp(count):
+    # both tables of _phases: the tile starts start + j width step and the
+    # offsets m step, each as a count of tiles and as a width
     rng = np.random.default_rng(count)
     f = rng.normal(size=23)
     f[:2] = 0.0
     for start, step, stride in ((0.0, 0.05, 1), (-37.5, 0.53, 1),
                                 (-37.5, 0.0125, 45)):
-        got = _kernels_py._progression(start, step, stride, count, f)
-        t = start + step * (stride * np.arange(count))
-        want = np.exp(1j * np.multiply.outer(t, f))
-        assert got.shape == want.shape == (count, 23)
-        if count:
-            bound = 8 * np.finfo(float).eps * np.abs(
-                np.multiply.outer(t, f)).max()
-            assert np.abs(got - want).max() <= bound
-        empty = _kernels_py._progression(start, step, stride, count, f[:0])
-        assert empty.shape == (count, 0)
+        for tiles, width in ((count, stride), (1, count)):
+            tables = _kernels_py._phases(start, step, tiles, width, f)
+            starts = start + step * (width * np.arange(tiles))
+            for got, t in zip(tables, (starts, step * np.arange(width))):
+                want = np.exp(1j * np.multiply.outer(t, f))
+                assert got.shape == want.shape == (len(t), 23)
+                if len(t):
+                    bound = 8 * np.finfo(float).eps * np.abs(
+                        np.multiply.outer(t, f)).max()
+                    assert np.abs(got - want).max() <= bound
+            empty = _kernels_py._phases(start, step, tiles, width, f[:0])
+            assert [e.shape for e in empty] == [(tiles, 0), (width, 0)]
+
+
+def _counting(monkeypatch, name):
+    """Record the element count of every call of np.<name>."""
+    func, sizes = getattr(np, name), []
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return func(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, counting)
+    return sizes
 
 
 def test_exp_work_grows_as_fourth_root_of_the_grid(monkeypatch):
     # a complex exp costs tens of products per element, so a uniform call
     # evaluates about 4 T^(1/4) K of them and multiplies the rest
-    exp, elements = np.exp, []
-
-    def counting(x, *args, **kwargs):
-        elements.append(np.size(x))
-        return exp(x, *args, **kwargs)
-
     rng = np.random.default_rng(4)
     w, f = rng.normal(size=(2, 200))
     times = np.linspace(0.0, 1000.0, 20001)
-    monkeypatch.setattr(_kernels_py.np, "exp", counting)
+    elements = _counting(monkeypatch, "exp")
     _kernels_py.weighted_trig_sums(_phased(w, 0.3), f, times)
     assert 0 < sum(elements) <= 6 * len(times) ** 0.25 * len(f)
 
@@ -201,6 +211,13 @@ def test_empty_weight_rows():
 def test_empty_times_rejected():
     with pytest.raises(ValueError, match="at least one point"):
         _kernels_py.weighted_trig_sums(np.ones(3), np.ones(3), np.array([]))
+
+
+def test_times_must_be_one_dimensional():
+    # a (1, T) grid would read as one point
+    for times in (np.linspace(0.0, 1.0, 5)[None], np.zeros((5, 2))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            _kernels_py.weighted_trig_sums(np.ones(3), np.arange(3.0), times)
 
 
 @pytest.mark.parametrize("count", [129, 300, 2001])
@@ -383,3 +400,72 @@ def test_aggregated_output_independent_of_blas_threads():
         "    out += re.tobytes() + im.tobytes()\n"
         "print(hashlib.sha256(out).hexdigest())\n")
     assert len(_digests_over_blas_threads(script)) == 1
+
+
+@pytest.mark.parametrize("count, rows", [(1, 4), (2, 5), (10, 8), (17, 9),
+                                         (2001, 28), (20001, 48)])
+def test_one_exp_builds_the_tile_tables(monkeypatch, count, rows):
+    # T points tile as M = ceil(sqrt(T)) offsets and B = ceil(T / M) starts;
+    # each table is ceil(sqrt(n)) fine rows and ceil(n / that) coarse ones.
+    # T = 2: M = 2 (2 + 1), B = 1 (1 + 1); T = 10: M = 4 (2 + 2), B = 3
+    # (2 + 2); T = 17: M = 5 (3 + 2), B = 4 (2 + 2); T = 20001: M = 142
+    # (12 + 12), B = 141 (12 + 12).  Frequencies too wide to merge keep K = 7
+    sizes = _counting(monkeypatch, "exp")
+    f = np.array([0.0, 40.0, -95.0, 150.0, 210.0, -260.0, 333.0])
+    _kernels_py.weighted_trig_sums(np.ones(7), f,
+                                   np.linspace(0.0, 100.0, count))
+    assert sizes == [rows * 7]
+
+
+def test_aggregated_call_takes_two_exps(monkeypatch):
+    # the shift to the grid's centre and the tile tables of the merged
+    # frequencies
+    f = _gaps(_GAP_SPECTRA["type1"], 300, 1)
+    times = np.linspace(0.0, 100.0, 2001)
+    kept = len(_kernels_py._aggregated(np.ones((1, 300)), f, times)[1])
+    assert kept < 300
+    sizes = _counting(monkeypatch, "exp")
+    _kernels_py.weighted_trig_sums(np.ones((2, 300)), f, times)
+    assert sizes == [300, 28 * kept]
+
+
+def test_node_constants_built_once_per_count(monkeypatch):
+    f = _gaps(_GAP_SPECTRA["type1"], 300, 1)
+    times = np.linspace(0.0, 100.0, 2001)
+    _kernels_py._chebyshev.cache_clear()
+    sizes = _counting(monkeypatch, "cos")
+    first = _kernels_py._aggregated(np.ones((1, 300)), f, times)
+    again = _kernels_py._aggregated(np.ones((2, 300)), f, times)
+    assert len(sizes) == 1 and len(first[1]) == len(again[1])
+    x_p, lam = _kernels_py._chebyshev(sizes[0])
+    assert not x_p.flags.writeable and not lam.flags.writeable
+
+
+def test_harmonic_merge_is_the_barycentric_formula():
+    # equal gaps take one node, where the merge table of ones has the
+    # bytes of the barycentric weights l_0(x) = (lam_0 / d) / sum(lam / d)
+    rng = np.random.default_rng(17)
+    f = _gaps(_GAP_SPECTRA["harmonic"], 300, 2)
+    times = np.linspace(0.0, 100.0, 2001)
+    rows = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
+    merged, freqs, start = _kernels_py._aggregated(rows, f, times)
+    t_c = (times[0] + times[-1]) / 2
+    assert freqs.tolist() == [-2.0] and start == times[0] - t_c
+    x_p, lam = np.array([1.0]), np.array([0.5])
+    basis = lam[:, None] / np.subtract.outer(x_p, (f - (-2.0)) / 1.0)
+    table = (basis / basis.sum(axis=0)).astype(complex).T
+    order = np.argsort(f)
+    for got, row in zip(merged, rows * np.exp(1j * (f * t_c))):
+        assert got.tobytes() == (row[order] @ table).tobytes()
+
+
+def test_peel_takes_the_end_that_narrows_the_core():
+    # a low outlier at -2, a cluster on [0, 1] and two high gaps 0.02
+    # apart: dropping -2 narrows the core from 6 to 4 (45 -> 36 nodes on
+    # [0, 10]); the next peel, 4.0, would save less than a node
+    f = np.concatenate((np.linspace(0.0, 1.0, 100), [3.98, 4.0, -2.0]))
+    merged, freqs, _ = _kernels_py._aggregated(
+        np.ones((1, 103)), f, np.linspace(0.0, 10.0, 2001))
+    assert (_kernels_py._nodes(3.0 * 5.0), _kernels_py._nodes(2.0 * 5.0)) \
+        == (45, 36)
+    assert len(freqs) == merged.shape[1] == 37 and freqs[-1] == -2.0
