@@ -106,10 +106,11 @@ class AlgebraRep:
     """All generators at one truncation dimension, stored as bands.
 
     ``eps`` is the J0 diagonal, ``ladder`` the subdiagonal N_n of A_dag, and
-    ``xi_bands`` and ``rho_bands`` the (super, sub) diagonals of xi and rho.
-    The oracle checks xi's sub-band against the conjugate of its super-band
-    before it sums that super-band alone, and reads rho's moments from the
-    same sums; ``verify_algebra`` and the dense views read rho's bands.
+    ``xi_bands`` the (super, sub) diagonals of xi.  rho's bands are -i and
+    +i times xi's, so ``verify_algebra``'s ``position_momentum`` check and
+    ``expectations_oracle`` see a defect in ``xi_bands`` on both generators.
+    ``trace`` builds no representation: its oracle forms the same bands
+    from the levels alone.
     The ``bands`` of every generator, and their dense renderings ``J0, A,
     A_dag, N_op, D, D_dag, xi, rho``, are built on first access and cached.
     The fields and the dense views are read-only, so a representation is
@@ -121,19 +122,21 @@ class AlgebraRep:
     eps: np.ndarray
     ladder: np.ndarray
     xi_bands: tuple[np.ndarray, np.ndarray]
-    rho_bands: tuple[np.ndarray, np.ndarray]
 
     dim = property(lambda s: len(s.eps))
 
     @cached_property
     def bands(self) -> dict[str, Band]:
         d, root = self.dim, np.sqrt(np.arange(1.0, self.dim))
+        # rho = i (D_dag - D) / sqrt(2) = -i xi above the diagonal and +i xi
+        # below; -(1j * up) keeps the -0.0 real parts that -1j * up flips
+        up, down = self.xi_bands
         return {name: Band.of(d, diags) for name, diags in (
             ("J0", {0: self.eps}), ("N_op", {0: np.arange(d, dtype=float)}),
             ("A", {1: self.ladder}), ("A_dag", {-1: self.ladder}),
             ("D", {1: root}), ("D_dag", {-1: root}),
-            ("xi", dict(zip((1, -1), self.xi_bands))),
-            ("rho", dict(zip((1, -1), self.rho_bands))))}
+            ("xi", {1: up, -1: down}),
+            ("rho", {1: -(1j * up), -1: 1j * down}))}
 
     J0, N_op, A, A_dag, D, D_dag, xi, rho = (
         cached_property(lambda s, name=name: s.bands[name].dense())
@@ -162,14 +165,11 @@ def build_rep(spec: SpectrumModel, dim: int) -> AlgebraRep:
     ladder = ladder_coefficients(spec, dim - 1)
     _check_reconstruction(eps, ladder)
 
-    # xi and rho from D (sqrt(n) above the diagonal) and D_dag (below it)
-    root = np.sqrt(np.arange(1.0, dim))
-    xi = (1.0 / math.sqrt(2.0)) * root.astype(complex)
-    i_scale = 1j / math.sqrt(2.0)
-    rho = (i_scale * (-root).astype(complex), i_scale * root.astype(complex))
-    for a in (eps, ladder, xi, *rho):
+    # xi from D (sqrt(n) above the diagonal) and D_dag (below it)
+    xi = (1.0 / math.sqrt(2.0)) * np.sqrt(np.arange(1.0, dim)).astype(complex)
+    for a in (eps, ladder, xi):
         a.flags.writeable = False
-    return AlgebraRep(spec.system, eps, ladder, (xi, xi), rho)
+    return AlgebraRep(spec.system, eps, ladder, (xi, xi))
 
 
 def _check_reconstruction(eps: np.ndarray, ladder: np.ndarray) -> None:

@@ -11,14 +11,18 @@ from the closed-form series catalog.  The matrix route is the source of
 truth; the series route must reproduce it to 1e-9.
 
 The oracle never forms the evolved state on the grid, nor any dim x dim
-matrix.  xi and rho are zero off their first sub- and superdiagonals, and
-xi^2 and rho^2 off the diagonal and the second ones.  xi's stored bands
-are checked once to be Hermitian, and rho's super-band is -i times xi's,
-so all four moments come from two trigonometric sums over the stored
-upper bands, S1 of xi and S2 of xi^2: <xi> = 2 Re S1, <rho> = 2 Im S1,
+matrix, nor an ``AlgebraRep``: it reads the levels once and no ladder.  xi
+and rho are zero off their first sub- and superdiagonals, and xi^2 and
+rho^2 off the diagonal and the second ones.  xi's two bands are one array,
+sqrt(n+1)/sqrt(2) for every spectrum, and rho's super-band is -i times
+xi's, so all four moments come from two trigonometric sums over xi's
+upper band, S1 of xi and S2 of xi^2: <xi> = 2 Re S1, <rho> = 2 Im S1,
 and <xi^2>, <rho^2> = +-2 Re S2 plus one constant from the diagonal.  That
 costs O(dim T) rather than O(dim^2 T), and the weights still come from
-the generators and the Fock vector, never from the series catalog.
+the generators and the Fock vector, never from the series catalog.  The
+generators are checked by ``algebra.build_rep`` (D from the ladder) and
+``verify_algebra`` ([xi, rho] = i), so a linear trace on a table whose
+ladder ``build_rep`` refuses (a level at or below the ground) answers.
 
 Both routes sum over the same two bands: the gaps eps_n - eps_{n+1} for
 the means and eps_n - eps_{n+2} for the squares, and the series takes the
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels_py import weighted_trig_sums
-from .algebra import AlgebraRep, build_rep
+from .algebra import AlgebraRep
 from .config import _write_csv
 from .errors import (
     ClampWarning,
@@ -149,39 +153,30 @@ def _embed(state: FockState, dim: int) -> np.ndarray:
     return c
 
 
-def _oracle_bands(state: FockState, rep: AlgebraRep):
+def _oracle_bands(state: FockState, spec: SpectrumModel):
     # <X>(t) = sum_{m,n} conj(c_m) X_mn c_n exp(i (eps_m - eps_n) t).  Band
     # k of X (entries X[n, n+k]) has weights conj(c_n) X[n, n+k] c_{n+k} and
     # frequencies eps_n - eps_{n+k}.  For Hermitian bands, band -k sums to
     # the conjugate of band +k, so each moment is 2 Re(band +k) plus its
     # diagonal; rho = -i xi on band 1, so <rho> = 2 Im S1 and <rho^2> =
-    # -2 Re S2 + const from xi's sums.  Hermiticity is checked once, on xi's
-    # stored bands, to an absolute bound: unlike an imaginary part on the
-    # grid, this also sees a defect on levels where the state has no weight.
-    c = _embed(state, rep.dim)
-    up, down = rep.xi_bands
-    worst = float(np.abs(up - down.conj()).max())
-    if worst > _IMAG_TOL:
-        raise ImaginaryResidualError(
-            f"xi is not Hermitian: |up - conj(down)| = {worst:.3e}")
-    # the loop xi[n, n+1] xi[n+1, n] sits on the diagonal at n and at n+1,
-    # and rho's loop equals it
-    p = np.abs(c) ** 2
-    const = np.sum((p[:-1] + p[1:]) * up * down).real
-    cc = c.conj()
-    return [(cc[:-1] * up * c[1:], rep.eps[:-1] - rep.eps[1:],
-             lambda re, im: [2.0 * re, 2.0 * im]),
-            (cc[:-2] * up[:-1] * up[1:] * c[2:], rep.eps[:-2] - rep.eps[2:],
-             lambda re, im: [2.0 * re + const, -2.0 * re + const])]
-
-
-def _rep_for(spec: SpectrumModel, state: FockState) -> AlgebraRep:
-    # one padding level carries the term past the state's support, the loop
+    # -2 Re S2 + const from xi's sums; xi's sub-band is its super-band.
+    # One padding level carries the term past the state's support, the loop
     # xi[n, n+1] xi[n+1, n] at its top level n; the second adds zero-weight
     # terms alone, and its overflowing level makes q_deformed(1e150) at
     # r = 0.5 raise NonFiniteResultError.  Finite ladders are whole
     dim = state.dim + 2 if spec.max_level is None else spec.max_level + 1
-    return build_rep(spec, dim)
+    c = _embed(state, dim)
+    eps = levels(spec, dim)
+    up = (1.0 / math.sqrt(2.0)) * np.sqrt(np.arange(1.0, dim)).astype(complex)
+    # the loop xi[n, n+1] xi[n+1, n] sits on the diagonal at n and at n+1,
+    # and rho's loop equals it
+    p = np.abs(c) ** 2
+    const = np.sum((p[:-1] + p[1:]) * up * up).real
+    cc = c.conj()
+    return [(cc[:-1] * up * c[1:], eps[:-1] - eps[1:],
+             lambda re, im: [2.0 * re, 2.0 * im]),
+            (cc[:-2] * up[:-1] * up[1:] * c[2:], eps[:-2] - eps[2:],
+             lambda re, im: [2.0 * re + const, -2.0 * re + const])]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,9 @@ def _moments(routes, times: np.ndarray):
 def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str):
     """Check a label's inputs, judge r once, build its state where the oracle
     needs it or a linear state must fit a finite ladder, and each route's
-    bands (oracle first, as ``_moments`` takes them); return the bands with
-    the state, or None where none was built."""
+    bands (oracle first, as ``_moments`` takes them): the oracle's from the
+    state and one level read, the series' from its catalog.  Return the
+    bands with the state, or None where none was built."""
     require_finite(r=r, phi=phi)
     if path not in ("oracle", "series", "both"):
         raise InvalidParameterError(f"unknown path {path!r}")
@@ -235,8 +231,7 @@ def _plan(spec: SpectrumModel, kind: str, r: float, phi: float, path: str):
                      linear_coherent_state(z, index_offset=spec.index_offset,
                                            within=spec))
         if path != "series":
-            routes.append(_oracle_bands(
-                state, _rep_for(spec, state)))
+            routes.append(_oracle_bands(state, spec))
         if path != "oracle":
             ms = moment_series(spec, kind, r)
             # the label phase rides on the weights, w_k exp(i phi) and

@@ -58,8 +58,9 @@ class NegativeVarianceError(GhaError, RuntimeError):
 
 class ImaginaryResidualError(GhaError, RuntimeError):
     """Expectation value of a Hermitian operator has a non-negligible
-    imaginary part, or xi's stored bands are not Hermitian (its sub-band
-    differs from the conjugate of its super-band)."""
+    imaginary part: ``expectations_oracle`` on a representation whose
+    ``xi_bands`` are not Hermitian (its sub-band differs from the conjugate
+    of its super-band)."""
 
 
 class NonFiniteResultError(GhaError, RuntimeError):

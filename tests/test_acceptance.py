@@ -13,7 +13,6 @@ import pytest
 import ghastates as g
 from ghastates.dynamics import (
     _plan,
-    _rep_for,
     peak_deviation,
     refined_extremum,
     trace,
@@ -90,7 +89,11 @@ def test_criterion_4_route_equivalence():
             t = rng.uniform(0.0, 100.0)
             es = g.expectations_series(sp, kind, r, phi, t)
             st = _plan(sp, kind, r, phi, "oracle")[1]
-            eo = g.expectations_oracle(g.evolve(st, sp, t), _rep_for(sp, st))
+            # the dense reference at the oracle's dimension: two padding
+            # levels, or the whole of a finite ladder
+            dim = st.dim + 2 if sp.max_level is None else sp.max_level + 1
+            eo = g.expectations_oracle(g.evolve(st, sp, t),
+                                       g.build_rep(sp, dim))
             for field in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
                 a, b = getattr(es, field), getattr(eo, field)
                 worst = max(worst, abs(a - b) / (1.0 + abs(b)))

@@ -21,7 +21,6 @@ from ghastates.dynamics import (
     _moments,
     _oracle_bands,
     _plan,
-    _rep_for,
     peak_deviation,
     refined_extremum,
 )
@@ -41,6 +40,13 @@ from ghastates.errors import (
 )
 from ghastates.series import SUPPORTED, moment_series
 from ghastates.spectrum import ladder_coefficients
+
+
+def _dense_rep(spec, st):
+    # the dense reference at the oracle's dimension: two padding levels past
+    # the state, or the whole of a finite ladder
+    return g.build_rep(spec, st.dim + 2 if spec.max_level is None
+                       else spec.max_level + 1)
 
 
 def test_evolve_identity_at_t0():
@@ -89,7 +95,7 @@ def test_vacuum_saturates_floor():
 def test_harmonic_linear_cs_constant_half():
     spec = g.harmonic()
     st = g.linear_coherent_state(0.8)
-    rep = _rep_for(spec, st)
+    rep = _dense_rep(spec, st)
     for t in (0.0, 1.7, 42.0):
         es = g.expectations_oracle(g.evolve(st, spec, t), rep)
         assert g.uncertainty(es) == pytest.approx(0.5, abs=1e-12)
@@ -101,7 +107,7 @@ def test_harmonic_textbook_mean_position():
     spec = g.harmonic()
     r, phi = 0.8, 0.6
     st = g.linear_coherent_state(r * np.exp(1j * phi))
-    rep = _rep_for(spec, st)
+    rep = _dense_rep(spec, st)
     for t in (0.0, 0.9, 2.4, 7.7):
         expected_xi = math.sqrt(2.0) * r * math.cos(t - phi)
         expected_rho = -math.sqrt(2.0) * r * math.sin(t - phi)
@@ -121,7 +127,7 @@ def test_series_matches_oracle_spot(sysname, kind):
     r, phi, t = 0.35, 1.1, 23.7
     es = g.expectations_series(spec, kind, r, phi, t)
     st = _plan(spec, kind, r, phi, "oracle")[1]
-    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st))
+    eo = g.expectations_oracle(g.evolve(st, spec, t), _dense_rep(spec, st))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         a, b = getattr(es, name), getattr(eo, name)
         assert abs(a - b) <= 1e-9 * (1 + abs(b))
@@ -132,7 +138,7 @@ def test_series_matches_oracle_nonunit_b():
     r, phi, t = 0.3, 0.4, 11.0
     es = g.expectations_series(spec, "gha", r, phi, t)
     st = _plan(spec, "gha", r, phi, "oracle")[1]
-    eo = g.expectations_oracle(g.evolve(st, spec, t), _rep_for(spec, st))
+    eo = g.expectations_oracle(g.evolve(st, spec, t), _dense_rep(spec, st))
     for name in ("mean_xi", "mean_rho", "mean_xi2", "mean_rho2"):
         assert getattr(es, name) == pytest.approx(getattr(eo, name), abs=1e-10)
 
@@ -410,7 +416,7 @@ def test_oracle_expectation_checks():
         g.expectations_oracle(g.basis_state(4), rep)
     # a generator whose sub-band is not the conjugate of its super-band
     skew = g.AlgebraRep("harmonic", np.zeros(2), np.ones(1),
-                        (np.ones(1), 1j * np.ones(1)), (np.ones(1), np.ones(1)))
+                        (np.ones(1), 1j * np.ones(1)))
     state = g.FockState(np.full(2, math.sqrt(0.5)), 0, "harmonic")
     with pytest.raises(ImaginaryResidualError, match="imaginary part"):
         g.expectations_oracle(state, skew)
@@ -695,6 +701,33 @@ def test_series_route_reads_no_ladder_and_no_rep(monkeypatch):
         assert np.isfinite(tr.values).all()
 
 
+@pytest.mark.parametrize("path,reads", [
+    ("oracle", 2), ("both", 3), ("series", 1)])
+def test_trace_builds_no_rep_and_reads_the_levels_once_per_use(
+        path, reads, monkeypatch):
+    # the state's tail pass, the oracle's bands and the series' frequencies
+    # each read the level formula once; no path builds an AlgebraRep
+    import ghastates.algebra as algebra
+    import ghastates.spectrum as spectrum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace built an AlgebraRep")
+
+    for module in (g, algebra, g.dynamics):
+        monkeypatch.setattr(module, "build_rep", refuse, raising=False)
+    calls = []
+    inner = spectrum._levels
+
+    def counting(*args):
+        calls.append(args[1:])
+        return inner(*args)
+
+    monkeypatch.setattr(spectrum, "_levels", counting)
+    tr = g.trace(g.type1(), "gha", 0.9, n_points=101, path=path)
+    assert np.isfinite(tr.values).all()
+    assert len(calls) == reads, calls
+
+
 def test_series_r_zero_is_vacuum():
     es = g.expectations_series(g.type1(), "gha", 0.0, 0.0, 3.0)
     assert es.mean_xi == 0.0 and es.mean_rho == 0.0
@@ -795,7 +828,7 @@ _ORACLE_CASES = [
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_banded_oracle_matches_dense(spec, kind, r):
     routes, st = _plan(spec, kind, r, 0.7, "oracle")
-    rep = _rep_for(spec, st)
+    rep = _dense_rep(spec, st)
     # the second grid starts below zero and its last tile is ragged
     for times in (np.linspace(0.0, 30.0, 41), np.linspace(-7.5, 30.0, 23)):
         [grid] = _moments(routes, times)
@@ -807,19 +840,21 @@ def test_banded_oracle_matches_dense(spec, kind, r):
                 assert abs(got[j] - want) <= bound
 
 
-def test_rho_defect_shows_outside_the_oracle_bands():
-    # the oracle reads rho's moments from xi's sums; verify_algebra and the
-    # dense route still read rho's stored bands
+def test_xi_defect_shows_on_both_generators():
+    # rho's bands are -i and +i times xi's, so a non-Hermitian xi band
+    # fails the position-momentum identity and the dense route; trace's
+    # oracle forms xi's two bands from one array and reads no rep
     spec = g.type1()
     st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
-    rep = _rep_for(spec, st)
-    up, down = rep.rho_bands
+    rep = _dense_rep(spec, st)
+    up, down = rep.xi_bands
     up = up.copy()
-    up[0] *= 1.5  # rho[0, 1]: still banded, no longer Hermitian
-    bad = dataclasses.replace(rep, rho_bands=(up, down))
-    _oracle_bands(st, bad)
+    up[0] *= 1.5  # xi[0, 1]: still banded, no longer Hermitian
+    bad = dataclasses.replace(rep, xi_bands=(up, down))
+    assert np.array_equal(bad.rho[0, 1], -1j * up[0])
     report = g.verify_algebra(bad, spec)
     assert not {c.name: c.passed for c in report.checks}["position_momentum"]
+    assert g.verify_algebra(rep, spec).passed
     with pytest.raises(ImaginaryResidualError):
         g.expectations_oracle(st, bad)
 
@@ -833,24 +868,6 @@ def _count_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(g.dynamics, "weighted_trig_sums", counting)
     return rows
-
-
-# entry -1 is X[dim - 2, dim - 1]: both levels lie above the state's support,
-# so no moment on any time grid carries the defect
-@pytest.mark.parametrize("name,n", [("xi", 0), ("xi", -1)])
-def test_oracle_checks_hermiticity_on_the_bands(name, n, monkeypatch):
-    spec = g.type1()
-    st = _plan(spec, "gha", 0.5, 0.3, "oracle")[1]
-    rep = _rep_for(spec, st)
-    assert rep.dim == st.dim + 2
-    up, down = getattr(rep, f"{name}_bands")
-    up = up.copy()
-    up[n] *= 1.5
-    bad = dataclasses.replace(rep, **{f"{name}_bands": (up, down)})
-    rows = _count_kernel_rows(monkeypatch)
-    with pytest.raises(ImaginaryResidualError, match=name):
-        _oracle_bands(st, bad)
-    assert rows == []  # raised before any kernel call
 
 
 def test_oracle_sums_one_row_per_band(monkeypatch):
@@ -995,7 +1012,7 @@ _VIEW_BANDS = {"J0": (0,), "N_op": (0,), "A": (1,), "D": (1,),
                          ids=[c[0].system for c in _ORACLE_CASES])
 def test_dense_views_are_their_bands(spec, kind, r, monkeypatch):
     st = _plan(spec, kind, r, 0.7, "oracle")[1]
-    rep = _rep_for(spec, st)
+    rep = _dense_rep(spec, st)
     idx = np.arange(rep.dim)
     offset = idx[None, :] - idx[:, None]
     for name, want in _eager_dense(spec, rep.dim).items():
@@ -1179,12 +1196,12 @@ def test_no_entry_takes_a_tail():
 
 def test_no_entry_takes_a_scale():
     # units are fixed at L = hbar = 1; the product is in units of hbar
-    for fn in (g.trace, g.expectations_series, _plan, _rep_for, g.build_rep,
-               g.uncertainty):
+    for fn in (g.trace, g.expectations_series, _plan, _oracle_bands,
+               g.build_rep, g.uncertainty):
         params = inspect.signature(fn).parameters
         assert not {"L_scale", "hbar"} & set(params), fn.__name__
     assert [f.name for f in dataclasses.fields(g.AlgebraRep)] == [
-        "system", "eps", "ladder", "xi_bands", "rho_bands"]
+        "system", "eps", "ladder", "xi_bands"]
     # the Morse constants are SI, with hbar the constant HBAR
     assert [f.name for f in dataclasses.fields(g.MorsePhysicalParams)] == [
         "beta", "V0", "m_r"]

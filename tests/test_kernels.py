@@ -98,6 +98,35 @@ def test_each_row_sums_as_it_does_alone(system):
             assert got_im.tobytes() == s.tobytes(), (system, len(times))
 
 
+@pytest.mark.parametrize("system", ["harmonic", "type1", "wide"])
+def test_row_sums_do_not_depend_on_the_weight_layout(system):
+    # a row's bytes do not depend on the weight array's memory layout or
+    # on the order of rows: strided views, a Fortran-ordered copy and row
+    # permutations give the C-contiguous call's bytes, row for row.
+    # Harmonic gaps merge to one node, type1 gaps to a few, and wide ones
+    # keep every frequency
+    rng = np.random.default_rng(17)
+    f = (rng.uniform(0.0, 5000.0, 300) if system == "wide"
+         else _gaps(_GAP_SPECTRA[system], 300, 1))
+    rows = rng.normal(size=(4, 300)) + 1j * rng.normal(size=(4, 300))
+    padded = np.zeros((4, 600), complex)
+    padded[:, ::2] = rows
+    perm = np.array([2, 0, 3, 1])
+    layouts = [(padded[:, ::2], np.arange(4)), (padded[2:3, ::2], [2]),
+               (np.asfortranarray(rows), np.arange(4)),
+               (rows[perm], perm), (rows[::-1], np.arange(4)[::-1])]
+    for times in (np.array([7.5]), np.linspace(0.0, 100.0, 2001),
+                  np.linspace(0.0, 1000.0, 20001)):
+        re, im = _kernels_py.weighted_trig_sums(rows, f, times)
+        for weights, order in layouts:
+            got_re, got_im = _kernels_py.weighted_trig_sums(weights, f, times)
+            for i, j in enumerate(order):
+                assert got_re[i].tobytes() == re[j].tobytes(), (
+                    system, len(times), i)
+                assert got_im[i].tobytes() == im[j].tobytes(), (
+                    system, len(times), i)
+
+
 def test_kernel_bounds_memory():
     # a table of every phasor of this call would be 4 x 20001 x 200 complex,
     # 256 MB; the two tile tables and the sums take a few MB
